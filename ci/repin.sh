@@ -61,9 +61,7 @@ pins="ci/pinned_digests.tsv"
 
 # ---- harvest fresh digest rows from the gate output -----------------------
 # Same extraction the gate itself uses: solver from the file name, then
-# (scenario, system, digest) from each behavior-digest TSV row. Sharded
-# smoke outputs (.sharded4.out) are deliberately excluded — they must
-# reproduce the sequential pins, never define them.
+# (scenario, system, digest) from each behavior-digest TSV row.
 fresh="$outdir/repin.fresh.tsv"
 : > "$fresh"
 for solver in waterfill simplex; do

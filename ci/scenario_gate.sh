@@ -18,8 +18,7 @@
 #      floors of ci/sim_throughput_floors.tsv — gross perf regressions
 #      fail the build instead of only being visible in BENCH files.
 #
-# The waterfill lane additionally runs the HETIS_SIM_SHARDS=4 sharded
-# smoke (bit-identity against the same pins) and the telemetry-enabled
+# The waterfill lane additionally runs the telemetry-enabled
 # live_telemetry example smoke.
 #
 # Every bench run's wall-clock seconds land in $outdir/elapsed.tsv
@@ -73,20 +72,6 @@ done
 waterfill_lane=0
 [[ " ${solvers[*]} " == *" waterfill "* ]] && waterfill_lane=1
 
-# Sharded smoke: the parallel simulation core (HETIS_SIM_SHARDS > 1)
-# promises BIT-IDENTICAL digests to the sequential engine for any shard
-# count. Re-run three scenarios on four shards; their digest rows are
-# diffed against the very same pins below, so any window-protocol drift
-# fails the gate exactly like a sequential regression would. Waterfill
-# lane only — the contract is solver-independent, one lane suffices.
-if [[ $waterfill_lane -eq 1 ]]; then
-  for bench in scenario_slo_mix scenario_elastic_churn scenario_helix_race; do
-    echo "== $bench (HETIS_SIM_SHARDS=4)"
-    timed_bench "$bench" "waterfill@shards4" \
-      "$outdir/$bench.waterfill.sharded4.out" HETIS_SIM_SHARDS=4
-  done
-fi
-
 fail=0
 
 # ---- 1. digest pinning ----------------------------------------------------
@@ -137,30 +122,6 @@ else
   echo "digest gate [${solvers[*]}]: all $(wc -l < "$pinned") pins match"
 fi
 
-# ---- 1b. sharded bit-identity (waterfill lane) ----------------------------
-# The sharded runs must reproduce the SAME pinned digests — not merely be
-# self-consistent. Diff each sharded row against the waterfill pin.
-if [[ $waterfill_lane -eq 1 ]]; then
-  shact="$outdir/digests.sharded4.tsv"
-  grep -h "behavior-digest" \
-    "$outdir/scenario_slo_mix.waterfill.sharded4.out" \
-    "$outdir/scenario_elastic_churn.waterfill.sharded4.out" \
-    "$outdir/scenario_helix_race.waterfill.sharded4.out" \
-    | awk -F'\t' '{ print "waterfill\t" $1 "\t" $3 "\t" $4 }' | sort > "$shact"
-  shpin="$outdir/pinned.sharded-subset.tsv"
-  grep -v '^#' ci/pinned_digests.tsv \
-    | awk -F'\t' '$1 == "waterfill" &&
-        ($2 == "slo_mix" || $2 == "elastic_storm" || $2 == "helix_race")' \
-    | sort > "$shpin"
-  if ! diff -u "$shpin" "$shact"; then
-    echo "FAIL: HETIS_SIM_SHARDS=4 digests diverged from the sequential pins" >&2
-    echo "      (the sharded runner's bit-identity contract is broken)" >&2
-    fail=1
-  else
-    echo "sharded gate: all $(wc -l < "$shpin") digests identical on 4 shards"
-  fi
-fi
-
 # ---- 2. sim-throughput floors (waterfill lane) ----------------------------
 if [[ $waterfill_lane -eq 1 ]]; then
   while IFS=$'\t' read -r scenario system floor; do
@@ -171,9 +132,6 @@ if [[ $waterfill_lane -eq 1 ]]; then
       closed_loop) out="$outdir/scenario_closed_loop.waterfill.out" ;;
       prefix_reuse) out="$outdir/scenario_prefix_reuse.waterfill.out" ;;
       helix_race) out="$outdir/scenario_helix_race.waterfill.out" ;;
-      slo_mix@shards4) out="$outdir/scenario_slo_mix.waterfill.sharded4.out" ;;
-      elastic_storm@shards4) out="$outdir/scenario_elastic_churn.waterfill.sharded4.out" ;;
-      helix_race@shards4) out="$outdir/scenario_helix_race.waterfill.sharded4.out" ;;
       *) echo "unknown scenario '$scenario' in floors file" >&2; fail=1; continue ;;
     esac
     got=$(awk -F'\t' -v sys="$system" \

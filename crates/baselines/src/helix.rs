@@ -356,7 +356,6 @@ impl HelixPlanner {
 }
 
 /// The Helix policy: max-flow placement + static flow-weighted routing.
-#[derive(Clone)]
 pub struct HelixPolicy {
     /// The routing plan, computed once from the startup topology.
     plan: Option<RoutePlan>,
@@ -553,12 +552,6 @@ impl Policy for HelixPolicy {
             Some(v) => VictimAction::Evict(v),
             None => VictimAction::Stall,
         }
-    }
-
-    fn fork(&self) -> Option<Box<dyn Policy + Send>> {
-        // The plan is immutable after `topology`; routing credits never
-        // advance on a fork (routing hooks don't run there).
-        Some(Box::new(self.clone()))
     }
 }
 

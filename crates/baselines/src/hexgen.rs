@@ -51,7 +51,6 @@ impl Default for HexgenProfile {
 }
 
 /// The HexGen policy.
-#[derive(Clone)]
 pub struct HexgenPolicy {
     profile: HexgenProfile,
     rr: usize,
@@ -252,12 +251,6 @@ impl Policy for HexgenPolicy {
             Some(v) => VictimAction::Evict(v),
             None => VictimAction::Stall,
         }
-    }
-
-    fn fork(&self) -> Option<Box<dyn Policy + Send>> {
-        // Stateless apart from the routing cursor, which never runs on a
-        // fork.
-        Some(Box::new(self.clone()))
     }
 }
 

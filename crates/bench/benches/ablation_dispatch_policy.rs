@@ -10,7 +10,7 @@
 use hetis_cluster::cluster::paper_cluster;
 use hetis_cluster::{attn_decode_time, AttnWork, GpuType};
 use hetis_core::{Dispatcher, HetisConfig, Profiler};
-use hetis_engine::{KvState, KvView, StageTopo};
+use hetis_engine::{KvState, StageTopo};
 use hetis_model::{llama_70b, KvFootprint};
 use hetis_parallel::StageConfig;
 use std::collections::HashMap;
@@ -51,7 +51,7 @@ fn main() {
 
     // Candidate placements for one new request (64 heads).
     let lp = dispatcher
-        .dispatch(&cluster, &model, KvView::single(&kv), &stage, 0, &[new_ctx])
+        .dispatch(&cluster, &model, &kv, &stage, 0, &[new_ctx])
         .unwrap()
         .heads[0]
         .clone();

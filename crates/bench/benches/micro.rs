@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hetis_cluster::cluster::paper_cluster;
 use hetis_cluster::GpuType;
 use hetis_core::{DispatchSolver, Dispatcher, HetisConfig, Profiler};
-use hetis_engine::{KvState, KvView, StageTopo};
+use hetis_engine::{KvState, StageTopo};
 use hetis_kvcache::index::build_headwise_index_serial;
 use hetis_kvcache::{
     build_fetch_index_parallel, plan_migration, BlockConfig, GroupId, HeadwiseAllocator, Placement,
@@ -163,28 +163,14 @@ fn bench_dispatch(c: &mut Criterion) {
     c.bench_function("dispatch_eq7_batch4", |b| {
         b.iter(|| {
             simplex
-                .dispatch(
-                    &cluster,
-                    &model,
-                    KvView::single(&kv),
-                    &stage,
-                    0,
-                    &[512, 1024, 2048, 300],
-                )
+                .dispatch(&cluster, &model, &kv, &stage, 0, &[512, 1024, 2048, 300])
                 .unwrap()
         })
     });
     c.bench_function("dispatch_waterfill_6dev_4req", |b| {
         b.iter(|| {
             waterfill
-                .dispatch(
-                    &cluster,
-                    &model,
-                    KvView::single(&kv),
-                    &stage,
-                    0,
-                    &[512, 1024, 2048, 300],
-                )
+                .dispatch(&cluster, &model, &kv, &stage, 0, &[512, 1024, 2048, 300])
                 .unwrap()
         });
         // Smoke assertion for CI quick mode: the fast path must actually
@@ -198,14 +184,14 @@ fn bench_dispatch(c: &mut Criterion) {
     c.bench_function("ideal_attention_time", |b| {
         b.iter(|| {
             waterfill
-                .ideal_attention_time(&cluster, &model, KvView::single(&kv), &stage, 0)
+                .ideal_attention_time(&cluster, &model, &kv, &stage, 0)
                 .unwrap()
         })
     });
     c.bench_function("ideal_attention_time_simplex", |b| {
         b.iter(|| {
             simplex
-                .ideal_attention_time(&cluster, &model, KvView::single(&kv), &stage, 0)
+                .ideal_attention_time(&cluster, &model, &kv, &stage, 0)
                 .unwrap()
         })
     });

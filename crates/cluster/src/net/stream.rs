@@ -51,22 +51,6 @@ impl MigrationStream {
         self.busy_until.get(&(src, dst)).copied().unwrap_or(0.0)
     }
 
-    /// Folds a shard's stream back into the authoritative one after a
-    /// parallel simulation window. `shard` started the window as a clone
-    /// of this stream (recorded in `base_count` / `base_bytes`) and only
-    /// scheduled on paths its shard owns, so per-path horizons merge by
-    /// max and the stats add by delta.
-    pub fn absorb_shard(&mut self, shard: &MigrationStream, base_count: u64, base_bytes: f64) {
-        for (&path, &t) in &shard.busy_until {
-            let slot = self.busy_until.entry(path).or_insert(0.0);
-            if t > *slot {
-                *slot = t;
-            }
-        }
-        self.count += shard.count - base_count;
-        self.total_bytes += shard.total_bytes - base_bytes;
-    }
-
     /// Total bytes ever scheduled.
     pub fn total_bytes(&self) -> f64 {
         self.total_bytes

@@ -13,7 +13,6 @@ use hetis_model::ModelSpec;
 use hetis_workload::{Request, RequestId};
 
 /// The Hetis serving system (§3–§6) as a pluggable engine policy.
-#[derive(Clone)]
 pub struct HetisPolicy {
     cfg: HetisConfig,
     profile: WorkloadProfile,
@@ -227,14 +226,6 @@ impl Policy for HetisPolicy {
             device,
             self.victim_mode,
         )
-    }
-
-    fn fork(&self) -> Option<Box<dyn Policy + Send>> {
-        // Everything behaviorally relevant to the window hooks (the
-        // fitted dispatcher, config, victim mode) is immutable after
-        // `topology()`; the round-robin cursor only moves in `route`,
-        // which never runs on a fork.
-        Some(Box::new(self.clone()))
     }
 }
 

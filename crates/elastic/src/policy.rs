@@ -282,25 +282,6 @@ impl<P: Policy> Policy for ElasticPolicy<P> {
         response.actions = actions;
         response
     }
-
-    fn fork(&self) -> Option<Box<dyn Policy + Send>> {
-        // The controller is immutable between barriers; `health` only
-        // changes in `on_cluster_change` (a barrier hook). The fork needs
-        // both so `before_decode` keeps planning incremental drains
-        // inside windows. Diagnostics counters reset on the fork — they
-        // are discarded at the merge anyway.
-        let inner = self.inner.fork()?;
-        Some(Box::new(ElasticPolicy {
-            inner,
-            controller: self.controller.clone(),
-            health: self.health.clone(),
-            replans_seen: Vec::new(),
-            drains_planned: 0,
-            acquisitions: Vec::new(),
-            closed_loop: None,
-            scaled_out_workers: self.scaled_out_workers,
-        }))
-    }
 }
 
 #[cfg(test)]

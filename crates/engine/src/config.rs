@@ -81,17 +81,8 @@ pub struct EngineConfig {
     /// driven). `None` is bit-identical to pre-closed-loop behavior:
     /// the hook is never called.
     pub closed_loop: Option<crate::control::ClosedLoopConfig>,
-    /// Simulation shards: worker threads the event loop may fan serving
-    /// instances across (DESIGN.md §P). `1` (the default) is the exact
-    /// sequential engine; `> 1` runs device-disjoint instance groups on
-    /// real threads inside conservative windows, falling back to the
-    /// sequential path whenever the scenario cannot shard safely
-    /// (a policy without [`crate::Policy::fork`], phase-coupled
-    /// topologies, or a single connected component; kernel jitter is
-    /// fine — its RNG is pre-split per instance). The
-    /// `HETIS_SIM_SHARDS` environment variable overrides this at
-    /// [`crate::engine::run`] time. Behavior digests are bit-identical
-    /// for any shard count.
+    /// Ignored: the engine always runs one sequential event loop. The
+    /// field is kept only so configurations that still set it compile.
     pub sim_shards: usize,
     /// Radix-keyed prefix/KV reuse (automatic prefix caching). When on,
     /// a finished request's KV stays probe-able in *free* pool memory

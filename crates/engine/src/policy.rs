@@ -7,198 +7,13 @@
 //! systems is apples-to-apples.
 
 use crate::config::EngineConfig;
-use crate::memory::{DeviceKv, KvState};
-use crate::prefix::{PrefixCache, PrefixEntry};
+use crate::memory::KvState;
 use crate::request::RunningRequest;
 use crate::topology::{HeadPlacement, Topology};
 use hetis_cluster::{Cluster, DeviceId};
 use hetis_model::ModelSpec;
 use hetis_workload::{Request, RequestId};
-use std::collections::hash_map;
 use std::collections::HashMap;
-
-/// Read-only, zero-copy view over one or more KV-state partitions.
-///
-/// The sequential engine always hands hooks the `Single` variant (its own
-/// [`KvState`] — same cost as the old `&KvState` field). At a sharded
-/// barrier the coordinator builds the `Sharded` variant over every shard
-/// group's partition plus a device→group map, so cross-instance hooks
-/// (routing, replanning) see the exact global state without merging.
-#[derive(Clone, Copy)]
-pub enum KvView<'a> {
-    /// One engine's complete KV state (the hot path).
-    Single(&'a KvState),
-    /// Per-shard-group partitions; `owner[device.0]` names the partition
-    /// whose entry for that device is authoritative.
-    Sharded {
-        /// One `KvState` per shard group, in group-rank order.
-        parts: &'a [&'a KvState],
-        /// Device index → index into `parts`.
-        owner: &'a [u32],
-    },
-}
-
-impl<'a> KvView<'a> {
-    /// View over a single engine's state.
-    #[inline]
-    pub fn single(kv: &'a KvState) -> Self {
-        KvView::Single(kv)
-    }
-
-    /// The authoritative per-device KV state for `d`.
-    #[inline]
-    pub fn device(&self, d: DeviceId) -> &'a DeviceKv {
-        match *self {
-            KvView::Single(kv) => kv.device(d),
-            KvView::Sharded { parts, owner } => parts[owner[d.0 as usize] as usize].device(d),
-        }
-    }
-}
-
-/// Read-only, zero-copy view over one or more live-request maps — the
-/// request-side analogue of [`KvView`], with the map API policy hooks
-/// actually use (`get`, indexing, `values`, `len`).
-#[derive(Clone, Copy)]
-pub enum RequestsView<'a> {
-    /// One engine's complete request map (the hot path).
-    Single(&'a HashMap<RequestId, RunningRequest>),
-    /// Per-shard-group request maps in group-rank order; a request lives
-    /// in exactly one part.
-    Sharded(&'a [&'a HashMap<RequestId, RunningRequest>]),
-}
-
-impl<'a> RequestsView<'a> {
-    /// View over a single engine's request map.
-    #[inline]
-    pub fn single(requests: &'a HashMap<RequestId, RunningRequest>) -> Self {
-        RequestsView::Single(requests)
-    }
-
-    /// Looks up a request by id across all parts.
-    #[inline]
-    pub fn get(&self, id: &RequestId) -> Option<&'a RunningRequest> {
-        match *self {
-            RequestsView::Single(m) => m.get(id),
-            RequestsView::Sharded(parts) => parts.iter().find_map(|m| m.get(id)),
-        }
-    }
-
-    /// Total number of live requests.
-    pub fn len(&self) -> usize {
-        match *self {
-            RequestsView::Single(m) => m.len(),
-            RequestsView::Sharded(parts) => parts.iter().map(|m| m.len()).sum(),
-        }
-    }
-
-    /// True when no requests are live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Iterates every live request (parts in group-rank order; within a
-    /// part, map order — callers must not depend on ordering, exactly as
-    /// with the underlying `HashMap`).
-    pub fn values(&self) -> RequestsValues<'a> {
-        fn part_values<'b>(
-            m: &&'b HashMap<RequestId, RunningRequest>,
-        ) -> hash_map::Values<'b, RequestId, RunningRequest> {
-            m.values()
-        }
-        match *self {
-            RequestsView::Single(m) => RequestsValues::One(m.values()),
-            RequestsView::Sharded(parts) => {
-                RequestsValues::Many(parts.iter().flat_map(part_values))
-            }
-        }
-    }
-}
-
-/// Flattened iterator over the per-part request maps of a sharded view.
-type PartsValues<'a> = std::iter::FlatMap<
-    std::slice::Iter<'a, &'a HashMap<RequestId, RunningRequest>>,
-    hash_map::Values<'a, RequestId, RunningRequest>,
-    fn(&&'a HashMap<RequestId, RunningRequest>) -> hash_map::Values<'a, RequestId, RunningRequest>,
->;
-
-/// Iterator over [`RequestsView::values`].
-pub enum RequestsValues<'a> {
-    /// Single-map fast path.
-    One(hash_map::Values<'a, RequestId, RunningRequest>),
-    /// Chained multi-part iteration.
-    Many(PartsValues<'a>),
-}
-
-impl<'a> Iterator for RequestsValues<'a> {
-    type Item = &'a RunningRequest;
-    #[inline]
-    fn next(&mut self) -> Option<&'a RunningRequest> {
-        match self {
-            RequestsValues::One(it) => it.next(),
-            RequestsValues::Many(it) => it.next(),
-        }
-    }
-}
-
-impl std::ops::Index<&RequestId> for RequestsView<'_> {
-    type Output = RunningRequest;
-    #[inline]
-    fn index(&self, id: &RequestId) -> &RunningRequest {
-        self.get(id).expect("no running request with this id")
-    }
-}
-
-/// Read-only view over the engine's prefix cache(s) — the session-keyed
-/// warm-KV index of [`crate::prefix::PrefixCache`], exposed so policies
-/// can see the *head-group pinning constraint*: a request whose session
-/// predecessor is cached will be admitted with the cached placement
-/// verbatim (the warm KV physically sits on those devices), so its head
-/// groups are pinned and `place_batch` is never consulted for it.
-/// Routing policies can likewise use [`PrefixView::get`] to keep a
-/// follow-up turn on the instance that holds its warm prefix.
-#[derive(Clone, Copy)]
-pub enum PrefixView<'a> {
-    /// No prefix information (reuse disabled, or a context built outside
-    /// the engine, e.g. controller tests).
-    Empty,
-    /// One engine's cache (the hot path).
-    Single(&'a PrefixCache),
-    /// Per-shard-group caches in group-rank order; a session's entry
-    /// lives in exactly one part (caches partition by instance, and a
-    /// session's turns stay on one instance while its entry survives).
-    Sharded(&'a [&'a PrefixCache]),
-}
-
-impl<'a> PrefixView<'a> {
-    /// View over a single engine's cache.
-    #[inline]
-    pub fn single(cache: &'a PrefixCache) -> Self {
-        PrefixView::Single(cache)
-    }
-
-    /// Looks up the cached prefix of `(session, turn)` across all parts.
-    pub fn get(&self, session: u64, turn: u32) -> Option<&'a PrefixEntry> {
-        match *self {
-            PrefixView::Empty => None,
-            PrefixView::Single(c) => c.get(session, turn),
-            PrefixView::Sharded(parts) => parts.iter().find_map(|c| c.get(session, turn)),
-        }
-    }
-
-    /// Total cached prefixes across parts.
-    pub fn len(&self) -> usize {
-        match *self {
-            PrefixView::Empty => 0,
-            PrefixView::Single(c) => c.len(),
-            PrefixView::Sharded(parts) => parts.iter().map(|c| c.len()).sum(),
-        }
-    }
-
-    /// True when no prefix is cached anywhere.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// Read-only view of engine state handed to policy hooks.
 pub struct PolicyCtx<'a> {
@@ -209,9 +24,9 @@ pub struct PolicyCtx<'a> {
     /// Current simulated time.
     pub now: f64,
     /// Per-device KV state.
-    pub kv: KvView<'a>,
+    pub kv: &'a KvState,
     /// All live requests (waiting, running, migrating).
-    pub requests: RequestsView<'a>,
+    pub requests: &'a HashMap<RequestId, RunningRequest>,
     /// The serving topology.
     pub topology: &'a Topology,
     /// The engine's chunked-prefill cap (`None` = atomic prefill).
@@ -219,10 +34,6 @@ pub struct PolicyCtx<'a> {
     /// load a long prompt contributes, while sizing KV for the full
     /// prompt.
     pub prefill_chunk_tokens: Option<u64>,
-    /// The engine's prefix cache(s) ([`PrefixView::Empty`] when prefix
-    /// reuse is off). A hit pins a request's head groups to the cached
-    /// placement's devices — see [`PrefixView`].
-    pub prefix: PrefixView<'a>,
 }
 
 /// Post-prefill hand-off decision (Splitwise).
@@ -332,86 +143,6 @@ pub trait Policy {
         _ctx: &PolicyCtx<'_>,
     ) -> crate::control::ControlResponse {
         crate::control::ControlResponse::default()
-    }
-
-    /// Returns an independent copy of this policy for one shard group of
-    /// the sharded simulation runner, or `None` when the policy cannot be
-    /// forked — the engine then falls back to the exact sequential path,
-    /// so `None` (the default) is always safe.
-    ///
-    /// Contract for implementers: only the *window* hooks (`place_batch`,
-    /// `after_prefill`, `before_decode`, `select_victim`) ever run on a
-    /// fork, and only against the forking group's own instances. Routing
-    /// and the barrier hooks (`route`, `on_cluster_change`,
-    /// `on_telemetry_tick`) stay on the original policy, so fork state
-    /// that only those hooks mutate (round-robin cursors, controllers)
-    /// may go stale on the fork without affecting behavior. Forks are
-    /// taken fresh at every shard re-split and discarded at the next
-    /// merge.
-    fn fork(&self) -> Option<Box<dyn Policy + Send>> {
-        None
-    }
-}
-
-/// Boxed policies forward every hook, so shard groups can run
-/// `Box<dyn Policy + Send>` through the same generic engine.
-impl<T: Policy + ?Sized> Policy for Box<T> {
-    fn name(&self) -> String {
-        (**self).name()
-    }
-    fn topology(&mut self, cluster: &Cluster, model: &ModelSpec, cfg: &EngineConfig) -> Topology {
-        (**self).topology(cluster, model, cfg)
-    }
-    fn route(&mut self, req: &Request, ctx: &PolicyCtx<'_>) -> usize {
-        (**self).route(req, ctx)
-    }
-    fn place_batch(
-        &mut self,
-        instance: usize,
-        reqs: &[(RequestId, u32)],
-        ctx: &PolicyCtx<'_>,
-    ) -> Vec<Option<HeadPlacement>> {
-        (**self).place_batch(instance, reqs, ctx)
-    }
-    fn after_prefill(
-        &mut self,
-        instance: usize,
-        req: RequestId,
-        ctx: &PolicyCtx<'_>,
-    ) -> Option<Handoff> {
-        (**self).after_prefill(instance, req, ctx)
-    }
-    fn before_decode(&mut self, instance: usize, ctx: &PolicyCtx<'_>) -> Vec<RedispatchOp> {
-        (**self).before_decode(instance, ctx)
-    }
-    fn select_victim(
-        &mut self,
-        instance: usize,
-        device: DeviceId,
-        blocked: RequestId,
-        ctx: &PolicyCtx<'_>,
-    ) -> VictimAction {
-        (**self).select_victim(instance, device, blocked, ctx)
-    }
-    fn on_cluster_change(
-        &mut self,
-        event: &crate::churn::ClusterEvent,
-        health: &crate::churn::HealthView,
-        ctx: &PolicyCtx<'_>,
-    ) -> crate::churn::ReplanResponse {
-        (**self).on_cluster_change(event, health, ctx)
-    }
-    fn on_telemetry_tick(
-        &mut self,
-        snapshot: &hetis_telemetry::TelemetrySnapshot,
-        closed_loop: &crate::control::ClosedLoopConfig,
-        health: &crate::churn::HealthView,
-        ctx: &PolicyCtx<'_>,
-    ) -> crate::control::ControlResponse {
-        (**self).on_telemetry_tick(snapshot, closed_loop, health, ctx)
-    }
-    fn fork(&self) -> Option<Box<dyn Policy + Send>> {
-        (**self).fork()
     }
 }
 
@@ -524,12 +255,6 @@ impl Policy for StaticPolicy {
             None => VictimAction::Stall,
         }
     }
-
-    fn fork(&self) -> Option<Box<dyn Policy + Send>> {
-        // The only mutable state is the routing cursor, which never runs
-        // on a fork (routing stays on the original).
-        Some(Box::new(self.clone()))
-    }
 }
 
 #[cfg(test)]
@@ -569,11 +294,10 @@ mod tests {
             cluster: &cluster,
             model: &model,
             now: 0.0,
-            kv: KvView::single(&kv),
-            requests: RequestsView::single(&requests),
+            kv: &kv,
+            requests: &requests,
             topology: &topo,
             prefill_chunk_tokens: None,
-            prefix: PrefixView::Empty,
         };
         let r = Request {
             id: RequestId(0),
