@@ -132,6 +132,7 @@ if [[ $waterfill_lane -eq 1 ]]; then
       closed_loop) out="$outdir/scenario_closed_loop.waterfill.out" ;;
       prefix_reuse) out="$outdir/scenario_prefix_reuse.waterfill.out" ;;
       helix_race) out="$outdir/scenario_helix_race.waterfill.out" ;;
+      fig8) out="$outdir/fig8_e2e_llama13b.waterfill.out" ;;
       *) echo "unknown scenario '$scenario' in floors file" >&2; fail=1; continue ;;
     esac
     got=$(awk -F'\t' -v sys="$system" \

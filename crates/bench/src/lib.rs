@@ -158,7 +158,10 @@ pub fn tsv_header(cols: &[&str]) {
 /// normalized latency (s/token) plus completion counts, then one
 /// behavior-digest row per system — every cell's `RunReport::digest`
 /// folded (FNV-1a, grid order) into a single pinnable word, so a CI pin
-/// on three rows covers the whole sweep.
+/// on three rows covers the whole sweep. Each cell also prints a
+/// `sim-throughput` row in the scenario benches' format, its system
+/// column `<system>@<dataset>-<rate>` (e.g. `hetis@HE-75`), which the
+/// CI throughput floors read.
 pub fn run_e2e_figure(figure: &str, model: &ModelSpec, grids: &[(DatasetKind, &[f64])]) {
     let scale = Scale::from_env();
     let cluster = hetis_cluster::cluster::paper_cluster();
@@ -181,7 +184,9 @@ pub fn run_e2e_figure(figure: &str, model: &ModelSpec, grids: &[(DatasetKind, &[
         for &rate in rates {
             let trace = bench_trace(dataset, rate, scale.horizon());
             for system in System::ALL {
+                let wall_start = std::time::Instant::now();
                 let report = run_system(system, &cluster, model, dataset, &trace);
+                let wall = wall_start.elapsed().as_secs_f64();
                 let d = digests
                     .iter_mut()
                     .find(|(s, _)| *s == system)
@@ -197,6 +202,16 @@ pub fn run_e2e_figure(figure: &str, model: &ModelSpec, grids: &[(DatasetKind, &[
                     f(report.p95_tpot()),
                     report.completed.len(),
                     trace.len(),
+                );
+                println!(
+                    "{figure}\tsim-throughput\t{}@{}-{rate}\tsim_s={}\twall_s={}\tsim_per_wall={}\tevents={}\tevents_per_s={}",
+                    system.name(),
+                    dataset.abbrev(),
+                    f(report.duration),
+                    f(wall),
+                    f(report.duration / wall),
+                    report.events_processed,
+                    f(report.events_processed as f64 / wall),
                 );
             }
         }

@@ -91,7 +91,9 @@ impl Dispatcher {
 
     /// Solver telemetry since construction: `(fast-path water-fill
     /// solves, simplex solves)` — the latter counts both capacity-bound
-    /// fallbacks and [`DispatchSolver::Simplex`]-mode solves.
+    /// fallbacks and [`DispatchSolver::Simplex`]-mode solves. A batch
+    /// rejected by the pooled-capacity bound
+    /// ([`Dispatcher::pooled_prefix`]) counts as neither.
     pub fn solver_counts(&self) -> (u64, u64) {
         let sc = self.scratch.borrow();
         (sc.fast_solves, sc.fallback_solves + sc.simplex_solves)
@@ -111,6 +113,52 @@ impl Dispatcher {
     /// constraint): `2·head_dim·dtype / r`.
     pub fn head_token_bytes(model: &ModelSpec) -> f64 {
         (2 * model.head_dim * model.dtype.bytes()) as f64 / model.gqa_ratio() as f64
+    }
+
+    /// The longest prefix of `lens` whose pooled KV need fits `stage`'s
+    /// free bytes: the largest `k` with `Σ_{j<k} H·l_j·κ` within the summed
+    /// per-layer free bytes of the stage's attention devices (relative
+    /// slack 1e-9). [`Dispatcher::dispatch`] returns `None` for every
+    /// longer prefix, under either [`DispatchSolver`].
+    ///
+    /// The bound is exact. Whatever the LP returns, rounding gives each
+    /// request exactly `H` heads and caps request `j` on device `i` at
+    /// `h_iʲ·l_j·κ ≤ 0.98·rem_i`, where `rem_i` is what earlier requests
+    /// of the batch left free there; `rem_i` therefore never goes
+    /// negative, and the batch's `Σ_j H·l_j·κ = Σ_i (free_i − rem_i)` is
+    /// at most `Σ_i free_i`. A longer prefix fails rounding whichever
+    /// solver ran. The slack only absorbs floating-point error in the two
+    /// sums, so no placeable prefix is cut. The solvers keep no state
+    /// between solves, so skipping the rejected prefixes leaves every
+    /// remaining solve's inputs and outcome as they were.
+    pub fn pooled_prefix(
+        model: &ModelSpec,
+        kv: &KvState,
+        stage: &StageTopo,
+        lens: &[u32],
+    ) -> usize {
+        let layers = stage.primary.layers as f64;
+        let pooled = stage
+            .attention_devices()
+            .iter()
+            .map(|&d| kv.device(d).free_bytes() as f64 / layers)
+            .sum();
+        Self::fitting_prefix(model, lens, pooled)
+    }
+
+    /// The longest prefix of `lens` whose `Σ_j H·l_j·κ` is within
+    /// `pooled` per-layer bytes (relative slack 1e-9): the test behind
+    /// [`Dispatcher::pooled_prefix`], shared with `dispatch_adjusted`.
+    fn fitting_prefix(model: &ModelSpec, lens: &[u32], pooled: f64) -> usize {
+        let per_token = model.num_heads as f64 * Self::head_token_bytes(model);
+        let limit = pooled * (1.0 + 1e-9);
+        let mut need = 0.0;
+        lens.iter()
+            .take_while(|&&l| {
+                need += per_token * l as f64;
+                need <= limit
+            })
+            .count()
     }
 
     /// Solves Eq. (7) for `new_reqs` (context lengths `l_j`) on `stage`
@@ -249,6 +297,11 @@ impl Dispatcher {
             if let Some(i) = devices.iter().position(|&d| d == dev) {
                 sc.free[i] = 0.0;
             }
+        }
+        // Pooled capacity rules the batch out before any solve (exact:
+        // see `pooled_prefix`).
+        if Self::fitting_prefix(model, new_reqs, sc.free.iter().sum()) < j {
+            return None;
         }
 
         // Per-device model coefficients of Eq. (7):

@@ -146,11 +146,17 @@ impl Policy for HetisPolicy {
         let stages = &ctx.topology.instances[instance].stages;
         let lens: Vec<u32> = reqs.iter().map(|&(_, l)| l).collect();
 
-        // Try the whole batch; shrink to the largest feasible prefix.
-        // Under chunked prefill the LP prices each prompt's per-iteration
-        // attention load at chunk size (capacity still reserves the full
-        // prompt) — see `Dispatcher::dispatch_chunked`.
-        let mut k = lens.len();
+        // Try the longest prefix pooled capacity allows on every stage
+        // (no longer one can be placed: `Dispatcher::pooled_prefix`);
+        // shrink to the largest feasible prefix. Under chunked prefill the
+        // LP prices each prompt's per-iteration attention load at chunk
+        // size (capacity still reserves the full prompt) — see
+        // `Dispatcher::dispatch_chunked`.
+        let mut k = stages
+            .iter()
+            .map(|stage| Dispatcher::pooled_prefix(ctx.model, ctx.kv, stage, &lens))
+            .min()
+            .unwrap_or(lens.len());
         while k > 0 {
             let mut per_stage_heads: Vec<Vec<Vec<u32>>> = Vec::with_capacity(stages.len());
             let mut feasible = true;

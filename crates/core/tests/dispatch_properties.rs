@@ -1,13 +1,15 @@
 //! Property tests on the Hetis dispatcher: every outcome respects the
 //! paper's constraints (Eq. 5 integrality, Eq. 7b capacity, Eq. 7c head
-//! integrity) under randomized resident load.
+//! integrity) under randomized resident load, and the pooled-capacity
+//! bound never cuts a placeable prefix.
 
 use hetis_cluster::cluster::paper_cluster;
 use hetis_cluster::GpuType;
-use hetis_core::{Dispatcher, HetisConfig, Profiler};
+use hetis_core::{DispatchSolver, Dispatcher, HetisConfig, Profiler};
 use hetis_engine::{KvState, StageTopo};
 use hetis_model::llama_70b;
 use hetis_parallel::StageConfig;
+use hetis_sim::SplitMix64;
 use hetis_workload::RequestId;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -101,5 +103,69 @@ proptest! {
             // (small tolerance for LP roundoff).
             prop_assert!(ideal <= current * 1.001 + 1e-9, "ideal {ideal} > current {current}");
         }
+    }
+}
+
+/// `Dispatcher::pooled_prefix` is exact under both solvers: `dispatch`
+/// rejects every prefix longer than the bound, so the longest prefix it
+/// accepts is never longer. Resident loads and prompts are sized so that
+/// the bound cuts some batches and `dispatch` places the whole bounded
+/// prefix of others.
+#[test]
+fn pooled_prefix_bounds_every_accepted_prefix() {
+    let mut rng = SplitMix64::new(0x5eed);
+    for solver in [DispatchSolver::WaterFill, DispatchSolver::Simplex] {
+        let (mut cut, mut attained) = (0, 0);
+        for _ in 0..40 {
+            let resident: Vec<(usize, u32, u32)> = (0..rng.next_below(30))
+                .map(|_| {
+                    (
+                        rng.next_below(6) as usize,
+                        1 + rng.next_below(8) as u32,
+                        16 + rng.next_below(120_000) as u32,
+                    )
+                })
+                .collect();
+            let lens: Vec<u32> = (0..1 + rng.next_below(8))
+                .map(|_| 16 + rng.next_below(300_000) as u32)
+                .collect();
+            let (cluster, model, kv, stage, d) = setup(&resident);
+            let cfg = HetisConfig {
+                solver,
+                ..HetisConfig::default()
+            };
+            let d = Dispatcher::new(d.profiler().clone(), cfg);
+            let bound = Dispatcher::pooled_prefix(&model, &kv, &stage, &lens);
+            let mut longest = 0;
+            for k in 1..=lens.len() {
+                let placed = d
+                    .dispatch(&cluster, &model, &kv, &stage, 0, &lens[..k])
+                    .is_some();
+                assert!(
+                    !(placed && k > bound),
+                    "{solver:?}: prefix {k} placed beyond bound {bound}"
+                );
+                if placed {
+                    longest = k;
+                }
+            }
+            assert!(longest <= bound, "{solver:?}: {longest} > {bound}");
+            if bound < lens.len() {
+                // The bound is the longest prefix whose need fits the
+                // pool, not a shorter one.
+                let pooled: f64 = stage
+                    .attention_devices()
+                    .iter()
+                    .map(|&dev| kv.device(dev).free_bytes() as f64 / 80.0)
+                    .sum();
+                let per_token = model.num_heads as f64 * Dispatcher::head_token_bytes(&model);
+                let need: f64 = lens[..=bound].iter().map(|&l| per_token * l as f64).sum();
+                assert!(need > pooled, "{solver:?}: prefix {} fits", bound + 1);
+            }
+            cut += usize::from(bound < lens.len());
+            attained += usize::from(bound > 0 && longest == bound);
+        }
+        assert!(cut > 0, "{solver:?}: the bound never cut a batch");
+        assert!(attained > 0, "{solver:?}: no bounded prefix was placed");
     }
 }

@@ -48,11 +48,29 @@ pub struct KvEntry {
     pub layers: u32,
 }
 
+/// Resident totals of one pipeline stage on one device.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct StageLoad {
+    /// KV head groups, summed over the stage's entries.
+    groups: u64,
+    /// Block units per layer (`blocks × groups`), summed over the stage's
+    /// entries.
+    units: u64,
+}
+
 /// KV accounting for one device.
+///
+/// Entries are keyed by `(request, stage)`. Per-request operations look
+/// up `(req, s)` for every stage index `s` this device has seen, so they
+/// cost O(stages) rather than O(resident entries); per-stage totals are
+/// counters kept in step with every mutation.
 #[derive(Debug, Clone)]
 pub struct DeviceKv {
     ledger: MemoryLedger,
     entries: HashMap<(RequestId, u16), KvEntry>,
+    /// Per-stage totals, indexed by stage. Its length is the number of
+    /// stage indices this device has seen; it never shrinks.
+    stages: Vec<StageLoad>,
     /// Bytes of one block unit: block_size tokens × one group × one layer.
     block_unit: u64,
     block_size: u32,
@@ -65,6 +83,16 @@ impl DeviceKv {
 
     fn entry_bytes(&self, e: &KvEntry) -> u64 {
         self.blocks_for(e.tokens) * e.groups as u64 * e.layers as u64 * self.block_unit
+    }
+
+    /// `req`'s entries on this device: one lookup per stage index seen.
+    fn request_entries(&self, req: RequestId) -> impl Iterator<Item = &KvEntry> {
+        (0..self.stages.len()).filter_map(move |s| self.entries.get(&(req, s as u16)))
+    }
+
+    /// The totals of `stage` (zero for a stage never seen).
+    fn stage_load(&self, stage: u16) -> StageLoad {
+        self.stages.get(stage as usize).copied().unwrap_or_default()
     }
 
     /// Bytes needed to hold `groups` groups × `tokens` tokens × `layers`.
@@ -130,52 +158,72 @@ impl DeviceKv {
             requested: bytes,
             available: err.available,
         })?;
+        let units = self.blocks_for(tokens) * groups as u64;
+        if stage as usize >= self.stages.len() {
+            self.stages.resize(stage as usize + 1, StageLoad::default());
+        }
+        let load = &mut self.stages[stage as usize];
+        load.groups += groups as u64;
+        load.units += units;
         self.entries.insert((req, stage), e);
         Ok(())
     }
 
-    /// Bytes that appending one token to every entry of `req` would newly
-    /// consume (0 when no block boundary is crossed).
-    pub fn append_cost(&self, req: RequestId) -> u64 {
-        self.entries
-            .iter()
-            .filter(|&(&(r, _), _)| r == req)
-            .map(|(_, e)| {
-                let before = self.blocks_for(e.tokens);
-                let after = self.blocks_for(e.tokens + 1);
-                (after - before) * e.groups as u64 * e.layers as u64 * self.block_unit
+    /// Bytes that raising every entry of `req` from `tokens` to
+    /// `to(tokens)` tokens would newly consume (0 when no block boundary is
+    /// crossed). `to` never lowers a count.
+    fn raise_cost(&self, req: RequestId, to: impl Fn(u32) -> u32) -> u64 {
+        self.request_entries(req)
+            .map(|e| {
+                let added = self.blocks_for(to(e.tokens)) - self.blocks_for(e.tokens);
+                added * e.groups as u64 * e.layers as u64 * self.block_unit
             })
             .sum()
     }
 
-    /// Appends one token to every entry of `req`. Fails without side
-    /// effects when the pool is short.
-    pub fn append_token(&mut self, req: RequestId) -> Result<(), KvAllocError> {
-        let cost = self.append_cost(req);
+    /// Raises every entry of `req` from `tokens` to `to(tokens)` tokens.
+    /// Fails without side effects when the pool is short.
+    fn raise_tokens(
+        &mut self,
+        req: RequestId,
+        to: impl Fn(u32) -> u32,
+    ) -> Result<(), KvAllocError> {
+        let cost = self.raise_cost(req, &to);
         if cost > 0 {
             self.ledger.alloc_kv(cost).map_err(|e| KvAllocError {
                 requested: cost,
                 available: e.available,
             })?;
         }
-        for (_, e) in self.entries.iter_mut().filter(|&(&(r, _), _)| r == req) {
-            e.tokens += 1;
+        let block_size = self.block_size;
+        for (s, load) in self.stages.iter_mut().enumerate() {
+            if let Some(e) = self.entries.get_mut(&(req, s as u16)) {
+                let new_tokens = to(e.tokens);
+                let added =
+                    new_tokens.div_ceil(block_size) as u64 - e.tokens.div_ceil(block_size) as u64;
+                load.units += added * e.groups as u64;
+                e.tokens = new_tokens;
+            }
         }
         Ok(())
+    }
+
+    /// Bytes that appending one token to every entry of `req` would newly
+    /// consume (0 when no block boundary is crossed).
+    pub fn append_cost(&self, req: RequestId) -> u64 {
+        self.raise_cost(req, |t| t + 1)
+    }
+
+    /// Appends one token to every entry of `req`. Fails without side
+    /// effects when the pool is short.
+    pub fn append_token(&mut self, req: RequestId) -> Result<(), KvAllocError> {
+        self.raise_tokens(req, |t| t + 1)
     }
 
     /// Bytes that growing every entry of `req` to `new_tokens` tokens
     /// would newly consume (0 when no entry gains a block).
     pub fn grow_cost(&self, req: RequestId, new_tokens: u32) -> u64 {
-        self.entries
-            .iter()
-            .filter(|&(&(r, _), _)| r == req)
-            .map(|(_, e)| {
-                let before = self.blocks_for(e.tokens);
-                let after = self.blocks_for(e.tokens.max(new_tokens));
-                (after - before) * e.groups as u64 * e.layers as u64 * self.block_unit
-            })
-            .sum()
+        self.raise_cost(req, |t| t.max(new_tokens))
     }
 
     /// Grows every entry of `req` on this device to `new_tokens` tokens —
@@ -184,31 +232,18 @@ impl DeviceKv {
     /// already at or past `new_tokens` are left alone. Fails without side
     /// effects when the pool is short.
     pub fn grow_tokens(&mut self, req: RequestId, new_tokens: u32) -> Result<(), KvAllocError> {
-        let cost = self.grow_cost(req, new_tokens);
-        if cost > 0 {
-            self.ledger.alloc_kv(cost).map_err(|e| KvAllocError {
-                requested: cost,
-                available: e.available,
-            })?;
-        }
-        for (_, e) in self.entries.iter_mut().filter(|&(&(r, _), _)| r == req) {
-            e.tokens = e.tokens.max(new_tokens);
-        }
-        Ok(())
+        self.raise_tokens(req, |t| t.max(new_tokens))
     }
 
     /// Frees every entry of `req`; returns bytes released.
     pub fn free_request(&mut self, req: RequestId) -> u64 {
-        let keys: Vec<(RequestId, u16)> = self
-            .entries
-            .keys()
-            .filter(|&&(r, _)| r == req)
-            .copied()
-            .collect();
         let mut released = 0;
-        for k in keys {
-            let e = self.entries.remove(&k).expect("key present");
-            released += self.entry_bytes(&e);
+        for s in 0..self.stages.len() {
+            if let Some(e) = self.entries.remove(&(req, s as u16)) {
+                released += self.entry_bytes(&e);
+                self.stages[s].groups -= e.groups as u64;
+                self.stages[s].units -= self.blocks_for(e.tokens) * e.groups as u64;
+            }
         }
         self.ledger.free_kv(released);
         released
@@ -226,6 +261,10 @@ impl DeviceKv {
         } else {
             self.entries.get_mut(&(req, stage)).expect("present").groups -= groups;
         }
+        let units = self.blocks_for(e.tokens) * groups as u64;
+        let load = &mut self.stages[stage as usize];
+        load.groups -= groups as u64;
+        load.units -= units;
         self.ledger.free_kv(released);
         released
     }
@@ -249,6 +288,10 @@ impl DeviceKv {
                 available: err.available,
             })?;
             self.entries.get_mut(&(req, stage)).expect("present").groups += groups;
+            let units = self.blocks_for(tokens) * groups as u64;
+            let load = &mut self.stages[stage as usize];
+            load.groups += groups as u64;
+            load.units += units;
             Ok(())
         } else {
             self.allocate(req, stage, groups, tokens, layers)
@@ -257,35 +300,70 @@ impl DeviceKv {
 
     /// Total KV bytes attributable to `req` on this device.
     pub fn request_bytes(&self, req: RequestId) -> u64 {
-        self.entries
-            .iter()
-            .filter(|&(&(r, _), _)| r == req)
-            .map(|(_, e)| self.entry_bytes(&e.clone()))
-            .sum()
+        self.request_entries(req).map(|e| self.entry_bytes(e)).sum()
     }
 
     /// Sum over entries of `groups × r` — the device's resident query-head
     /// count `h_i` (per layer), given the model's group ratio.
     pub fn resident_query_heads(&self, r: u32) -> u64 {
-        self.entries
-            .values()
-            .map(|e| e.groups as u64 * r as u64)
-            .sum()
+        let heads = self.stages.iter().map(|l| l.groups).sum::<u64>() * r as u64;
+        debug_assert_eq!(
+            heads,
+            self.scan_query_heads(None, r),
+            "head counters drifted"
+        );
+        heads
     }
 
     /// Resident query heads for one pipeline stage only — the Dispatcher's
     /// `h_i(t)` (the LP of Eq. 7 runs per stage).
     pub fn stage_query_heads(&self, stage: u16, r: u32) -> u64 {
-        self.entries
-            .iter()
-            .filter(|&(&(_, s), _)| s == stage)
-            .map(|(_, e)| e.groups as u64 * r as u64)
-            .sum()
+        let heads = self.stage_load(stage).groups * r as u64;
+        debug_assert_eq!(
+            heads,
+            self.scan_query_heads(Some(stage), r),
+            "stage {stage} head counter drifted"
+        );
+        heads
     }
 
     /// Per-layer KV bytes resident for one stage — the Dispatcher's
     /// `g_i(t)` (what one attention kernel invocation reads).
+    ///
+    /// Read from the stage's block-unit counter. The scan this replaces
+    /// summed per-entry integers in `f64`; every partial sum stays far
+    /// below 2^53, so it was exact and the counter gives the same bits.
+    /// An empty stage reads `-0.0`, the value of that scan's empty sum.
     pub fn stage_kv_bytes_per_layer(&self, stage: u16) -> f64 {
+        let load = self.stage_load(stage);
+        let bytes = if load.groups == 0 {
+            -0.0
+        } else {
+            (load.units * self.block_unit) as f64
+        };
+        debug_assert_eq!(
+            bytes.to_bits(),
+            self.scan_kv_bytes_per_layer(stage).to_bits(),
+            "stage {stage} byte counter drifted"
+        );
+        bytes
+    }
+
+    /// The scan behind [`DeviceKv::stage_query_heads`] (`Some(stage)`) and
+    /// [`DeviceKv::resident_query_heads`] (`None`), kept as the debug-build
+    /// oracle the counters are checked against (release builds compile the
+    /// `debug_assert_eq!` away).
+    fn scan_query_heads(&self, stage: Option<u16>, r: u32) -> u64 {
+        self.entries
+            .iter()
+            .filter(|&(&(_, s), _)| stage.is_none_or(|st| s == st))
+            .map(|(_, e)| e.groups as u64 * r as u64)
+            .sum()
+    }
+
+    /// The scan behind [`DeviceKv::stage_kv_bytes_per_layer`], kept as the
+    /// debug-build oracle the counter is checked against.
+    fn scan_kv_bytes_per_layer(&self, stage: u16) -> f64 {
         self.entries
             .iter()
             .filter(|&(&(_, s), _)| s == stage)
@@ -334,6 +412,7 @@ impl KvState {
             devices.push(DeviceKv {
                 ledger,
                 entries: HashMap::new(),
+                stages: Vec::new(),
                 block_unit,
                 block_size,
             });
@@ -632,6 +711,124 @@ mod tests {
         assert!(s.device(d).request_bytes(RequestId(1)) > 0);
         let _ = s.device_mut(d).free_request(RequestId(1));
         assert_eq!(s.device(d).resident_requests(), vec![RequestId(2)]);
+    }
+
+    /// The per-request filter scans the stage lookups replaced.
+    fn scan_request_bytes(dev: &DeviceKv, req: RequestId) -> u64 {
+        dev.entries
+            .iter()
+            .filter(|&(&(r, _), _)| r == req)
+            .map(|(_, e)| dev.entry_bytes(e))
+            .sum()
+    }
+
+    fn scan_raise_cost(dev: &DeviceKv, req: RequestId, to: impl Fn(u32) -> u32) -> u64 {
+        dev.entries
+            .iter()
+            .filter(|&(&(r, _), _)| r == req)
+            .map(|(_, e)| {
+                (dev.blocks_for(to(e.tokens)) - dev.blocks_for(e.tokens))
+                    * e.groups as u64
+                    * e.layers as u64
+                    * dev.block_unit
+            })
+            .sum()
+    }
+
+    /// Every counter-backed accessor against its scan, plus the ledger's
+    /// used bytes against the entries' bytes.
+    fn assert_matches_scans(dev: &DeviceKv, requests: u64) {
+        for stage in 0..4 {
+            assert_eq!(
+                dev.stage_query_heads(stage, 8),
+                dev.scan_query_heads(Some(stage), 8)
+            );
+            assert_eq!(
+                dev.stage_kv_bytes_per_layer(stage).to_bits(),
+                dev.scan_kv_bytes_per_layer(stage).to_bits()
+            );
+        }
+        assert_eq!(dev.resident_query_heads(8), dev.scan_query_heads(None, 8));
+        for q in 0..requests {
+            let req = RequestId(q);
+            assert_eq!(dev.request_bytes(req), scan_request_bytes(dev, req));
+            assert_eq!(dev.append_cost(req), scan_raise_cost(dev, req, |t| t + 1));
+            assert_eq!(
+                dev.grow_cost(req, 2500),
+                scan_raise_cost(dev, req, |t| t.max(2500))
+            );
+        }
+        let entry_bytes: u64 = dev.entries.values().map(|e| dev.entry_bytes(e)).sum();
+        assert_eq!(dev.used_bytes(), entry_bytes);
+    }
+
+    #[test]
+    fn stage_counters_match_scans_under_random_ops() {
+        // A P100 mostly taken by weights, so some operations hit the pool
+        // limit and must fail without touching the counters.
+        let c = paper_cluster();
+        let m = llama_70b();
+        let p100 = c.devices_of_type(hetis_cluster::GpuType::P100)[0];
+        let mut s = KvState::new(&c, &m, 16, &HashMap::from([(p100, 10_000_000_000)])).unwrap();
+        let dev = s.device_mut(p100);
+        let layers = [40u32, 24, 16];
+        let requests = 12;
+        let mut rng = hetis_sim::SplitMix64::new(13);
+        let (mut applied, mut failed) = (0, 0);
+        for _ in 0..3000 {
+            let req = RequestId(rng.next_below(requests));
+            let stage = rng.next_below(3) as u16;
+            let entry = dev.entry(req, stage);
+            let ok = match rng.next_below(6) {
+                0 if entry.is_none() => dev
+                    .allocate(
+                        req,
+                        stage,
+                        1 + rng.next_below(8) as u32,
+                        1 + rng.next_below(3000) as u32,
+                        layers[stage as usize],
+                    )
+                    .is_ok(),
+                1 => dev.append_token(req).is_ok(),
+                2 => dev
+                    .grow_tokens(req, 1 + rng.next_below(4000) as u32)
+                    .is_ok(),
+                3 => {
+                    let Some(e) = entry else { continue };
+                    dev.shrink_groups(req, stage, 1 + rng.next_below(e.groups as u64) as u32);
+                    true
+                }
+                4 => {
+                    let tokens = entry.map_or(1 + rng.next_below(3000) as u32, |e| e.tokens);
+                    let groups = 1 + rng.next_below(4) as u32;
+                    dev.grow_groups(req, stage, groups, tokens, layers[stage as usize])
+                        .is_ok()
+                }
+                5 => {
+                    dev.free_request(req);
+                    true
+                }
+                _ => continue,
+            };
+            if ok {
+                applied += 1;
+            } else {
+                failed += 1;
+            }
+            assert_matches_scans(dev, requests);
+        }
+        assert!(
+            applied > 1000 && failed > 50,
+            "{applied} applied, {failed} failed"
+        );
+        for q in 0..requests {
+            dev.free_request(RequestId(q));
+        }
+        assert_matches_scans(dev, requests);
+        assert!(dev.entries.is_empty());
+        assert!(dev.stages.iter().all(|&l| l == StageLoad::default()));
+        assert_eq!(dev.stages.len(), 3);
+        assert_eq!(dev.used_bytes(), 0);
     }
 
     #[test]
