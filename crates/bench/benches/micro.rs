@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks of the hot scheduling paths: the dispatch
 //! solvers (water-fill fast path vs the simplex oracle, at the paper's
 //! 6-device × 4-request shape and a 12×16 stress shape), the ideal-time
-//! relaxation, head rounding, fetch-index assembly and migration
-//! planning.
+//! relaxation (a memo hit and a real solve), head rounding, fetch-index
+//! assembly and migration planning.
 //!
 //! `BENCH_4.json` at the repository root records the old-vs-new numbers
 //! for the dispatch pairs.
@@ -181,20 +181,55 @@ fn bench_dispatch(c: &mut Criterion) {
             "water-fill fast path did not engage: fast={fast} slow={slow}"
         );
     });
-    c.bench_function("ideal_attention_time", |b| {
-        b.iter(|| {
-            waterfill
-                .ideal_attention_time(&cluster, &model, &kv, &stage, 0)
-                .unwrap()
-        })
+
+    // The balance-check memo answers a repeated query without solving:
+    // `_repeat` times that lookup, and asserts for CI quick mode that no
+    // solve ran; the `_solve` rows alternate two KV states, so that every
+    // call solves.
+    let mut kv_b = kv.clone();
+    kv_b.device_mut(stage.primary.devices[0])
+        .allocate(hetis_workload::RequestId(10_000), 0, 8, 2000, 80)
+        .unwrap();
+    let states = [&kv, &kv_b].map(|kv| {
+        let (current, _) = waterfill.current_attention_time(&cluster, &model, kv, &stage, 0);
+        (kv, current)
     });
-    c.bench_function("ideal_attention_time_simplex", |b| {
-        b.iter(|| {
-            simplex
-                .ideal_attention_time(&cluster, &model, &kv, &stage, 0)
+    c.bench_function("ideal_attention_time_repeat", |b| {
+        let (kv, current) = states[0];
+        let ideal = |d: &Dispatcher| {
+            d.ideal_attention_time(&cluster, &model, kv, &stage, 0, current)
                 .unwrap()
-        })
+        };
+        ideal(&waterfill);
+        let before = waterfill.solver_counts();
+        b.iter(|| ideal(&waterfill));
+        assert_eq!(
+            waterfill.solver_counts(),
+            before,
+            "balance-check memo did not engage on a repeated query"
+        );
     });
+    for (id, d) in [
+        ("ideal_attention_time_solve", &waterfill),
+        ("ideal_attention_time_simplex_solve", &simplex),
+    ] {
+        c.bench_function(id, |b| {
+            let (fast, slow) = d.solver_counts();
+            let mut calls = 0u64;
+            b.iter(|| {
+                calls += 1;
+                let (kv, current) = states[calls as usize % 2];
+                d.ideal_attention_time(&cluster, &model, kv, &stage, 0, current)
+                    .unwrap()
+            });
+            let (fast2, slow2) = d.solver_counts();
+            assert_eq!(
+                fast2 + slow2 - fast - slow,
+                calls,
+                "{id}: a call skipped its solve"
+            );
+        });
+    }
 }
 
 fn bench_kvcache(c: &mut Criterion) {

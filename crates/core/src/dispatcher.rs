@@ -25,6 +25,7 @@ use hetis_lp::{
     WfOutcome,
 };
 use hetis_model::ModelSpec;
+use hetis_sim::FxHashMap;
 use std::cell::RefCell;
 
 // The solvers are fed milliseconds / heads / gigabytes so all
@@ -48,13 +49,11 @@ pub struct DispatchOutcome {
 /// caps all live here so the per-iteration dispatch path allocates only
 /// its returned `heads` vectors.
 ///
-/// The coefficient buffers are *method-local* scratch and their units
-/// differ by writer: `dispatch_adjusted` stages raw seconds-per-unit
-/// values and applies the `MS`/`GB` scaling at row-build time (this
-/// exact operation order is what keeps `DispatchSolver::Simplex`
-/// bit-identical to the pre-fast-path dispatcher), while
-/// `ideal_attention_time` stages already-scaled values. Never read one
-/// method's staging from the other.
+/// The coefficient buffers `h_now` to `constants` are `dispatch_adjusted`'s
+/// staging: raw seconds-per-unit values, with the `MS`/`GB` scaling
+/// applied at row-build time (this exact operation order is what keeps
+/// `DispatchSolver::Simplex` bit-identical to the pre-fast-path
+/// dispatcher). `ideal_attention_time` stages into `ideal` instead.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     builder: MinMaxBuilder,
@@ -66,9 +65,58 @@ struct Scratch {
     b_coef: Vec<f64>,
     constants: Vec<f64>,
     caps: Vec<u32>,
-    fast_solves: u64,
-    fallback_solves: u64,
-    simplex_solves: u64,
+    ideal: IdealInputs,
+    /// The balance-check memo: one slot per stage, keyed by the stage's
+    /// anchor device and stage index.
+    ideal_memo: FxHashMap<(DeviceId, u16), IdealSlot>,
+    counts: SolveCounts,
+}
+
+/// Every number one §5.3.1 relaxed-ideal solve reads: the stage's total
+/// query heads and per-layer KV bytes, and per attention device the
+/// constant, α and β cost terms (ms, already scaled) and the pool
+/// capacity (per-layer bytes). The solve is a pure function of these.
+#[derive(Debug, Clone, Default)]
+struct IdealInputs {
+    h_total: f64,
+    g_total: f64,
+    constants: Vec<f64>,
+    alpha: Vec<f64>,
+    beta: Vec<f64>,
+    capacity: Vec<f64>,
+}
+
+impl IdealInputs {
+    /// Bitwise equality, so that a memo hit reproduces the solve exactly.
+    fn same_bits(&self, other: &IdealInputs) -> bool {
+        fn same(a: &[f64], b: &[f64]) -> bool {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        }
+        same(
+            &[self.h_total, self.g_total],
+            &[other.h_total, other.g_total],
+        ) && same(&self.constants, &other.constants)
+            && same(&self.alpha, &other.alpha)
+            && same(&self.beta, &other.beta)
+            && same(&self.capacity, &other.capacity)
+    }
+}
+
+/// One stage's memo slot: the inputs of its last relaxed-ideal solve and
+/// that solve's `f*` in seconds, before the clamp to the current time
+/// (`None` when the LP was infeasible).
+#[derive(Debug, Clone, Default)]
+struct IdealSlot {
+    inputs: IdealInputs,
+    ideal: Option<f64>,
+}
+
+/// Solver telemetry behind [`Dispatcher::solver_counts`].
+#[derive(Debug, Clone, Copy, Default)]
+struct SolveCounts {
+    fast: u64,
+    fallback: u64,
+    simplex: u64,
 }
 
 /// The online head-wise dispatcher.
@@ -93,10 +141,11 @@ impl Dispatcher {
     /// solves, simplex solves)` — the latter counts both capacity-bound
     /// fallbacks and [`DispatchSolver::Simplex`]-mode solves. A batch
     /// rejected by the pooled-capacity bound
-    /// ([`Dispatcher::pooled_prefix`]) counts as neither.
+    /// ([`Dispatcher::pooled_prefix`]) counts as neither, and so does a
+    /// memo hit of [`Dispatcher::ideal_attention_time`].
     pub fn solver_counts(&self) -> (u64, u64) {
-        let sc = self.scratch.borrow();
-        (sc.fast_solves, sc.fallback_solves + sc.simplex_solves)
+        let c = self.scratch.borrow().counts;
+        (c.fast, c.fallback + c.simplex)
     }
 
     /// Access to the underlying profiler (e.g. for perturbation).
@@ -353,18 +402,18 @@ impl Dispatcher {
                 }
                 match sc.wf.solve() {
                     WfOutcome::Solved(s) => {
-                        sc.fast_solves += 1;
+                        sc.counts.fast += 1;
                         s
                     }
                     WfOutcome::CapacityBound => {
-                        sc.fallback_solves += 1;
+                        sc.counts.fallback += 1;
                         Self::solve_eq7_simplex(sc, n, new_reqs, kappa, compute_chunk, h_total)?
                     }
                     WfOutcome::Infeasible => return None,
                 }
             }
             DispatchSolver::Simplex => {
-                sc.simplex_solves += 1;
+                sc.counts.simplex += 1;
                 Self::solve_eq7_simplex(sc, n, new_reqs, kappa, compute_chunk, h_total)?
             }
         };
@@ -435,6 +484,16 @@ impl Dispatcher {
     /// The relaxed ideal attention time `f*` over *all* load currently on
     /// the stage (§5.3.1): re-balance the total (h, g) freely across
     /// devices, respecting capacity. Two variables per device.
+    ///
+    /// `current` is the stage's current attention time, from
+    /// [`Dispatcher::current_attention_time`]; `f*` is clamped to it.
+    ///
+    /// The balance check calls this for every stage before every decode
+    /// round, and most calls find the stage as the last call left it. So
+    /// each stage (by anchor device and stage index) keeps a memo of its
+    /// last solve: when every number the solve reads is bitwise equal,
+    /// the stored result is returned without solving. Debug builds solve
+    /// on every hit too and assert that the two results are bitwise equal.
     pub fn ideal_attention_time(
         &self,
         cluster: &Cluster,
@@ -442,38 +501,36 @@ impl Dispatcher {
         kv: &KvState,
         stage: &StageTopo,
         stage_idx: u16,
+        current: f64,
     ) -> Option<f64> {
         let devices = stage.attention_devices();
-        let n = devices.len();
         let r = model.gqa_ratio();
         let layers = stage.primary.layers as f64;
         let anchor = stage.primary.devices[0];
 
-        let h_total: f64 = devices
+        let mut sc = self.scratch.borrow_mut();
+        let sc = &mut *sc;
+        let p = &mut sc.ideal;
+        p.h_total = devices
             .iter()
             .map(|&d| kv.device(d).stage_query_heads(stage_idx, r) as f64)
             .sum();
-        let g_total: f64 = devices
+        p.g_total = devices
             .iter()
             .map(|&d| kv.device(d).stage_kv_bytes_per_layer(stage_idx))
             .sum();
-        if h_total == 0.0 {
+        if p.h_total == 0.0 {
             return Some(0.0);
         }
 
         // Vars: [h'_0.. (heads), g'_0.. (GB)]; times in ms — see the unit
-        // note at the top of the module. Two demands over the devices:
-        // the stage's total heads (α-cost only) and its total KV bytes
-        // (β-cost only, capacity-consuming), which is exactly the
-        // water-fill's rank-2 structure.
-        let mut sc = self.scratch.borrow_mut();
-        let sc = &mut *sc;
+        // note at the top of the module.
         let per_head_bytes =
             (2.0 + 2.0 / r as f64) * model.head_dim as f64 * model.dtype.bytes() as f64;
-        sc.a_eff.clear();
-        sc.b_coef.clear();
-        sc.constants.clear();
-        sc.free.clear();
+        p.constants.clear();
+        p.alpha.clear();
+        p.beta.clear();
+        p.capacity.clear();
         for &dev in devices.iter() {
             let m = self.profiler.attn_model(dev);
             let remote = !stage.primary.devices.contains(&dev);
@@ -483,93 +540,129 @@ impl Dispatcher {
             } else {
                 (0.0, 0.0)
             };
-            sc.a_eff.push((m.a + gamma * per_head_bytes) * MS);
-            sc.b_coef.push(m.b * MS / GB);
-            sc.constants
+            p.alpha.push((m.a + gamma * per_head_bytes) * MS);
+            p.beta.push(m.b * MS / GB);
+            p.constants
                 .push((m.c + if remote { beta } else { 0.0 }) * MS);
             // Capacity on g'_i: cannot exceed the device pool (per layer).
-            sc.free.push(kv.device(dev).pool_bytes() as f64 / layers);
+            p.capacity.push(kv.device(dev).pool_bytes() as f64 / layers);
         }
 
-        let solved = match self.cfg.solver {
-            DispatchSolver::WaterFill => {
-                sc.wf.clear();
-                for i in 0..n {
-                    sc.wf.push_device(WfDevice {
-                        constant: sc.constants[i],
-                        alpha: sc.a_eff[i],
-                        beta: sc.b_coef[i],
-                        capacity: sc.free[i] * GB,
-                    });
-                }
-                sc.wf.push_demand(WfDemand {
-                    amount: h_total,
-                    p: 1.0,
-                    q: 0.0,
-                    u: 0.0,
-                });
-                sc.wf.push_demand(WfDemand {
-                    amount: g_total * GB,
-                    p: 0.0,
-                    q: 1.0,
-                    u: 1.0,
-                });
-                match sc.wf.solve() {
-                    WfOutcome::Solved(s) => {
-                        sc.fast_solves += 1;
-                        Some(s)
-                    }
-                    WfOutcome::CapacityBound => {
-                        sc.fallback_solves += 1;
-                        Self::solve_ideal_simplex(sc, n, h_total, g_total)
-                    }
-                    WfOutcome::Infeasible => None,
-                }
+        let slot = sc.ideal_memo.entry((anchor, stage_idx)).or_default();
+        if slot.inputs.same_bits(&sc.ideal) {
+            #[cfg(debug_assertions)]
+            {
+                let fresh = Self::solve_ideal(
+                    self.cfg.solver,
+                    &sc.ideal,
+                    &mut sc.wf,
+                    &mut sc.builder,
+                    &mut SolveCounts::default(),
+                );
+                debug_assert!(
+                    fresh.map(f64::to_bits) == slot.ideal.map(f64::to_bits),
+                    "balance-check memo of stage {stage_idx} at {anchor}: {:?}, a fresh solve {fresh:?}",
+                    slot.ideal
+                );
             }
-            DispatchSolver::Simplex => {
-                sc.simplex_solves += 1;
-                Self::solve_ideal_simplex(sc, n, h_total, g_total)
-            }
-        };
+        } else {
+            slot.ideal = Self::solve_ideal(
+                self.cfg.solver,
+                &sc.ideal,
+                &mut sc.wf,
+                &mut sc.builder,
+                &mut sc.counts,
+            );
+            std::mem::swap(&mut slot.inputs, &mut sc.ideal);
+        }
 
         // The epigraph LP charges every device's constant term even at
         // zero assigned load (a fixed-charge effect linear programs cannot
         // express), so at very light loads the "ideal" can exceed the
         // status quo. Clamp: the current assignment is itself feasible,
         // hence an upper bound on the true optimum.
-        let (current, _) = self.current_attention_time(cluster, model, kv, stage, stage_idx);
-        solved.map(|s| (s.max_value / MS).min(current))
+        slot.ideal.map(|f| f.min(current))
+    }
+
+    /// Solves the §5.3.1 relaxation posed by `p` under `solver`, counting
+    /// the solve in `counts`. Returns `f*` in seconds, unclamped; `None`
+    /// when the LP is infeasible.
+    fn solve_ideal(
+        solver: DispatchSolver,
+        p: &IdealInputs,
+        wf: &mut WaterFill,
+        builder: &mut MinMaxBuilder,
+        counts: &mut SolveCounts,
+    ) -> Option<f64> {
+        let solved = match solver {
+            DispatchSolver::WaterFill => {
+                // Two demands over the devices: the stage's total heads
+                // (α-cost only) and its total KV bytes (β-cost only,
+                // capacity-consuming), which is exactly the water-fill's
+                // rank-2 structure.
+                wf.clear();
+                for i in 0..p.alpha.len() {
+                    wf.push_device(WfDevice {
+                        constant: p.constants[i],
+                        alpha: p.alpha[i],
+                        beta: p.beta[i],
+                        capacity: p.capacity[i] * GB,
+                    });
+                }
+                wf.push_demand(WfDemand {
+                    amount: p.h_total,
+                    p: 1.0,
+                    q: 0.0,
+                    u: 0.0,
+                });
+                wf.push_demand(WfDemand {
+                    amount: p.g_total * GB,
+                    p: 0.0,
+                    q: 1.0,
+                    u: 1.0,
+                });
+                match wf.solve() {
+                    WfOutcome::Solved(s) => {
+                        counts.fast += 1;
+                        Some(s)
+                    }
+                    WfOutcome::CapacityBound => {
+                        counts.fallback += 1;
+                        Self::solve_ideal_simplex(builder, p)
+                    }
+                    WfOutcome::Infeasible => None,
+                }
+            }
+            DispatchSolver::Simplex => {
+                counts.simplex += 1;
+                Self::solve_ideal_simplex(builder, p)
+            }
+        };
+        solved.map(|s| s.max_value / MS)
     }
 
     /// The §5.3.1 relaxation as the epigraph LP (oracle / fallback path,
     /// bit-identical to the pre-fast-path dispatcher).
-    fn solve_ideal_simplex(
-        sc: &mut Scratch,
-        n: usize,
-        h_total: f64,
-        g_total: f64,
-    ) -> Option<MinMaxSolution> {
-        let nv = 2 * n;
-        sc.builder.reset(nv);
+    fn solve_ideal_simplex(builder: &mut MinMaxBuilder, p: &IdealInputs) -> Option<MinMaxSolution> {
+        let n = p.alpha.len();
+        builder.reset(2 * n);
         for i in 0..n {
-            let row = sc.builder.push_max_term(sc.constants[i]);
-            row[i] = sc.a_eff[i];
-            row[n + i] = sc.b_coef[i];
-            let cap = sc
-                .builder
-                .push_constraint(ConstraintOp::Le, sc.free[i] * GB);
+            let row = builder.push_max_term(p.constants[i]);
+            row[i] = p.alpha[i];
+            row[n + i] = p.beta[i];
+            let cap = builder.push_constraint(ConstraintOp::Le, p.capacity[i] * GB);
             cap[n + i] = 1.0;
         }
         // Conservation.
-        let hrow = sc.builder.push_constraint(ConstraintOp::Eq, h_total);
+        let hrow = builder.push_constraint(ConstraintOp::Eq, p.h_total);
         for v in hrow.iter_mut().take(n) {
             *v = 1.0;
         }
-        let grow = sc.builder.push_constraint(ConstraintOp::Eq, g_total * GB);
+        let grow = builder.push_constraint(ConstraintOp::Eq, p.g_total * GB);
         for v in grow.iter_mut().skip(n) {
             *v = 1.0;
         }
-        sc.builder.solve().ok()
+        builder.solve().ok()
     }
 
     /// The *current* estimated per-stage attention time, and the device
@@ -732,7 +825,7 @@ mod tests {
         }
         let (current, bottleneck) = d.current_attention_time(&cluster, &model, &kv, &stage, 0);
         let ideal = d
-            .ideal_attention_time(&cluster, &model, &kv, &stage, 0)
+            .ideal_attention_time(&cluster, &model, &kv, &stage, 0, current)
             .unwrap();
         assert_eq!(bottleneck, Some(dev));
         assert!(ideal < current, "ideal {ideal} vs current {current}");
@@ -749,7 +842,7 @@ mod tests {
         assert_eq!(t, 0.0);
         assert!(dev.is_none());
         assert_eq!(
-            d.ideal_attention_time(&cluster, &model, &kv, &stage, 0),
+            d.ideal_attention_time(&cluster, &model, &kv, &stage, 0, t),
             Some(0.0)
         );
     }

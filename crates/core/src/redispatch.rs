@@ -104,8 +104,14 @@ pub fn balance_computation(
         else {
             continue;
         };
-        let ideal =
-            dispatcher.ideal_attention_time(ctx.cluster, ctx.model, ctx.kv, stage, s as u16)?;
+        let ideal = dispatcher.ideal_attention_time(
+            ctx.cluster,
+            ctx.model,
+            ctx.kv,
+            stage,
+            s as u16,
+            current,
+        )?;
         if ideal <= 0.0 || current <= (1.0 + theta) * ideal {
             continue;
         }

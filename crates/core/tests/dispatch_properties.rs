@@ -1,10 +1,12 @@
 //! Property tests on the Hetis dispatcher: every outcome respects the
 //! paper's constraints (Eq. 5 integrality, Eq. 7b capacity, Eq. 7c head
-//! integrity) under randomized resident load, and the pooled-capacity
-//! bound never cuts a placeable prefix.
+//! integrity) under randomized resident load, the pooled-capacity bound
+//! never cuts a placeable prefix, and the balance-check memo returns what
+//! a fresh solve returns.
 
 use hetis_cluster::cluster::paper_cluster;
-use hetis_cluster::GpuType;
+use hetis_cluster::{DeviceId, GpuType};
+use hetis_core::profiler::Coefficient;
 use hetis_core::{DispatchSolver, Dispatcher, HetisConfig, Profiler};
 use hetis_engine::{KvState, StageTopo};
 use hetis_model::llama_70b;
@@ -98,7 +100,9 @@ proptest! {
     ) {
         let (cluster, model, kv, stage, dispatcher) = setup(&resident);
         let (current, _) = dispatcher.current_attention_time(&cluster, &model, &kv, &stage, 0);
-        if let Some(ideal) = dispatcher.ideal_attention_time(&cluster, &model, &kv, &stage, 0) {
+        if let Some(ideal) =
+            dispatcher.ideal_attention_time(&cluster, &model, &kv, &stage, 0, current)
+        {
             // §5.3.1: f* is a relaxation — never worse than the status quo
             // (small tolerance for LP roundoff).
             prop_assert!(ideal <= current * 1.001 + 1e-9, "ideal {ideal} > current {current}");
@@ -167,5 +171,181 @@ fn pooled_prefix_bounds_every_accepted_prefix() {
         }
         assert!(cut > 0, "{solver:?}: the bound never cut a batch");
         assert!(attained > 0, "{solver:?}: no bounded prefix was placed");
+    }
+}
+
+/// One KV state of [`ideal_memo_matches_fresh_solve`]: its residency as
+/// `(stage, device, groups, tokens)` entries, the device whose pool a
+/// weight reservation cuts to exactly its resident bytes (if any), and
+/// the attention workers of each of the two stages.
+#[derive(Clone)]
+struct MemoCase {
+    resident: Vec<(u16, DeviceId, u32, u32)>,
+    cut_pool: Option<DeviceId>,
+    workers: [Vec<DeviceId>; 2],
+}
+
+/// The memo in `Dispatcher::ideal_attention_time` is exact. One
+/// long-lived dispatcher is driven through random KV states on two
+/// stages: fresh states, revisits of earlier ones, and copies of the last
+/// one that change only a stage's worker list, only one device's pool or
+/// only the profiler's cost coefficients, so the stage totals stay equal.
+/// Every answer must be bit-identical to a fresh dispatcher's, under both
+/// solvers, and asking again must solve nothing.
+#[test]
+fn ideal_memo_matches_fresh_solve() {
+    let (cluster, model, _, stage0, d) = setup(&[]);
+    let a100 = cluster.devices_of_type(GpuType::A100);
+    let r3090 = cluster.devices_of_type(GpuType::Rtx3090);
+    let p100 = cluster.devices_of_type(GpuType::P100);
+    let stage1 = StageTopo::plain(StageConfig {
+        devices: r3090[..2].to_vec(),
+        layers: 80,
+    });
+    // Residency sits on the stages' primaries and on the first two P100s
+    // only, and every worker list keeps those two for stage 0, so a
+    // worker-list change never moves a stage total.
+    let holders: [Vec<DeviceId>; 2] = [
+        a100.iter().chain(&p100[..2]).copied().collect(),
+        r3090[..2].to_vec(),
+    ];
+    let worker_lists: [Vec<Vec<DeviceId>>; 2] = [
+        vec![
+            p100[..2].to_vec(),
+            vec![p100[1], p100[0]],
+            p100[..3].to_vec(),
+            vec![p100[0], p100[1], r3090[3]],
+        ],
+        vec![
+            r3090[2..].to_vec(),
+            vec![r3090[2]],
+            vec![r3090[2], r3090[3], p100[2]],
+        ],
+    ];
+    let build = |case: &MemoCase| {
+        let fill = |weights: &HashMap<DeviceId, u64>| {
+            let mut kv = KvState::new(&cluster, &model, 16, weights).unwrap();
+            for (k, &(s, dev, groups, tokens)) in case.resident.iter().enumerate() {
+                kv.device_mut(dev)
+                    .allocate(RequestId(k as u64), s, groups, tokens, 80)
+                    .expect("residency fits the pool");
+            }
+            kv
+        };
+        let mut kv = fill(&HashMap::new());
+        if let Some(dev) = case.cut_pool {
+            kv = fill(&HashMap::from([(dev, kv.device(dev).free_bytes())]));
+        }
+        let mut stages = [stage0.clone(), stage1.clone()];
+        for (stage, workers) in stages.iter_mut().zip(&case.workers) {
+            stage.attention_workers = workers.clone();
+        }
+        (kv, stages)
+    };
+
+    let mut rng = SplitMix64::new(0x3e30);
+    for solver in [DispatchSolver::WaterFill, DispatchSolver::Simplex] {
+        let cfg = HetisConfig {
+            solver,
+            ..HetisConfig::default()
+        };
+        let mut memo = Dispatcher::new(d.profiler().clone(), cfg.clone());
+        let mut cases: Vec<MemoCase> = Vec::new();
+        let (mut hits, mut misses) = (0, 0);
+        for _ in 0..80 {
+            let case = match (cases.last(), rng.next_below(5)) {
+                (Some(_), 0) => cases[rng.next_below(cases.len() as u64) as usize].clone(),
+                (Some(last), 1) => {
+                    let mut case = last.clone();
+                    let s = rng.next_below(2) as usize;
+                    let lists = &worker_lists[s];
+                    case.workers[s] = lists[rng.next_below(lists.len() as u64) as usize].clone();
+                    case
+                }
+                (Some(last), 2) => {
+                    let mut case = last.clone();
+                    let devices: Vec<DeviceId> = stage0
+                        .primary
+                        .devices
+                        .iter()
+                        .chain(&stage1.primary.devices)
+                        .chain(&p100)
+                        .chain(&r3090)
+                        .copied()
+                        .collect();
+                    case.cut_pool = Some(devices[rng.next_below(devices.len() as u64) as usize]);
+                    case
+                }
+                (Some(last), 3) => {
+                    // Same state, new cost coefficients.
+                    let which = [
+                        Coefficient::A,
+                        Coefficient::B,
+                        Coefficient::C,
+                        Coefficient::Gamma,
+                        Coefficient::Beta,
+                    ][rng.next_below(5) as usize];
+                    let frac = [-0.05, 0.05][rng.next_below(2) as usize];
+                    memo.profiler_mut().perturb(which, frac);
+                    last.clone()
+                }
+                _ => MemoCase {
+                    resident: (0..rng.next_below(12))
+                        .map(|_| {
+                            let s = rng.next_below(2) as u16;
+                            let on = &holders[s as usize];
+                            (
+                                s,
+                                on[rng.next_below(on.len() as u64) as usize],
+                                1 + rng.next_below(8) as u32,
+                                16 + rng.next_below(2000) as u32,
+                            )
+                        })
+                        .collect(),
+                    cut_pool: None,
+                    workers: [worker_lists[0][0].clone(), worker_lists[1][0].clone()],
+                },
+            };
+            let (kv, stages) = build(&case);
+            cases.push(case);
+            // Both stages in a random order, so a stage's slot must
+            // survive queries on the other.
+            let first = rng.next_below(2) as usize;
+            for s in [first, 1 - first] {
+                let stage = &stages[s];
+                let (current, _) =
+                    memo.current_attention_time(&cluster, &model, &kv, stage, s as u16);
+                let ideal = |d: &Dispatcher| {
+                    d.ideal_attention_time(&cluster, &model, &kv, stage, s as u16, current)
+                };
+                let counts = memo.solver_counts();
+                let got = ideal(&memo);
+                // An empty stage returns 0 before any solve or lookup.
+                if got != Some(0.0) {
+                    if memo.solver_counts() == counts {
+                        hits += 1;
+                    } else {
+                        misses += 1;
+                    }
+                }
+                let fresh = ideal(&Dispatcher::new(memo.profiler().clone(), cfg.clone()));
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    fresh.map(f64::to_bits),
+                    "{solver:?}, stage {s}: memo {got:?} vs fresh {fresh:?}"
+                );
+                let counts = memo.solver_counts();
+                assert_eq!(ideal(&memo).map(f64::to_bits), got.map(f64::to_bits));
+                assert_eq!(
+                    memo.solver_counts(),
+                    counts,
+                    "{solver:?}: a repeated query solved"
+                );
+            }
+        }
+        assert!(
+            hits > 0 && misses > 0,
+            "{solver:?}: {hits} hits, {misses} misses"
+        );
     }
 }

@@ -750,7 +750,7 @@ mod tests {
         );
         let kv =
             hetis_engine::KvState::new(&c, &model, 16, &std::collections::HashMap::new()).unwrap();
-        let requests = std::collections::HashMap::new();
+        let requests = hetis_sim::FxHashMap::default();
         // Start from a topology whose worker pool is NOT full: the 3090s
         // are unused.
         let topo = two_instance_topo(&c);
@@ -873,7 +873,7 @@ mod tests {
             .collect();
         let kv =
             hetis_engine::KvState::new(&c, &model, 16, &std::collections::HashMap::new()).unwrap();
-        let requests = std::collections::HashMap::new();
+        let requests = hetis_sim::FxHashMap::default();
         let topo = two_instance_topo(&c);
         let ctx = PolicyCtx {
             cluster: &c,

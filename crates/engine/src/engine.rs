@@ -19,7 +19,7 @@ use crate::topology::{HeadPlacement, InstanceRole, Topology};
 use hetis_cluster::{AttnWork, Cluster, DeviceId, MigrationStream};
 use hetis_model::ModelSpec;
 use hetis_parallel::{device_weight_bytes, InstanceConfig, ParallelConfig, PrefillBatch};
-use hetis_sim::{Clock, EventQueue, FifoQueue, SimTime, SplitMix64};
+use hetis_sim::{Clock, EventQueue, FifoQueue, FxHashMap, SimTime, SplitMix64};
 use hetis_telemetry::{FlowCompletion, FlowEvent, FlowEventKind, TelemetryBus, TelemetrySnapshot};
 use hetis_workload::{RequestId, Trace};
 use std::cmp::Reverse;
@@ -95,7 +95,7 @@ struct Cohort {
     /// decode entry/exit, re-dispatch, eviction and per-token context
     /// growth; replaces the old O(batch × stages × placement-entries)
     /// rebuild in the decode hot loop.
-    load: Vec<HashMap<DeviceId, (u64, u64)>>,
+    load: Vec<FxHashMap<DeviceId, (u64, u64)>>,
 }
 
 /// Admission-ordering key of one waiting request under
@@ -263,7 +263,7 @@ pub struct Engine<'a, P: Policy> {
     policy: P,
     topo: Topology,
     kv: KvState,
-    requests: HashMap<RequestId, RunningRequest>,
+    requests: FxHashMap<RequestId, RunningRequest>,
     instances: Vec<InstanceState>,
     events: EventQueue<Event>,
     clock: Clock,
@@ -420,7 +420,7 @@ impl<'a, P: Policy> Engine<'a, P> {
                 pending_handoff: FifoQueue::new(),
                 cohorts: (0..i.depth())
                     .map(|_| Cohort {
-                        load: vec![HashMap::new(); i.depth()],
+                        load: vec![FxHashMap::default(); i.depth()],
                         ..Cohort::default()
                     })
                     .collect(),
@@ -480,7 +480,7 @@ impl<'a, P: Policy> Engine<'a, P> {
             policy,
             topo,
             kv,
-            requests: HashMap::new(),
+            requests: FxHashMap::default(),
             instances,
             events,
             clock: Clock::new(),
@@ -1980,7 +1980,7 @@ impl<'a, P: Policy> Engine<'a, P> {
             .iter()
             .filter(|rid| self.requests[rid].in_load_table)
             .count();
-        let mut per_stage: Vec<HashMap<DeviceId, (u64, u64)>> = co.load.clone();
+        let mut per_stage: Vec<FxHashMap<DeviceId, (u64, u64)>> = co.load.clone();
         if registered != batch.len() {
             // Some registered members sit this iteration out (stalled on
             // memory, racing a victim decision): take them off the totals.

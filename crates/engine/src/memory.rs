@@ -9,6 +9,7 @@
 
 use hetis_cluster::{Cluster, DeviceId, MemoryLedger};
 use hetis_model::ModelSpec;
+use hetis_sim::FxHashMap;
 use hetis_workload::RequestId;
 use std::collections::HashMap;
 
@@ -67,7 +68,7 @@ struct StageLoad {
 #[derive(Debug, Clone)]
 pub struct DeviceKv {
     ledger: MemoryLedger,
-    entries: HashMap<(RequestId, u16), KvEntry>,
+    entries: FxHashMap<(RequestId, u16), KvEntry>,
     /// Per-stage totals, indexed by stage. Its length is the number of
     /// stage indices this device has seen; it never shrinks.
     stages: Vec<StageLoad>,
@@ -411,7 +412,7 @@ impl KvState {
             }
             devices.push(DeviceKv {
                 ledger,
-                entries: HashMap::new(),
+                entries: FxHashMap::default(),
                 stages: Vec::new(),
                 block_unit,
                 block_size,

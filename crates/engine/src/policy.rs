@@ -12,8 +12,8 @@ use crate::request::RunningRequest;
 use crate::topology::{HeadPlacement, Topology};
 use hetis_cluster::{Cluster, DeviceId};
 use hetis_model::ModelSpec;
+use hetis_sim::FxHashMap;
 use hetis_workload::{Request, RequestId};
-use std::collections::HashMap;
 
 /// Read-only view of engine state handed to policy hooks.
 pub struct PolicyCtx<'a> {
@@ -25,8 +25,13 @@ pub struct PolicyCtx<'a> {
     pub now: f64,
     /// Per-device KV state.
     pub kv: &'a KvState,
-    /// All live requests (waiting, running, migrating).
-    pub requests: &'a HashMap<RequestId, RunningRequest>,
+    /// Every request that has arrived so far, keyed by id: waiting,
+    /// running and migrating ones, and finished ones too. `Engine::finish`
+    /// leaves a completed request in the map as
+    /// [`Phase::Done`](crate::Phase::Done) for the rest of the run, so a
+    /// policy that counts or scans live requests must filter `Done` out,
+    /// as `HetisPolicy::route` does.
+    pub requests: &'a FxHashMap<RequestId, RunningRequest>,
     /// The serving topology.
     pub topology: &'a Topology,
     /// The engine's chunked-prefill cap (`None` = atomic prefill).
@@ -262,6 +267,7 @@ mod tests {
     use super::*;
     use crate::topology::{InstanceRole, InstanceTopo, StageTopo};
     use hetis_parallel::StageConfig;
+    use std::collections::HashMap;
 
     #[test]
     fn static_policy_round_robins() {
@@ -288,7 +294,7 @@ mod tests {
             ],
         };
         let kv = KvState::new(&cluster, &model, 16, &HashMap::new()).unwrap();
-        let requests = HashMap::new();
+        let requests = FxHashMap::default();
         let mut p = StaticPolicy::new("static", topo.clone());
         let ctx = PolicyCtx {
             cluster: &cluster,

@@ -14,15 +14,19 @@
 //!   which makes entire simulations reproducible bit-for-bit across runs.
 //! * [`rng::SplitMix64`] is a tiny, seedable generator used where pulling in
 //!   the `rand` crate would be overkill (e.g. tie-breaking, jitter).
+//! * [`hash::FxHashMap`] is a `HashMap` on the cheap Fx hasher, for maps
+//!   keyed by ids the simulator assigns itself.
 
 pub mod clock;
 pub mod events;
+pub mod hash;
 pub mod queue;
 pub mod rng;
 pub mod stats;
 
 pub use clock::{Clock, SimTime};
 pub use events::{EventQueue, ScheduledEvent};
+pub use hash::FxHashMap;
 pub use queue::FifoQueue;
 pub use rng::SplitMix64;
 pub use stats::{percentile, OnlineStats, Summary};
