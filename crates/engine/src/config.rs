@@ -15,11 +15,25 @@ pub enum AdmissionPolicy {
     SloSlack,
 }
 
+/// Tokens per KV block (vLLM's default).
+pub const BLOCK_SIZE: u32 = 16;
+
+/// Maximum concurrently running sequences per instance (vLLM
+/// `max_num_seqs`).
+pub const MAX_RUNNING: usize = 512;
+
+/// Decode-headroom tokens reserved at admission on top of the first chunk
+/// under incremental KV growth. The reservation *prepays* the first
+/// `DECODE_HEADROOM_TOKENS` decode appends after prefill completion: they
+/// consume the cushion instead of allocating, so they can never hit the
+/// victim path. Applies only when chunking is on; atomic admission
+/// reserves exactly the effective prompt (whose context has already
+/// outgrown it at the first append).
+pub const DECODE_HEADROOM_TOKENS: u32 = 16;
+
 /// Engine configuration, mirroring vLLM's serving knobs where they exist.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Tokens per KV block (vLLM default 16).
-    pub block_size: u32,
     /// Prefill token budget per iteration (vLLM `max_num_batched_tokens`).
     pub max_batch_tokens: u64,
     /// Chunked prefill: cap on prompt tokens one request contributes to a
@@ -30,7 +44,7 @@ pub struct EngineConfig {
     /// blocking a long prompt can inflict. A chunk size at or above the
     /// longest effective prompt schedules identically to `None`
     /// (digest-pinned on uncontended pools); its KV reservation still
-    /// carries `decode_headroom_tokens` on top of the prompt, so under
+    /// carries [`DECODE_HEADROOM_TOKENS`] on top of the prompt, so under
     /// memory pressure victim timing can differ from atomic mode.
     pub prefill_chunk_tokens: Option<u64>,
     /// Fused prefill+decode microbatches (vLLM-style chunked prefill's
@@ -42,23 +56,8 @@ pub struct EngineConfig {
     /// cost. Ignored when `prefill_chunk_tokens` is `None` (atomic
     /// prefills keep the legacy prefill-priority loop).
     pub fused_microbatches: bool,
-    /// Decode-headroom tokens reserved at admission on top of the first
-    /// chunk under incremental KV growth. The reservation *prepays* the
-    /// first `headroom` decode appends after prefill completion: they
-    /// consume the cushion instead of allocating, so they can never hit
-    /// the victim path. Only meaningful when `prefill_chunk_tokens` is
-    /// `Some`; atomic admission reserves exactly the effective prompt
-    /// (whose context has already outgrown it at the first append).
-    pub decode_headroom_tokens: u32,
     /// Admission-queue ordering.
     pub admission: AdmissionPolicy,
-    /// Maximum concurrently running sequences per instance.
-    pub max_running: usize,
-    /// Multiplicative kernel-time jitter amplitude (0 = deterministic).
-    /// The profiling-accuracy experiment raises this.
-    pub kernel_jitter: f64,
-    /// RNG seed for jitter.
-    pub seed: u64,
     /// Period of cache/head time-series sampling, seconds (Fig. 14).
     pub trace_sample_period: f64,
     /// Stop simulating this long after the last arrival even if requests
@@ -100,15 +99,10 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            block_size: 16,
             max_batch_tokens: 8192,
             prefill_chunk_tokens: None,
             fused_microbatches: false,
-            decode_headroom_tokens: 16,
             admission: AdmissionPolicy::Fifo,
-            max_running: 512,
-            kernel_jitter: 0.0,
-            seed: 0xC0FFEE,
             trace_sample_period: 1.0,
             drain_timeout: 600.0,
             telemetry: None,
@@ -126,12 +120,9 @@ mod tests {
     #[test]
     fn defaults_sane() {
         let c = EngineConfig::default();
-        assert_eq!(c.block_size, 16);
         assert!(c.max_batch_tokens >= 2048);
-        assert!(c.kernel_jitter == 0.0);
         assert_eq!(c.prefill_chunk_tokens, None);
         assert!(!c.fused_microbatches);
-        assert_eq!(c.decode_headroom_tokens, 16);
         assert_eq!(c.admission, AdmissionPolicy::Fifo);
         assert!(c.telemetry.is_none(), "telemetry is opt-in");
         assert!(c.closed_loop.is_none(), "closed loop is opt-in");

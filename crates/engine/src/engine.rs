@@ -7,19 +7,23 @@
 //! plugged-in [`Policy`] decides placement, hand-offs, re-dispatching and
 //! victims.
 
-use crate::churn::{ClusterEvent, ClusterEventKind, DeviceHealth, HealthView, ReplanRecord};
-use crate::config::{AdmissionPolicy, EngineConfig};
+use crate::churn::{
+    ClusterEvent, ClusterEventKind, DeviceHealth, HealthView, ReplanRecord, ReplanResponse,
+};
+use crate::config::{
+    AdmissionPolicy, EngineConfig, BLOCK_SIZE, DECODE_HEADROOM_TOKENS, MAX_RUNNING,
+};
 use crate::control::ControlRecord;
 use crate::memory::KvState;
 use crate::metrics::{CompletedRequest, ModuleSample, RunReport, TraceSample};
 use crate::policy::{Policy, PolicyCtx, VictimAction};
 use crate::request::{Phase, RunningRequest};
-use crate::stage::{decode_stage_breakdown, prefill_stage_breakdown, AttnLoad, StageBreakdown};
+use crate::stage::{fused_stage_breakdown, AttnLoad, StageBreakdown};
 use crate::topology::{HeadPlacement, InstanceRole, Topology};
 use hetis_cluster::{AttnWork, Cluster, DeviceId, MigrationStream};
 use hetis_model::ModelSpec;
 use hetis_parallel::{device_weight_bytes, InstanceConfig, ParallelConfig, PrefillBatch};
-use hetis_sim::{Clock, EventQueue, FifoQueue, FxHashMap, SimTime, SplitMix64};
+use hetis_sim::{Clock, EventQueue, FifoQueue, FxHashMap, SimTime};
 use hetis_telemetry::{FlowCompletion, FlowEvent, FlowEventKind, TelemetryBus, TelemetrySnapshot};
 use hetis_workload::{RequestId, Trace};
 use std::cmp::Reverse;
@@ -49,25 +53,18 @@ enum Event {
     TelemetryTick,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum UbatchKind {
-    Prefill,
-    Decode,
-    /// One iteration combining a prefill chunk with the resident decode
-    /// batch ([`EngineConfig::fused_microbatches`]).
-    Fused,
-}
-
+/// One in-flight iteration of a cohort. Either side may be empty, not
+/// both; both are populated only for a fused iteration
+/// ([`EngineConfig::fused_microbatches`]).
 #[derive(Debug, Clone)]
 struct Ubatch {
-    /// Prefill participants (empty for pure-decode microbatches).
+    /// Prefill participants.
     reqs: Vec<RequestId>,
     /// Prompt tokens each prefill participant contributed to this
     /// iteration (parallel to `reqs` — a chunk under chunked prefill,
     /// the whole effective prompt otherwise).
     chunks: Vec<u32>,
-    /// Decode participants (empty for pure-prefill microbatches; both
-    /// vectors populated only for [`UbatchKind::Fused`]).
+    /// Decode participants.
     decode_reqs: Vec<RequestId>,
 }
 
@@ -79,11 +76,11 @@ struct Cohort {
     /// chunked prefill a request stays here across chunks; with atomic
     /// prefill it enters and leaves within one microbatch lifetime.
     prefilling: Vec<RequestId>,
-    /// Kind of the last microbatch this cohort executed, used to
-    /// alternate prefill chunks with decode iterations so a long chunked
-    /// prompt cannot starve resident decodes (unused in fused mode,
-    /// where every iteration carries both).
-    last_kind: Option<UbatchKind>,
+    /// True when the last iteration this cohort executed carried a
+    /// prefill chunk; the alternating disciplines give the next one to
+    /// decode so a long chunked prompt cannot starve resident decodes
+    /// (see [`Engine::decode_turn`]).
+    last_carried_chunk: bool,
     in_flight: Option<Ubatch>,
     /// Incremental per-stage decode attention loads: for every pipeline
     /// stage, `device → (query heads, decode KV read bytes)` summed over
@@ -244,16 +241,6 @@ macro_rules! ctx {
     };
 }
 
-/// Per-instance kernel-jitter streams: stream `i` depends only on
-/// `(seed, i)`, never on instance count or on how draws of different
-/// instances interleave, so a change in one instance's schedule does not
-/// reshuffle the noise every other instance sees.
-fn per_instance_jitter(seed: u64, instances: usize) -> Vec<SplitMix64> {
-    (0..instances as u64)
-        .map(|i| SplitMix64::new(seed ^ (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
-        .collect()
-}
-
 /// The serving-engine simulator. Construct with [`run`] unless a test
 /// needs step-level control.
 pub struct Engine<'a, P: Policy> {
@@ -267,9 +254,6 @@ pub struct Engine<'a, P: Policy> {
     instances: Vec<InstanceState>,
     events: EventQueue<Event>,
     clock: Clock,
-    /// Kernel-jitter RNG, pre-split per instance: stream `i` is seeded
-    /// from `(cfg.seed, i)` only (see [`per_instance_jitter`]).
-    jitter: Vec<SplitMix64>,
     migration: MigrationStream,
     trace_requests: Vec<hetis_workload::Request>,
     last_arrival: f64,
@@ -342,7 +326,7 @@ pub struct Engine<'a, P: Policy> {
 /// admission → prefill (atomic or chunked per
 /// [`EngineConfig::prefill_chunk_tokens`]) → decode → completion, and
 /// collects a [`RunReport`] with per-request, per-class and per-device
-/// metrics. Fully deterministic for a given `(cfg.seed, trace)`:
+/// metrics. Fully deterministic for a given `(cfg, trace)`:
 /// [`RunReport::digest`] is bit-stable across reruns.
 pub fn run<P: Policy>(
     policy: P,
@@ -409,7 +393,7 @@ impl<'a, P: Policy> Engine<'a, P> {
         pcfg.validate(cluster, model)
             .expect("policy produced an invalid topology");
         let weights = device_weight_bytes(&pcfg, model);
-        let kv = KvState::new(cluster, model, cfg.block_size, &weights)
+        let kv = KvState::new(cluster, model, BLOCK_SIZE, &weights)
             .expect("weights must fit the topology");
 
         let instances = topo
@@ -475,7 +459,6 @@ impl<'a, P: Policy> Engine<'a, P> {
         let mut engine = Engine {
             cluster,
             model,
-            jitter: per_instance_jitter(cfg.seed, topo.instances.len()),
             cfg,
             policy,
             topo,
@@ -676,39 +659,45 @@ impl<'a, P: Policy> Engine<'a, P> {
         if let Some(cap) = response.pace_chunk_tokens {
             self.pace_chunk_tokens = cap;
         }
-        // Scale actuations reuse the cluster-change replan apply path:
-        // topology swap, best-effort drain migrations, and the planning
-        // stall charged to every pipeline (capacity changes are not
-        // free in the closed loop either).
-        if let Some(replan) = response.replan {
-            let mut record = ReplanRecord {
-                time: now,
-                event: "scale(closed-loop)".into(),
-                replan_latency: replan.replan_latency.max(0.0),
-                evicted: 0,
-                migrations_started: 0,
-                lost_tokens: 0,
-                replanned: false,
-            };
-            if let Some(topo) = replan.new_topology {
-                self.apply_replan_topology(topo);
-                record.replanned = true;
-            }
-            for op in replan.migrations {
-                if self.execute_redispatch(op.req, op.new_placement) {
-                    record.migrations_started += 1;
-                }
-            }
-            if record.replan_latency > 0.0 {
-                let stall_until = SimTime::from_secs(now + record.replan_latency);
-                for inst in self.instances.iter_mut() {
-                    for t in inst.stage_free_at.iter_mut() {
-                        *t = (*t).max(stall_until);
-                    }
-                }
-            }
-            self.replans.push(record);
+        // Scale actuations take the cluster-change replan path: capacity
+        // changes are not free in the closed loop either.
+        match response.replan {
+            Some(replan) => self.apply_replan(replan_record(now, "scale(closed-loop)"), replan),
+            None => self.dispatch_all(),
         }
+    }
+
+    /// Applies a policy's replan — the answer to a cluster change or a
+    /// closed-loop scale actuation — and logs it in `record`: swaps in the
+    /// new topology, starts the drain migrations best-effort, charges the
+    /// planning stall to every pipeline (nothing new starts until the plan
+    /// is out), then re-runs dispatch everywhere.
+    fn apply_replan(&mut self, mut record: ReplanRecord, response: ReplanResponse) {
+        record.replan_latency = response.replan_latency.max(0.0);
+        if let Some(topo) = response.new_topology {
+            self.apply_replan_topology(topo);
+            record.replanned = true;
+        }
+        for op in response.migrations {
+            if self.execute_redispatch(op.req, op.new_placement) {
+                record.migrations_started += 1;
+            }
+        }
+        if record.replan_latency > 0.0 {
+            let stall_until = SimTime::from_secs(record.time + record.replan_latency);
+            for inst in self.instances.iter_mut() {
+                for t in inst.stage_free_at.iter_mut() {
+                    *t = (*t).max(stall_until);
+                }
+            }
+        }
+        self.replans.push(record);
+        self.dispatch_all();
+    }
+
+    /// Runs dispatch on every instance — after anything that may have
+    /// re-homed requests onto instances with no event of their own.
+    fn dispatch_all(&mut self) {
         for i in 0..self.instances.len() {
             self.try_dispatch(i);
         }
@@ -895,7 +884,7 @@ impl<'a, P: Policy> Engine<'a, P> {
             r.push_token(now);
             let complete = r.is_complete();
             let first_token = r.token_times.len() == 1;
-            self.remove_prefilling(inst, rid);
+            self.remove_cohort_member(inst, rid);
             if first_token {
                 self.tap(FlowEventKind::FirstToken {
                     req: rid,
@@ -935,9 +924,7 @@ impl<'a, P: Policy> Engine<'a, P> {
         if evicted_any {
             // Churn evictions re-home requests onto other instances, which
             // may be idle with no scheduled events — kick them all.
-            for i in 0..self.instances.len() {
-                self.try_dispatch(i);
-            }
+            self.dispatch_all();
         } else {
             self.try_dispatch(inst);
         }
@@ -996,15 +983,7 @@ impl<'a, P: Policy> Engine<'a, P> {
     fn on_cluster_change(&mut self, idx: usize) {
         let ev = self.churn[idx].clone();
         let now = self.clock.now().as_secs();
-        let mut record = ReplanRecord {
-            time: now,
-            event: ev.label(),
-            replan_latency: 0.0,
-            evicted: 0,
-            migrations_started: 0,
-            lost_tokens: 0,
-            replanned: false,
-        };
+        let mut record = replan_record(now, ev.label());
         match ev.kind {
             ClusterEventKind::Fail => {
                 if self.health[ev.device.index()] != DeviceHealth::Dead {
@@ -1048,30 +1027,7 @@ impl<'a, P: Policy> Engine<'a, P> {
         let response = self
             .policy
             .on_cluster_change(&ev, &health_view, &ctx!(self));
-        record.replan_latency = response.replan_latency.max(0.0);
-        if let Some(topo) = response.new_topology {
-            self.apply_replan_topology(topo);
-            record.replanned = true;
-        }
-        for op in response.migrations {
-            if self.execute_redispatch(op.req, op.new_placement) {
-                record.migrations_started += 1;
-            }
-        }
-        // Charge the re-planning stall to every serving pipeline: nothing
-        // new starts until the plan is out.
-        if record.replan_latency > 0.0 {
-            let stall_until = SimTime::from_secs(now + record.replan_latency);
-            for inst in self.instances.iter_mut() {
-                for t in inst.stage_free_at.iter_mut() {
-                    *t = (*t).max(stall_until);
-                }
-            }
-        }
-        self.replans.push(record);
-        for i in 0..self.instances.len() {
-            self.try_dispatch(i);
-        }
+        self.apply_replan(record, response);
     }
 
     fn on_drain_deadline(&mut self, dev: DeviceId) {
@@ -1080,21 +1036,9 @@ impl<'a, P: Policy> Engine<'a, P> {
             return;
         }
         self.health[dev.index()] = DeviceHealth::Dead;
-        let now = self.clock.now().as_secs();
-        let mut record = ReplanRecord {
-            time: now,
-            event: format!("revoke({dev})"),
-            replan_latency: 0.0,
-            evicted: 0,
-            migrations_started: 0,
-            lost_tokens: 0,
-            replanned: false,
-        };
+        let mut record = replan_record(self.clock.now().as_secs(), format!("revoke({dev})"));
         self.kill_device(dev, &mut record);
-        self.replans.push(record);
-        for i in 0..self.instances.len() {
-            self.try_dispatch(i);
-        }
+        self.apply_replan(record, ReplanResponse::default());
     }
 
     /// Forced bookkeeping of a device death: prune it from worker lists,
@@ -1118,25 +1062,28 @@ impl<'a, P: Policy> Engine<'a, P> {
             .map(|(rid, _)| *rid)
             .collect();
         affected.sort();
-        for rid in affected {
+        self.churn_evict_all(affected, record);
+        self.reroute_down_instances(record);
+    }
+
+    /// Churn-evicts `rids` in order into `record`: idle requests now,
+    /// in-flight ones when their microbatch completes. An in-flight loss
+    /// is certain (the KV is already gone), so it is attributed to this
+    /// record now — once, even when several deaths hit the same request.
+    fn churn_evict_all(&mut self, rids: Vec<RequestId>, record: &mut ReplanRecord) {
+        for rid in rids {
             let r = &self.requests[&rid];
-            if r.in_flight {
-                // Evicted when its microbatch completes; the loss is
-                // certain (the KV is already gone), so attribute it to
-                // this event's record now — once, even when several
-                // deaths hit the same request.
-                if !self.attributed_pending.contains(&rid) {
-                    self.attributed_pending.push(rid);
-                    record.evicted += 1;
-                    record.lost_tokens += (r.req.input_len + r.generated) as u64;
-                }
+            let lost = (r.req.input_len + r.generated) as u64;
+            if !r.in_flight {
+                self.churn_evict(rid);
+            } else if self.attributed_pending.contains(&rid) {
                 continue;
+            } else {
+                self.attributed_pending.push(rid);
             }
-            let lost = self.churn_evict(rid);
             record.evicted += 1;
             record.lost_tokens += lost;
         }
-        self.reroute_down_instances(record);
     }
 
     /// Prunes `dev` from every attention-worker list and downs instances
@@ -1187,103 +1134,39 @@ impl<'a, P: Policy> Engine<'a, P> {
             // drain-time retry (`try_start_handoff_transfer`) uses:
             // only a genuinely parked hand-off (Migrating, idle,
             // placed) is evicted here.
-            let mut pending: Vec<RequestId> = Vec::new();
             while let Some(rid) = self.instances[i].pending_handoff.dequeue() {
-                pending.push(rid);
-            }
-            for rid in pending {
                 let r = &self.requests[&rid];
-                if r.phase != Phase::Migrating || r.in_flight || r.placement.is_none() {
-                    continue; // stale entry: the request lives elsewhere
+                if r.phase == Phase::Migrating && !r.in_flight && r.placement.is_some() {
+                    self.churn_evict_all(vec![rid], record);
                 }
-                let lost = self.churn_evict(rid);
-                record.evicted += 1;
-                record.lost_tokens += lost;
             }
             // Remaining residents (decoding / migrating / parked between
-            // prefill chunks, not in flight) — all hold KV here.
+            // prefill chunks, or in flight) — all hold KV here.
             let mut residents: Vec<RequestId> = self
                 .requests
                 .iter()
                 .filter(|(_, r)| {
-                    r.instance == i
-                        && !r.in_flight
-                        && matches!(
-                            r.phase,
-                            Phase::Decoding | Phase::Migrating | Phase::Prefilling
-                        )
+                    r.instance == i && !matches!(r.phase, Phase::Waiting | Phase::Done)
                 })
                 .map(|(rid, _)| *rid)
                 .collect();
             residents.sort();
-            for rid in residents {
-                let lost = self.churn_evict(rid);
-                record.evicted += 1;
-                record.lost_tokens += lost;
-            }
-            // In-flight residents are evicted at microbatch completion;
-            // attribute them to this record once.
-            let mut in_flight: Vec<RequestId> = self
-                .requests
-                .iter()
-                .filter(|(_, r)| r.instance == i && r.in_flight && r.phase != Phase::Done)
-                .map(|(rid, _)| *rid)
-                .collect();
-            in_flight.sort();
-            for rid in in_flight {
-                if !self.attributed_pending.contains(&rid) {
-                    self.attributed_pending.push(rid);
-                    let r = &self.requests[&rid];
-                    record.evicted += 1;
-                    record.lost_tokens += (r.req.input_len + r.generated) as u64;
-                }
-            }
+            self.churn_evict_all(residents, record);
         }
     }
 
     /// Recompute-preempts `rid` because of churn: its KV is freed
     /// everywhere, the lost context is accounted, and it re-queues on a
-    /// surviving instance. Returns the lost context tokens.
-    fn churn_evict(&mut self, rid: RequestId) -> u64 {
+    /// surviving instance.
+    fn churn_evict(&mut self, rid: RequestId) {
         self.attributed_pending.retain(|&p| p != rid);
-        let (lost, old_inst, was_running) = {
-            let r = &self.requests[&rid];
-            assert!(!r.in_flight, "cannot churn-evict an in-flight request");
-            let lost = (r.req.input_len + r.generated) as u64;
-            let was_running = matches!(
-                r.phase,
-                Phase::Prefilling | Phase::Decoding | Phase::Migrating
-            );
-            (lost, r.instance, was_running)
-        };
-        self.load_table_remove(old_inst, rid);
-        // Release boundary: observe the peak while the victim's KV is
-        // still resident (see `note_kv_peak`).
-        self.note_kv_peak();
-        self.tap(FlowEventKind::Preemption {
-            req: rid,
-            instance: old_inst as u32,
-            lost_context: lost as u32,
-        });
-        self.requests
-            .get_mut(&rid)
-            .expect("live")
-            .preempt_recompute();
-        if was_running {
-            self.running_dec(old_inst);
-        }
-        for d in 0..self.kv.len() {
-            self.kv.device_mut(DeviceId(d as u32)).free_request(rid);
-        }
-        self.remove_cohort_member(old_inst, rid);
-        self.preemptions += 1;
+        let (old_inst, lost) = self.release_preempted(rid);
         self.churn_evictions += 1;
         self.lost_tokens += lost;
         let req = self.requests[&rid].req;
         let inst = self.route_surviving(req, old_inst);
         self.requests.get_mut(&rid).expect("live").instance = inst;
         self.instances[inst].waiting.enqueue(slack_key(&req));
-        lost
     }
 
     /// After a Join: instances whose full primary group is healthy again
@@ -1359,26 +1242,19 @@ impl<'a, P: Policy> Engine<'a, P> {
         self.prefix.clear();
     }
 
-    /// Slowdown factor of a stage's primary TP group (prefill path).
-    fn primary_slow_factor(&self, inst: usize, s: usize) -> f64 {
-        self.topo.instances[inst].stages[s]
-            .primary
-            .devices
+    /// Slowdown factor of stage `s` for one iteration: the slowest of its
+    /// primary TP group and every device carrying decode attention work
+    /// in `loads`.
+    fn slow_factor(&self, inst: usize, s: usize, loads: &[AttnLoad]) -> f64 {
+        let primaries = self.topo.instances[inst].stages[s].primary.devices.iter();
+        let workers = loads
             .iter()
-            .map(|&d| self.health[d.index()].factor())
+            .filter(|l| l.work.query_heads > 0.0)
+            .map(|l| &l.device);
+        primaries
+            .chain(workers)
+            .map(|d| self.health[d.index()].factor())
             .fold(1.0, f64::max)
-    }
-
-    /// Slowdown factor of a decode stage: primaries plus every device
-    /// actually carrying attention work this iteration.
-    fn decode_slow_factor(&self, inst: usize, s: usize, loads: &[AttnLoad]) -> f64 {
-        let mut f = self.primary_slow_factor(inst, s);
-        for l in loads {
-            if l.work.query_heads > 0.0 {
-                f = f.max(self.health[l.device.index()].factor());
-            }
-        }
-        f
     }
 
     // ---------------------------------------------------------- dispatch
@@ -1405,74 +1281,78 @@ impl<'a, P: Policy> Engine<'a, P> {
         // which preserve the admission order.
         self.instances[inst].waiting.merge_front();
 
-        let fused = self.cfg.fused_microbatches && self.cfg.prefill_chunk_tokens.is_some();
-        let depth = self.topo.instances[inst].depth();
-        for c in 0..depth {
-            if self.instances[inst].cohorts[c].in_flight.is_some() {
-                continue;
-            }
-            // Fused mode: one iteration carries the cohort's current
-            // chunk(s) AND its resident decode batch — no alternation,
-            // decode requests never stall behind prefill-only
-            // iterations.
-            if fused {
-                self.try_form_fused(inst, c);
-                continue;
-            }
-            // Chunked-prefill fairness: when a resident prompt still has
-            // chunks left AND decodes are ready, alternate — one chunk,
-            // one decode iteration — instead of letting the prefill
-            // monopolize the cohort. Without mid-prefill residents
-            // (atomic mode) this is exactly the legacy prefill-priority
-            // order.
-            let cohort = &self.instances[inst].cohorts[c];
-            let has_continuing = cohort.prefilling.iter().any(|rid| {
-                let r = &self.requests[rid];
-                r.phase == Phase::Prefilling && !r.in_flight && r.remaining_prefill() > 0
-            });
-            let has_decode_ready = cohort
-                .members
-                .iter()
-                .any(|rid| self.requests[rid].phase == Phase::Decoding);
-            if has_continuing
-                && has_decode_ready
-                && cohort.last_kind == Some(UbatchKind::Prefill)
-                && self.try_form_decode(inst, c)
-            {
-                continue;
-            }
-            if !self.try_form_prefill(inst, c) {
-                self.try_form_decode(inst, c);
+        for c in 0..self.topo.instances[inst].depth() {
+            if self.instances[inst].cohorts[c].in_flight.is_none() {
+                self.form_iteration(inst, c);
             }
         }
     }
 
-    /// Drops `rid` from its cohort's mid-prefill set. The owning cohort
-    /// is tracked on [`RunningRequest::cohort`] (set at admission), so
-    /// removal touches exactly one vector instead of `retain`-scanning
-    /// every cohort on every completion.
-    fn remove_prefilling(&mut self, inst: usize, rid: RequestId) {
-        let c = self.requests[&rid].cohort;
-        let cohorts = &mut self.instances[inst].cohorts;
-        debug_assert!(
-            cohorts
-                .iter()
-                .enumerate()
-                .all(|(k, co)| k == c || !co.prefilling.contains(&rid)),
-            "request {rid:?} prefilling outside its tracked cohort {c}"
-        );
-        if let Some(pos) = cohorts[c].prefilling.iter().position(|&m| m == rid) {
-            cohorts[c].prefilling.remove(pos);
+    /// Forms and schedules the cohort's next iteration: the one iteration
+    /// former behind every prefill mode. The modes differ only in the
+    /// chunk cap and KV reservation (see [`Self::collect_prefill_entries`])
+    /// and in whether the decode batch rides with the chunk:
+    ///
+    /// * atomic — prefill priority: a decode iteration forms only when no
+    ///   prefill work can;
+    /// * chunked — the same, except that a decode iteration follows every
+    ///   chunk while chunks and decodes are both pending
+    ///   ([`Self::decode_turn`]);
+    /// * fused — the decode batch rides every chunk. While closed-loop
+    ///   pacing is engaged, fused iterations alternate like chunked ones
+    ///   and a chunk backlog above the pace cap runs without the decode
+    ///   batch.
+    ///
+    /// Each collector reserves KV as a side effect, so the decode turn is
+    /// decided before either runs, and the paced backlog test before the
+    /// decode batch is collected.
+    fn form_iteration(&mut self, inst: usize, cohort: usize) {
+        let fused = self.cfg.fused_microbatches && self.cfg.prefill_chunk_tokens.is_some();
+        let alternate = !fused || self.pace_chunk_tokens.is_some();
+        if alternate && self.decode_turn(inst, cohort) {
+            if let Some(decode) = self.collect_decode_batch(inst, cohort) {
+                self.schedule_iteration(inst, cohort, Vec::new(), decode);
+                return;
+            }
         }
+        let entries = self.collect_prefill_entries(inst, cohort);
+        let backlog: u64 = entries.iter().map(|&(_, chunk, _)| chunk).sum();
+        let rides = fused && self.pace_chunk_tokens.is_none_or(|cap| backlog <= cap);
+        let decode = if entries.is_empty() || rides {
+            self.collect_decode_batch(inst, cohort)
+        } else {
+            None
+        };
+        if !entries.is_empty() || decode.is_some() {
+            self.schedule_iteration(inst, cohort, entries, decode.unwrap_or_default());
+        }
+    }
+
+    /// True when the cohort's last iteration carried a chunk, a resident
+    /// prompt still has chunks left and decodes are ready: an alternating
+    /// former then gives this iteration to decode — one chunk, one decode
+    /// iteration — instead of letting the prefill monopolize the cohort.
+    /// Never true under atomic prefill, where no prompt outlives one
+    /// iteration.
+    fn decode_turn(&self, inst: usize, cohort: usize) -> bool {
+        let co = &self.instances[inst].cohorts[cohort];
+        co.last_carried_chunk
+            && co.prefilling.iter().any(|rid| {
+                let r = &self.requests[rid];
+                r.phase == Phase::Prefilling && !r.in_flight && r.remaining_prefill() > 0
+            })
+            && co
+                .members
+                .iter()
+                .any(|rid| self.requests[rid].phase == Phase::Decoding)
     }
 
     /// Requests of `inst` in a running phase, O(1): the per-instance
     /// counter replaces the old scan over every live request (which made
     /// each admission round O(#requests) and dominated large-trace runs).
-    /// Counter maintenance sites: admission (`try_form_prefill`),
-    /// completion (`finish`), both preemption paths (`evict`,
-    /// `churn_evict`) and the hand-off instance move
-    /// (`try_start_handoff_transfer`).
+    /// Counter maintenance sites: admission (`collect_prefill_entries`),
+    /// completion (`finish`), preemption (`release_preempted`) and the
+    /// hand-off instance move (`try_start_handoff_transfer`).
     fn running_count(&self, inst: usize) -> usize {
         debug_assert_eq!(
             self.instances[inst].running,
@@ -1507,19 +1387,6 @@ impl<'a, P: Policy> Engine<'a, P> {
     fn running_dec(&mut self, inst: usize) {
         debug_assert!(self.instances[inst].running > 0, "running underflow");
         self.instances[inst].running -= 1;
-    }
-
-    fn try_form_prefill(&mut self, inst: usize, cohort: usize) -> bool {
-        let role = self.topo.instances[inst].role;
-        if role == InstanceRole::DecodeOnly || role == InstanceRole::Down {
-            return false;
-        }
-        let entries = self.collect_prefill_entries(inst, cohort);
-        if entries.is_empty() {
-            return false;
-        }
-        self.schedule_prefill(inst, cohort, entries);
-        true
     }
 
     /// Probes the prefix cache for admission candidate `rid` on `inst`.
@@ -1567,8 +1434,7 @@ impl<'a, P: Policy> Engine<'a, P> {
         // Block-floor the warm span (partial blocks are recomputed, as
         // in block-granular radix caches) and keep ≥ 1 cold token so the
         // final chunk still runs attention and emits the first token.
-        let bs = self.cfg.block_size;
-        let warm = (e.tokens.min(eff.saturating_sub(1)) / bs) * bs;
+        let warm = (e.tokens.min(eff.saturating_sub(1)) / BLOCK_SIZE) * BLOCK_SIZE;
         if warm == 0 {
             return None;
         }
@@ -1579,7 +1445,8 @@ impl<'a, P: Policy> Engine<'a, P> {
     /// mid-prefill residents first (admission order), then new admissions
     /// under the remaining budget — and commits the per-request state
     /// (phase, cohort membership, KV reservation). Returns the scheduled
-    /// `(request, chunk, prior)` entries; empty when nothing can form.
+    /// `(request, chunk, prior)` entries; empty when nothing can form,
+    /// and always on a decode-only instance.
     ///
     /// KV reservation is fine-grained under chunked prefill: admission
     /// reserves the *first chunk plus decode headroom* instead of the
@@ -1593,13 +1460,16 @@ impl<'a, P: Policy> Engine<'a, P> {
         inst: usize,
         cohort: usize,
     ) -> Vec<(RequestId, u64, u64)> {
+        if self.topo.instances[inst].role == InstanceRole::DecodeOnly {
+            return Vec::new();
+        }
         // Per-request chunk cap: ∞ (atomic prefill) unless configured.
         // Closed-loop pacing does NOT shrink this budget — it gates how
         // many chunk tokens may ride a *fused* iteration (see
-        // `try_form_fused`), so paced drains still move full chunks.
+        // `form_iteration`), so paced drains still move full chunks.
         let chunk_cap = self.cfg.prefill_chunk_tokens.unwrap_or(u64::MAX).max(1);
         let incremental = self.cfg.prefill_chunk_tokens.is_some();
-        let headroom = self.cfg.decode_headroom_tokens;
+        let headroom = DECODE_HEADROOM_TOKENS;
         let budget = self.cfg.max_batch_tokens;
 
         // 1. Continuing chunks: mid-prefill residents of this cohort go
@@ -1673,10 +1543,7 @@ impl<'a, P: Policy> Engine<'a, P> {
             None
         };
         let mut deferred: Vec<SlackKey> = Vec::new();
-        if running < self.cfg.max_running
-            && tokens < budget
-            && !self.instances[inst].waiting.is_empty()
-        {
+        if running < MAX_RUNNING && tokens < budget && !self.instances[inst].waiting.is_empty() {
             while let Some(rid) = self.instances[inst].waiting.peek() {
                 if let Some(protect) = protect {
                     if self.requests[&rid].req.class != protect {
@@ -1692,8 +1559,7 @@ impl<'a, P: Policy> Engine<'a, P> {
                 let cold = hit.map_or(eff, |(_, warm)| eff - warm as u64);
                 let chunk = cold.min(chunk_cap);
                 if (!entries.is_empty() || !candidates.is_empty())
-                    && (tokens + chunk > budget
-                        || running + candidates.len() >= self.cfg.max_running)
+                    && (tokens + chunk > budget || running + candidates.len() >= MAX_RUNNING)
                 {
                     break;
                 }
@@ -1843,43 +1709,9 @@ impl<'a, P: Policy> Engine<'a, P> {
         r.prefix_shared_bytes = warm_bytes;
     }
 
-    /// Schedules `entries` as a pure-prefill microbatch on the cohort.
-    fn schedule_prefill(
-        &mut self,
-        inst: usize,
-        cohort: usize,
-        entries: Vec<(RequestId, u64, u64)>,
-    ) {
-        let batch = self.prefill_batch_of(&entries);
-
-        // Walk the pipeline.
-        let done = self.schedule_pipeline(
-            inst,
-            |engine, s, lm_head| {
-                let b = prefill_stage_breakdown(
-                    engine.cluster,
-                    engine.model,
-                    &engine.topo.instances[inst].stages[s],
-                    &batch,
-                    lm_head,
-                );
-                scale_breakdown(b, engine.primary_slow_factor(inst, s))
-            },
-            batch.tokens,
-        );
-
-        self.instances[inst].cohorts[cohort].in_flight = Some(Ubatch {
-            reqs: entries.iter().map(|&(rid, ..)| rid).collect(),
-            chunks: entries.iter().map(|&(_, c, _)| c as u32).collect(),
-            decode_reqs: Vec::new(),
-        });
-        self.instances[inst].cohorts[cohort].last_kind = Some(UbatchKind::Prefill);
-        self.events
-            .schedule(done, Event::UbatchDone { inst, cohort });
-    }
-
     /// Marks `entries` in flight and aggregates them into a
-    /// [`PrefillBatch`], updating the prefill counters.
+    /// [`PrefillBatch`], updating the prefill counters (an empty `entries`
+    /// is no prefill iteration and counts nothing).
     ///
     /// Chunked attention cost: a chunk of c tokens after p already-
     /// prefilled tokens attends to the whole p+c context, so its
@@ -1888,6 +1720,9 @@ impl<'a, P: Policy> Engine<'a, P> {
     /// the Eq. 7 stage-time model's total work exactly.
     fn prefill_batch_of(&mut self, entries: &[(RequestId, u64, u64)]) -> PrefillBatch {
         let mut batch = PrefillBatch::default();
+        if entries.is_empty() {
+            return batch;
+        }
         for &(rid, chunk, prior) in entries {
             self.requests.get_mut(&rid).expect("live").in_flight = true;
             batch.seqs += 1;
@@ -1900,27 +1735,19 @@ impl<'a, P: Policy> Engine<'a, P> {
         batch
     }
 
-    fn try_form_decode(&mut self, inst: usize, cohort: usize) -> bool {
-        let role = self.topo.instances[inst].role;
-        if role == InstanceRole::PrefillOnly || role == InstanceRole::Down {
-            return false;
-        }
-        let Some((batch, stage_loads)) = self.collect_decode_batch(inst, cohort) else {
-            return false;
-        };
-        self.schedule_decode(inst, cohort, batch, stage_loads);
-        true
-    }
-
     /// Forms the cohort's decode batch: appends every ready member's next
     /// token (the policy handles exhaustion) and derives the per-stage
     /// attention loads from the incremental load table. `None` when no
-    /// member can decode this iteration.
+    /// member can decode this iteration, and always on a prefill-only
+    /// instance.
     fn collect_decode_batch(
         &mut self,
         inst: usize,
         cohort: usize,
     ) -> Option<(Vec<RequestId>, Vec<Vec<AttnLoad>>)> {
+        if self.topo.instances[inst].role == InstanceRole::PrefillOnly {
+            return None;
+        }
         let ready: Vec<RequestId> = self.instances[inst].cohorts[cohort]
             .members
             .iter()
@@ -2065,235 +1892,50 @@ impl<'a, P: Policy> Engine<'a, P> {
         stage_loads
     }
 
-    /// Schedules `batch` as a pure-decode microbatch on the cohort.
-    fn schedule_decode(
-        &mut self,
-        inst: usize,
-        cohort: usize,
-        batch: Vec<RequestId>,
-        stage_loads: Vec<Vec<AttnLoad>>,
-    ) {
-        let n_stages = self.topo.instances[inst].depth();
-        for rid in &batch {
-            self.requests.get_mut(rid).expect("live").in_flight = true;
-        }
-
-        let dense_tokens = batch.len() as u64;
-        let mut max_mlp = 0.0_f64;
-        let mut max_attn = 0.0_f64;
-        let done = self.schedule_pipeline(
-            inst,
-            |engine, s, lm_head| {
-                let b = decode_stage_breakdown(
-                    engine.cluster,
-                    engine.model,
-                    &engine.topo.instances[inst].stages[s],
-                    dense_tokens,
-                    &stage_loads[s],
-                    lm_head,
-                );
-                let b = scale_breakdown(b, engine.decode_slow_factor(inst, s, &stage_loads[s]));
-                max_mlp = max_mlp.max(b.mlp);
-                max_attn = max_attn.max(b.attn);
-                b
-            },
-            dense_tokens,
-        );
-
-        self.module_samples.push(ModuleSample {
-            time: self.clock.now().as_secs(),
-            mlp: max_mlp * n_stages as f64,
-            attn: max_attn * n_stages as f64,
-        });
-
-        self.tap(FlowEventKind::DecodeIteration {
-            instance: inst as u32,
-            cohort: cohort as u32,
-            batch_size: batch.len() as u32,
-            prefill_tokens: 0,
-        });
-        self.instances[inst].cohorts[cohort].in_flight = Some(Ubatch {
-            reqs: Vec::new(),
-            chunks: Vec::new(),
-            decode_reqs: batch,
-        });
-        self.instances[inst].cohorts[cohort].last_kind = Some(UbatchKind::Decode);
-        self.events
-            .schedule(done, Event::UbatchDone { inst, cohort });
-    }
-
-    /// Fused-mode iteration ([`EngineConfig::fused_microbatches`]): ONE
-    /// microbatch carrying the cohort's prefill chunk(s) *and* its
-    /// resident decode batch, costed by
-    /// [`crate::stage::fused_stage_breakdown`] — decode tokens ride the
-    /// chunk's dense pass instead of stalling behind a prefill-only
-    /// iteration.
-    ///
-    /// Decode tokens ride every chunk-carrying iteration (vLLM-style
-    /// mixed batching), trading a TTFT tax under bursty queueing — the
-    /// chunk drain co-schedules the decode batch's attention — for a
-    /// strictly faster decode cadence and a shorter makespan. Falls back
-    /// to the pure phase when the other side is empty.
-    fn try_form_fused(&mut self, inst: usize, cohort: usize) -> bool {
-        let role = self.topo.instances[inst].role;
-        if role == InstanceRole::Down {
-            return false;
-        }
-        // Closed-loop pacing: while engaged, heavy chunk backlogs drain
-        // through the chunked-alternating discipline — one pure prefill
-        // iteration, one pure decode iteration — instead of dragging the
-        // decode batch's attention through every chunk drain. The
-        // alternation decision mirrors the non-fused formation loop and
-        // must precede BOTH collectors (each reserves KV as a side
-        // effect): after a prefill-kind iteration, decode gets the next
-        // one.
-        let paced = self.pace_chunk_tokens.is_some() && role == InstanceRole::Both;
-        if paced {
-            let co = &self.instances[inst].cohorts[cohort];
-            let has_continuing = co.prefilling.iter().any(|rid| {
-                let r = &self.requests[rid];
-                r.phase == Phase::Prefilling && !r.in_flight && r.remaining_prefill() > 0
-            });
-            let has_decode_ready = co
-                .members
-                .iter()
-                .any(|rid| self.requests[rid].phase == Phase::Decoding);
-            if has_continuing
-                && has_decode_ready
-                && matches!(
-                    co.last_kind,
-                    Some(UbatchKind::Prefill) | Some(UbatchKind::Fused)
-                )
-                && self.try_form_decode(inst, cohort)
-            {
-                return true;
-            }
-        }
-        let entries = if role == InstanceRole::DecodeOnly {
-            Vec::new()
-        } else {
-            self.collect_prefill_entries(inst, cohort)
-        };
-        // Paced defuse: a backlog above the cap becomes a PURE prefill
-        // iteration (the decode batch sits this one out); backlogs at or
-        // under the cap keep riding the decode batch, preserving the
-        // fused cadence. Decided before `collect_decode_batch`, which
-        // appends next-token KV for the batch it returns.
-        if let Some(cap) = self.pace_chunk_tokens {
-            if !entries.is_empty() {
-                let backlog: u64 = entries.iter().map(|&(_, chunk, _)| chunk).sum();
-                if backlog > cap {
-                    self.schedule_prefill(inst, cohort, entries);
-                    return true;
-                }
-            }
-        }
-        let decode = if role == InstanceRole::PrefillOnly {
-            None
-        } else {
-            self.collect_decode_batch(inst, cohort)
-        };
-        match (entries.is_empty(), decode) {
-            (true, None) => false,
-            (false, None) => {
-                self.schedule_prefill(inst, cohort, entries);
-                true
-            }
-            (true, Some((batch, loads))) => {
-                self.schedule_decode(inst, cohort, batch, loads);
-                true
-            }
-            (false, Some((batch, loads))) => {
-                self.schedule_fused(inst, cohort, entries, batch, loads);
-                true
-            }
-        }
-    }
-
-    /// Schedules one fused prefill+decode microbatch.
-    fn schedule_fused(
+    /// Schedules one iteration on the cohort: the prefill `entries` and
+    /// the decode `batch` with its per-stage attention loads, either side
+    /// possibly empty but not both. Every iteration is priced by
+    /// [`fused_stage_breakdown`], which reduces exactly to the
+    /// prefill-only or decode-only breakdown when the other side is empty.
+    /// The iteration walks the instance's stages as FIFO resources, each
+    /// stage dilated by its slowest participating device, with the
+    /// inter-stage hidden-state transfer over the worst primary link.
+    fn schedule_iteration(
         &mut self,
         inst: usize,
         cohort: usize,
         entries: Vec<(RequestId, u64, u64)>,
-        decode_batch: Vec<RequestId>,
-        stage_loads: Vec<Vec<AttnLoad>>,
+        (batch, stage_loads): (Vec<RequestId>, Vec<Vec<AttnLoad>>),
     ) {
-        let batch = self.prefill_batch_of(&entries);
-        let n_stages = self.topo.instances[inst].depth();
-        for rid in &decode_batch {
+        let chunk = self.prefill_batch_of(&entries);
+        for rid in &batch {
             self.requests.get_mut(rid).expect("live").in_flight = true;
         }
-        self.fused_iterations += 1;
-
-        let dense_tokens = decode_batch.len() as u64;
+        if !entries.is_empty() && !batch.is_empty() {
+            self.fused_iterations += 1;
+        }
+        let n = self.topo.instances[inst].depth();
+        let dense_tokens = batch.len() as u64;
+        let tokens = chunk.tokens + dense_tokens;
         let mut max_mlp = 0.0_f64;
         let mut max_attn = 0.0_f64;
-        let done = self.schedule_pipeline(
-            inst,
-            |engine, s, lm_head| {
-                let b = crate::stage::fused_stage_breakdown(
-                    engine.cluster,
-                    engine.model,
-                    &engine.topo.instances[inst].stages[s],
-                    &batch,
-                    dense_tokens,
-                    &stage_loads[s],
-                    lm_head,
-                );
-                // The decode factor already folds in the primaries.
-                let b = scale_breakdown(b, engine.decode_slow_factor(inst, s, &stage_loads[s]));
-                max_mlp = max_mlp.max(b.mlp);
-                max_attn = max_attn.max(b.attn);
-                b
-            },
-            batch.tokens + dense_tokens,
-        );
-
-        // Fused iterations ARE this mode's decode iterations — record the
-        // Fig. 13 module sample (the chunk's share of MLP time is real
-        // work the decode tokens co-schedule with).
-        self.module_samples.push(ModuleSample {
-            time: self.clock.now().as_secs(),
-            mlp: max_mlp * n_stages as f64,
-            attn: max_attn * n_stages as f64,
-        });
-
-        self.tap(FlowEventKind::DecodeIteration {
-            instance: inst as u32,
-            cohort: cohort as u32,
-            batch_size: decode_batch.len() as u32,
-            prefill_tokens: batch.tokens as u32,
-        });
-        self.instances[inst].cohorts[cohort].in_flight = Some(Ubatch {
-            reqs: entries.iter().map(|&(rid, ..)| rid).collect(),
-            chunks: entries.iter().map(|&(_, c, _)| c as u32).collect(),
-            decode_reqs: decode_batch,
-        });
-        self.instances[inst].cohorts[cohort].last_kind = Some(UbatchKind::Fused);
-        self.events
-            .schedule(done, Event::UbatchDone { inst, cohort });
-    }
-
-    /// Walks a microbatch through the instance's stages as FIFO resources;
-    /// returns the completion time. `breakdown(engine, stage, lm_head)`
-    /// computes each stage's time.
-    fn schedule_pipeline<F>(&mut self, inst: usize, mut breakdown: F, tokens: u64) -> SimTime
-    where
-        F: FnMut(&Self, usize, bool) -> StageBreakdown,
-    {
-        let n = self.topo.instances[inst].depth();
         let mut arrive = self.clock.now();
         for s in 0..n {
-            let lm_head = s + 1 == n;
-            let b = breakdown(self, s, lm_head);
-            let t = if self.cfg.kernel_jitter > 0.0 {
-                b.total * self.jitter[inst].jitter(self.cfg.kernel_jitter)
-            } else {
-                b.total
-            };
+            let loads = stage_loads.get(s).map_or(&[][..], Vec::as_slice);
+            let b = fused_stage_breakdown(
+                self.cluster,
+                self.model,
+                &self.topo.instances[inst].stages[s],
+                &chunk,
+                dense_tokens,
+                loads,
+                s + 1 == n,
+            );
+            let b = scale_breakdown(b, self.slow_factor(inst, s, loads));
+            max_mlp = max_mlp.max(b.mlp);
+            max_attn = max_attn.max(b.attn);
             let start = arrive.max(self.instances[inst].stage_free_at[s]);
-            let done = start + t;
+            let done = start + b.total;
             self.instances[inst].stage_free_at[s] = done;
             arrive = done;
             if s + 1 < n {
@@ -2312,7 +1954,32 @@ impl<'a, P: Policy> Engine<'a, P> {
                 arrive += worst.time(bytes);
             }
         }
-        arrive
+
+        if !batch.is_empty() {
+            // Every decode-carrying iteration records the Fig. 13 module
+            // sample; in a fused one the chunk's share of MLP time is real
+            // work the decode tokens co-schedule with.
+            self.module_samples.push(ModuleSample {
+                time: self.clock.now().as_secs(),
+                mlp: max_mlp * n as f64,
+                attn: max_attn * n as f64,
+            });
+            self.tap(FlowEventKind::DecodeIteration {
+                instance: inst as u32,
+                cohort: cohort as u32,
+                batch_size: batch.len() as u32,
+                prefill_tokens: chunk.tokens as u32,
+            });
+        }
+        let co = &mut self.instances[inst].cohorts[cohort];
+        co.last_carried_chunk = !entries.is_empty();
+        co.in_flight = Some(Ubatch {
+            reqs: entries.iter().map(|&(rid, ..)| rid).collect(),
+            chunks: entries.iter().map(|&(_, c, _)| c as u32).collect(),
+            decode_reqs: batch,
+        });
+        self.events
+            .schedule(arrive, Event::UbatchDone { inst, cohort });
     }
 
     // ------------------------------------------------------ KV operations
@@ -2506,28 +2173,39 @@ impl<'a, P: Policy> Engine<'a, P> {
         false
     }
 
-    /// Recompute-preempts a request: KV freed everywhere, back to waiting.
+    /// Recompute-preempts a victim of memory pressure: KV freed
+    /// everywhere, back to the front of its instance's waiting queue.
     fn evict(&mut self, rid: RequestId) {
-        let inst = {
+        debug_assert!(
+            matches!(
+                self.requests[&rid].phase,
+                Phase::Prefilling | Phase::Decoding | Phase::Migrating
+            ),
+            "victims are always running"
+        );
+        let (inst, _) = self.release_preempted(rid);
+        let key = slack_key(&self.requests[&rid].req);
+        self.instances[inst].waiting.requeue_front(key);
+    }
+
+    /// The release half of every preemption ([`Self::evict`] and
+    /// [`Self::churn_evict`]): takes `rid` off its cohort and load table,
+    /// frees its KV everywhere and resets it for a recompute re-prefill.
+    /// Returns its instance and the lost context tokens.
+    fn release_preempted(&mut self, rid: RequestId) -> (usize, u64) {
+        let (inst, lost, was_running) = {
             let r = &self.requests[&rid];
-            assert!(!r.in_flight, "cannot evict an in-flight request");
-            debug_assert!(
-                matches!(
-                    r.phase,
-                    Phase::Prefilling | Phase::Decoding | Phase::Migrating
-                ),
-                "victims are always running"
+            assert!(!r.in_flight, "cannot preempt an in-flight request");
+            let was_running = matches!(
+                r.phase,
+                Phase::Prefilling | Phase::Decoding | Phase::Migrating
             );
-            r.instance
+            (r.instance, r.req.input_len + r.generated, was_running)
         };
         self.load_table_remove(inst, rid);
         // Release boundary: observe the peak while the victim's KV is
         // still resident (see `note_kv_peak`).
         self.note_kv_peak();
-        let lost = {
-            let r = &self.requests[&rid];
-            r.req.input_len + r.generated
-        };
         self.tap(FlowEventKind::Preemption {
             req: rid,
             instance: inst as u32,
@@ -2537,14 +2215,15 @@ impl<'a, P: Policy> Engine<'a, P> {
             .get_mut(&rid)
             .expect("live")
             .preempt_recompute();
-        self.running_dec(inst);
+        if was_running {
+            self.running_dec(inst);
+        }
         for d in 0..self.kv.len() {
             self.kv.device_mut(DeviceId(d as u32)).free_request(rid);
         }
         self.remove_cohort_member(inst, rid);
-        let key = slack_key(&self.requests[&rid].req);
-        self.instances[inst].waiting.requeue_front(key);
         self.preemptions += 1;
+        (inst, lost as u64)
     }
 
     /// Applies a re-dispatch: alloc grows, free shrinks, schedule the
@@ -2652,25 +2331,35 @@ impl<'a, P: Policy> Engine<'a, P> {
         // old-placement contribution off the load table before the new
         // placement is installed.
         self.load_table_remove(inst, rid);
-        let sources: Vec<DeviceId> = shrinks.iter().map(|&(d, ..)| d).collect();
         let r = self.requests.get_mut(&rid).expect("live");
         r.placement = Some(new_placement);
-        r.phase = Phase::Migrating;
         r.redispatches += 1;
-        r.migration_sources = sources;
-        r.migration_epoch += 1;
-        let epoch = r.migration_epoch;
-        self.migrations += 1;
-        self.migrated_bytes += moved_bytes;
+        let sources = shrinks.iter().map(|&(d, ..)| d).collect();
+        self.begin_migration(rid, sources, moved_bytes, finish);
         self.tap(FlowEventKind::Redispatch {
             req: rid,
             instance: inst as u32,
         });
+        true
+    }
+
+    /// Parks `rid` in [`Phase::Migrating`] while `bytes` of its KV move
+    /// from `sources`, until the transfer lands at `done` (seconds): the
+    /// one transfer path behind re-dispatch, Splitwise hand-off and the
+    /// post-prefill scatter. The completion event carries a fresh epoch,
+    /// so a transfer that churn aborts cannot resume the request early.
+    fn begin_migration(&mut self, rid: RequestId, sources: Vec<DeviceId>, bytes: f64, done: f64) {
+        let r = self.requests.get_mut(&rid).expect("live");
+        r.phase = Phase::Migrating;
+        r.migration_sources = sources;
+        r.migration_epoch += 1;
+        let epoch = r.migration_epoch;
+        self.migrations += 1;
+        self.migrated_bytes += bytes;
         self.events.schedule(
-            SimTime::from_secs(finish.max(now)),
+            SimTime::from_secs(done),
             Event::MigrationDone { req: rid, epoch },
         );
-        true
     }
 
     // ------------------------------------------------- hand-off / scatter
@@ -2778,17 +2467,7 @@ impl<'a, P: Policy> Engine<'a, P> {
         let done = self
             .migration
             .schedule(src_anchor.0, dst_anchor.0, link, src_bytes, now);
-        self.migrations += 1;
-        self.migrated_bytes += src_bytes;
-        let r = self.requests.get_mut(&rid).expect("live");
-        r.phase = Phase::Migrating;
-        r.migration_sources = vec![src_anchor];
-        r.migration_epoch += 1;
-        let epoch = r.migration_epoch;
-        self.events.schedule(
-            SimTime::from_secs(done),
-            Event::MigrationDone { req: rid, epoch },
-        );
+        self.begin_migration(rid, vec![src_anchor], src_bytes, done);
         true
     }
 
@@ -2826,16 +2505,7 @@ impl<'a, P: Policy> Engine<'a, P> {
         let r = self.requests.get_mut(&rid).expect("live");
         r.cohort = cohort;
         if scattered > 0.0 {
-            r.phase = Phase::Migrating;
-            r.migration_sources = sources;
-            r.migration_epoch += 1;
-            let epoch = r.migration_epoch;
-            self.migrations += 1;
-            self.migrated_bytes += scattered;
-            self.events.schedule(
-                SimTime::from_secs(finish),
-                Event::MigrationDone { req: rid, epoch },
-            );
+            self.begin_migration(rid, sources, scattered, finish);
         } else {
             r.phase = Phase::Decoding;
             self.ensure_cohort_member(inst, rid);
@@ -3089,6 +2759,19 @@ impl<'a, P: Policy> Engine<'a, P> {
             *out[r.instance].entry(name).or_insert(0) += 1;
         }
         out
+    }
+}
+
+/// An empty record of a cluster change or replan at `time`.
+fn replan_record(time: f64, event: impl Into<String>) -> ReplanRecord {
+    ReplanRecord {
+        time,
+        event: event.into(),
+        replan_latency: 0.0,
+        evicted: 0,
+        migrations_started: 0,
+        lost_tokens: 0,
+        replanned: false,
     }
 }
 

@@ -390,7 +390,6 @@ fn decode_headroom_prepays_first_appends() {
     let trace = Trace::from_requests(requests, DatasetKind::ShareGpt);
     let cfg = EngineConfig {
         prefill_chunk_tokens: Some(256),
-        decode_headroom_tokens: 16,
         ..EngineConfig::default()
     };
     let report = run(
