@@ -316,6 +316,10 @@ pub struct Engine<'a, P: Policy> {
     pace_chunk_tokens: Option<u64>,
     /// Every applied control action, tick-stamped — `RunReport::control_log`.
     control_log: Vec<ControlRecord>,
+    /// Instances that took a preemption victim off a decode-only instance
+    /// during the current dispatch (see [`Engine::evict`]); dispatched
+    /// once it is done, since they may be idle.
+    rehomed: Vec<usize>,
 }
 
 /// Runs `policy` over `trace` on `cluster`/`model`; returns the report —
@@ -501,6 +505,7 @@ impl<'a, P: Policy> Engine<'a, P> {
             throttle_admission: false,
             pace_chunk_tokens: None,
             control_log: Vec::new(),
+            rehomed: Vec::new(),
         };
         // Late joiners: a device whose first scheduled event is a Join is
         // absent at startup.
@@ -1285,6 +1290,9 @@ impl<'a, P: Policy> Engine<'a, P> {
             if self.instances[inst].cohorts[c].in_flight.is_none() {
                 self.form_iteration(inst, c);
             }
+        }
+        while let Some(i) = self.rehomed.pop() {
+            self.try_dispatch(i);
         }
     }
 
@@ -2174,7 +2182,10 @@ impl<'a, P: Policy> Engine<'a, P> {
     }
 
     /// Recompute-preempts a victim of memory pressure: KV freed
-    /// everywhere, back to the front of its instance's waiting queue.
+    /// everywhere, back to the front of its instance's waiting queue. A
+    /// decode-only instance never admits, so its victims re-queue wherever
+    /// arrivals route instead, and that instance is dispatched when the
+    /// current dispatch ends.
     fn evict(&mut self, rid: RequestId) {
         debug_assert!(
             matches!(
@@ -2184,8 +2195,20 @@ impl<'a, P: Policy> Engine<'a, P> {
             "victims are always running"
         );
         let (inst, _) = self.release_preempted(rid);
-        let key = slack_key(&self.requests[&rid].req);
-        self.instances[inst].waiting.requeue_front(key);
+        let req = self.requests[&rid].req;
+        let target = if self.topo.instances[inst].role == InstanceRole::DecodeOnly {
+            self.route_surviving(req, inst)
+        } else {
+            inst
+        };
+        if target != inst {
+            self.requests.get_mut(&rid).expect("live").instance = target;
+            if !self.rehomed.contains(&target) {
+                self.rehomed.push(target);
+            }
+        }
+        let key = slack_key(&req);
+        self.instances[target].waiting.requeue_front(key);
     }
 
     /// The release half of every preemption ([`Self::evict`] and
@@ -2403,10 +2426,7 @@ impl<'a, P: Policy> Engine<'a, P> {
         } else if self.requests[&rid].placement.is_none() {
             return true;
         }
-        let ctx_tokens = {
-            let r = &self.requests[&rid];
-            r.effective_input + (r.generated.saturating_sub(0))
-        };
+        let ctx_tokens = self.requests[&rid].context_len();
         let pairs = [(rid, ctx_tokens)];
         let placement = self
             .policy
@@ -2433,11 +2453,7 @@ impl<'a, P: Policy> Engine<'a, P> {
             self.running_dec(prev_inst);
             self.running_inc(target);
         }
-        {
-            let r = self.requests.get_mut(&rid).expect("live");
-            r.instance = target;
-            r.effective_input = ctx_tokens;
-        }
+        self.requests.get_mut(&rid).expect("live").instance = target;
         if !self.try_alloc_prompt(rid, placement, ctx_tokens) {
             // Roll back ownership.
             let rollback = old_instance_of(&old_placement, &self.topo).unwrap_or(target);
