@@ -18,8 +18,11 @@
 #      floors of ci/sim_throughput_floors.tsv — gross perf regressions
 #      fail the build instead of only being visible in BENCH files.
 #
-# The waterfill lane additionally runs the telemetry-enabled
-# live_telemetry example smoke.
+# The waterfill lane additionally pins the repo benchmark's own
+# per-episode digests (perfbench at --seed 1, one behavior-digest row per
+# workload in $outdir/perfbench.waterfill.out, which ci/repin.sh harvests
+# like any bench output) and runs the telemetry-enabled live_telemetry
+# example smoke.
 #
 # Every bench run's wall-clock seconds land in $outdir/elapsed.tsv
 # (bench <TAB> solver-or-tag <TAB> seconds) so lane balance is visible
@@ -48,29 +51,49 @@ benches=(scenario_slo_mix scenario_elastic_churn scenario_closed_loop
          scenario_prefix_reuse scenario_helix_race
          fig8_e2e_llama13b fig9_e2e_opt30b fig10_e2e_llama70b)
 
-# Runs one bench with the given env tag and records its elapsed seconds.
-#   timed_bench <bench> <tag-for-elapsed> <outfile> [env assignments...]
-timed_bench() {
-  local bench="$1" tag="$2" outfile="$3"
+# Runs a command with stdout to <outfile> and records its elapsed seconds.
+#   timed <name> <tag-for-elapsed> <outfile> <command...>
+timed() {
+  local name="$1" tag="$2" outfile="$3"
   shift 3
   local t0 t1
   t0=$(date +%s.%N)
-  env "$@" cargo bench --bench "$bench" > "$outfile"
+  "$@" > "$outfile"
   t1=$(date +%s.%N)
-  awk -v b="$bench" -v s="$tag" -v a="$t0" -v z="$t1" \
+  awk -v b="$name" -v s="$tag" -v a="$t0" -v z="$t1" \
     'BEGIN { printf "%s\t%s\t%.2f\n", b, s, z - a }' >> "$elapsed"
 }
 
 for solver in "${solvers[@]}"; do
   for bench in "${benches[@]}"; do
     echo "== $bench (HETIS_DISPATCH_SOLVER=$solver)"
-    timed_bench "$bench" "$solver" "$outdir/$bench.$solver.out" \
-      HETIS_DISPATCH_SOLVER="$solver"
+    timed "$bench" "$solver" "$outdir/$bench.$solver.out" \
+      env HETIS_DISPATCH_SOLVER="$solver" cargo bench --bench "$bench"
   done
 done
 
 waterfill_lane=0
 [[ " ${solvers[*]} " == *" waterfill "* ]] && waterfill_lane=1
+
+# ---- perfbench digests (waterfill lane) -----------------------------------
+# perfbench pins its Hetis runs to the water-fill solver, so its rows live
+# in the waterfill lane only. It is a workspace of its own with a frozen
+# Cargo.lock that cargo rewrites when a crate's dependency list changed;
+# the lock is restored on exit so the gate leaves the benchmark untouched.
+if [[ $waterfill_lane -eq 1 ]]; then
+  cp perfbench/Cargo.lock "$outdir/perfbench.Cargo.lock"
+  trap 'cp "$outdir/perfbench.Cargo.lock" perfbench/Cargo.lock' EXIT
+  : > "$outdir/perfbench.waterfill.out"
+  for workload in he150_hetis he150_hexgen chat_storm; do
+    echo "== perfbench --workload $workload"
+    timed "perfbench-$workload" waterfill "$outdir/perfbench.$workload.out" \
+      cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+      --workload "$workload" --seed 1 --seconds 1 --trace 0
+    awk -F'\t' -v w="$workload" \
+      '$1 == "digests" { print "perfbench\tbehavior-digest\t" w "\t" $2 }' \
+      "$outdir/perfbench.$workload.out" >> "$outdir/perfbench.waterfill.out"
+  done
+fi
 
 fail=0
 
@@ -94,15 +117,12 @@ fail=0
 actual="$outdir/digests.tsv"
 : > "$actual"
 for solver in "${solvers[@]}"; do
-  grep -h "behavior-digest" \
-    "$outdir/scenario_slo_mix.$solver.out" \
-    "$outdir/scenario_elastic_churn.$solver.out" \
-    "$outdir/scenario_closed_loop.$solver.out" \
-    "$outdir/scenario_prefix_reuse.$solver.out" \
-    "$outdir/scenario_helix_race.$solver.out" \
-    "$outdir/fig8_e2e_llama13b.$solver.out" \
-    "$outdir/fig9_e2e_opt30b.$solver.out" \
-    "$outdir/fig10_e2e_llama70b.$solver.out" \
+  outs=()
+  for bench in "${benches[@]}"; do
+    outs+=("$outdir/$bench.$solver.out")
+  done
+  [[ $solver == waterfill ]] && outs+=("$outdir/perfbench.waterfill.out")
+  grep -h "behavior-digest" "${outs[@]}" \
     | awk -v s="$solver" -F'\t' '{ print s "\t" $1 "\t" $3 "\t" $4 }' \
     >> "$actual"
 done

@@ -1075,7 +1075,11 @@ impl<'a, P: Policy> Engine<'a, P> {
     /// in-flight ones when their microbatch completes. An in-flight loss
     /// is certain (the KV is already gone), so it is attributed to this
     /// record now — once, even when several deaths hit the same request.
-    fn churn_evict_all(&mut self, rids: Vec<RequestId>, record: &mut ReplanRecord) {
+    fn churn_evict_all(
+        &mut self,
+        rids: impl IntoIterator<Item = RequestId>,
+        record: &mut ReplanRecord,
+    ) {
         for rid in rids {
             let r = &self.requests[&rid];
             let lost = (r.req.input_len + r.generated) as u64;
@@ -1142,7 +1146,7 @@ impl<'a, P: Policy> Engine<'a, P> {
             while let Some(rid) = self.instances[i].pending_handoff.dequeue() {
                 let r = &self.requests[&rid];
                 if r.phase == Phase::Migrating && !r.in_flight && r.placement.is_some() {
-                    self.churn_evict_all(vec![rid], record);
+                    self.churn_evict_all([rid], record);
                 }
             }
             // Remaining residents (decoding / migrating / parked between
