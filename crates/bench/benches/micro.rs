@@ -1,22 +1,19 @@
 //! Criterion micro-benchmarks of the hot scheduling paths: the dispatch
 //! solvers (water-fill fast path vs the simplex oracle, at the paper's
 //! 6-device × 4-request shape and a 12×16 stress shape), the ideal-time
-//! relaxation (a memo hit and a real solve), head rounding, fetch-index
-//! assembly and migration planning.
+//! relaxation (a memo hit and a real solve), head rounding and
+//! fetch-index assembly.
 //!
 //! `BENCH_4.json` at the repository root records the old-vs-new numbers
 //! for the dispatch pairs.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use hetis_cluster::cluster::paper_cluster;
 use hetis_cluster::GpuType;
 use hetis_core::{DispatchSolver, Dispatcher, HetisConfig, Profiler};
 use hetis_engine::{KvState, StageTopo};
 use hetis_kvcache::index::build_headwise_index_serial;
-use hetis_kvcache::{
-    build_fetch_index_parallel, plan_migration, BlockConfig, GroupId, HeadwiseAllocator, Placement,
-    SeqId,
-};
+use hetis_kvcache::{build_fetch_index_parallel, BlockConfig, GroupId, HeadwiseAllocator, SeqId};
 use hetis_lp::{
     round_to_groups, AffineExpr, ConstraintOp, MinMaxBuilder, WaterFill, WfDemand, WfDevice,
     WfOutcome,
@@ -251,19 +248,6 @@ fn bench_kvcache(c: &mut Criterion) {
     });
     c.bench_function("fetch_index_parallel_2048items", |b| {
         b.iter(|| build_fetch_index_parallel(&alloc, &items).total_slots())
-    });
-
-    c.bench_function("plan_migration_64groups", |b| {
-        b.iter_batched(
-            || {
-                (
-                    Placement::from_counts(&[40, 24]),
-                    Placement::from_counts(&[24, 24, 16]),
-                )
-            },
-            |(old, new)| plan_migration(&old, &new),
-            BatchSize::SmallInput,
-        )
     });
 }
 

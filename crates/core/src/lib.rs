@@ -18,9 +18,9 @@
 //!   rounding (Eq. 5).
 //! * [`redispatch`] — **Re-dispatching** (§5.3): the Θ-gated computation
 //!   balancer and the memory-aware victim logic that replaces plain LIFO.
-//! * [`hauler`] — **Hauler** (§6): head-wise migration planning with
-//!   overlap reuse; actual transfers ride the engine's low-priority
-//!   migration streams.
+//!   The engine executes the re-dispatches it returns: its own planner
+//!   moves only the head groups whose device changed (§6's Hauler), on
+//!   low-priority migration streams.
 //! * [`split`] — the Fig. 5 analysis: head-wise vs sequence-wise vs
 //!   request-wise partitioning communication overhead.
 //! * [`system`] — [`HetisPolicy`]: the complete system wired into the
@@ -28,7 +28,6 @@
 
 pub mod config;
 pub mod dispatcher;
-pub mod hauler;
 pub mod parallelizer;
 pub mod profiler;
 pub mod redispatch;

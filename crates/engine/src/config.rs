@@ -83,9 +83,8 @@ pub struct EngineConfig {
     /// Ignored: the engine always runs one sequential event loop. The
     /// field is kept only so configurations that still set it compile.
     pub sim_shards: usize,
-    /// Radix-keyed prefix/KV reuse (automatic prefix caching). When on,
-    /// a finished request's KV stays probe-able in *free* pool memory
-    /// keyed by its session turn; a returning turn that extends that
+    /// Session-keyed prefix/KV reuse. When on, a finished request's KV
+    /// stays probe-able in *free* pool memory keyed by its session turn; a returning turn that extends that
     /// context routes to the holding instance, re-admits only the cold
     /// suffix (warm full blocks skip both the chunk-prefill iterations
     /// and their KV reservations — `RunReport::prefix_hit_tokens`), and

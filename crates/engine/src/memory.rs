@@ -4,8 +4,8 @@
 //! KV there, with how many head groups and tokens. Bytes are rounded up to
 //! whole blocks (`block_size` tokens × one head group × one layer is the
 //! unit), so capacity behaves exactly like the block allocators in
-//! `hetis-kvcache`; the engine keeps the byte ledger and defers the
-//! block-table mechanics to that crate's benches/tests.
+//! `hetis-kvcache`. The engine keeps only this ledger: block tables,
+//! fetch indices and their storage cost live in that crate, for Fig. 15b.
 
 use hetis_cluster::{Cluster, DeviceId, MemoryLedger};
 use hetis_model::ModelSpec;

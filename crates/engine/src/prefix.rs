@@ -1,9 +1,8 @@
-//! Engine-level prefix/KV reuse: the byte-ledger analogue of the block
-//! mechanics in `hetis-kvcache` (radix-keyed trie + copy-on-write
-//! refcounts). The engine tracks KV as opaque per-request byte
-//! reservations, so its reuse model is a *session cache*: when turn `t`
-//! of a multi-turn session finishes, its final context is remembered as
-//! a reusable prefix for turn `t + 1`, whose prompt replays that context
+//! Engine-level prefix/KV reuse. The engine tracks KV as opaque
+//! per-request byte reservations, so its reuse model is a *session
+//! cache* keyed by session rather than by token ids: when turn `t` of a
+//! multi-turn session finishes, its final context is remembered as a
+//! reusable prefix for turn `t + 1`, whose prompt replays that context
 //! verbatim (see `hetis_workload::sessions`).
 //!
 //! # Memory model

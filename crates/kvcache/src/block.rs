@@ -23,12 +23,6 @@ impl BlockConfig {
     pub fn blocks_for(&self, tokens: u32) -> u32 {
         tokens.div_ceil(self.block_size)
     }
-
-    /// Capacity in tokens of the whole pool.
-    #[inline]
-    pub fn token_capacity(&self) -> u64 {
-        self.block_size as u64 * self.num_blocks as u64
-    }
 }
 
 #[cfg(test)]
@@ -45,6 +39,5 @@ mod tests {
         assert_eq!(c.blocks_for(1), 1);
         assert_eq!(c.blocks_for(16), 1);
         assert_eq!(c.blocks_for(17), 2);
-        assert_eq!(c.token_capacity(), 1600);
     }
 }

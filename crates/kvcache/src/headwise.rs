@@ -34,12 +34,6 @@ pub struct HeadwiseAllocator {
     tables: HashMap<(SeqId, GroupId), GroupTable>,
     /// Groups resident per sequence (maintained for O(groups) per-seq ops).
     groups: HashMap<SeqId, Vec<GroupId>>,
-    /// Sharer count per block; 0 = free. A block is reclaimed only when
-    /// its count returns to zero. Because blocks are per-group, sharing
-    /// pins the sharer's head groups to this device — the shared block
-    /// only caches *one* group's heads, so a hit is only a hit for a
-    /// request whose matching group lands here.
-    refs: Vec<u32>,
     store_ops: u64,
 }
 
@@ -51,32 +45,15 @@ impl HeadwiseAllocator {
             free: (0..config.num_blocks).rev().map(BlockId).collect(),
             tables: HashMap::new(),
             groups: HashMap::new(),
-            refs: vec![0; config.num_blocks as usize],
             store_ops: 0,
         }
     }
 
-    /// Pops a free block with refcount 1, counting the table write.
+    /// Pops a free block, counting the table write.
     fn take_free(&mut self) -> BlockId {
         let b = self.free.pop().expect("free list checked by caller");
-        debug_assert_eq!(self.refs[b.0 as usize], 0);
-        self.refs[b.0 as usize] = 1;
         self.store_ops += 1;
         b
-    }
-
-    /// Drops one sharer; the block returns to the pool at refcount zero.
-    /// Returns whether the block was reclaimed.
-    fn release(&mut self, b: BlockId) -> bool {
-        let r = &mut self.refs[b.0 as usize];
-        debug_assert!(*r > 0, "releasing free block {b:?}");
-        *r -= 1;
-        if *r == 0 {
-            self.free.push(b);
-            true
-        } else {
-            false
-        }
     }
 
     /// Pool geometry.
@@ -144,93 +121,6 @@ impl HeadwiseAllocator {
         Ok(())
     }
 
-    /// Registers head groups of a sequence whose leading blocks come from
-    /// resident shared prefixes: `shared[i]` is the (possibly empty)
-    /// shared-block list for `groups[i]`, its refcounts grow by one, and
-    /// only cold tails cost free blocks. Because a shared block caches
-    /// one specific head group's KV, a sequence admitted this way has
-    /// those groups *pinned* to this device — the dispatcher must place
-    /// them here to realize the hit. All-or-nothing on failure.
-    pub fn allocate_groups_shared(
-        &mut self,
-        seq: SeqId,
-        groups: &[GroupId],
-        tokens: u32,
-        shared: &[&[BlockId]],
-    ) -> Result<(), AllocError> {
-        assert_eq!(groups.len(), shared.len(), "one shared list per group");
-        let per_group = self.config.blocks_for(tokens);
-        let mut need = 0u32;
-        for s in shared {
-            assert!(
-                s.len() as u32 <= per_group,
-                "shared prefix of {} blocks exceeds the {per_group} a group needs",
-                s.len()
-            );
-            need += per_group - s.len() as u32;
-        }
-        if need > self.free_blocks() {
-            return Err(AllocError {
-                requested: need,
-                free: self.free_blocks(),
-            });
-        }
-        for &g in groups {
-            assert!(
-                !self.tables.contains_key(&(seq, g)),
-                "group {g:?} of {seq:?} already allocated"
-            );
-        }
-        for (&g, s) in groups.iter().zip(shared) {
-            let mut blocks = Vec::with_capacity(per_group as usize);
-            for &b in *s {
-                assert!(self.refs[b.0 as usize] > 0, "sharing free block {b:?}");
-                self.refs[b.0 as usize] += 1;
-                blocks.push(b);
-            }
-            for _ in 0..(per_group - s.len() as u32) {
-                blocks.push(self.take_free());
-            }
-            self.tables.insert((seq, g), GroupTable { blocks, tokens });
-            self.groups.entry(seq).or_default().push(g);
-        }
-        Ok(())
-    }
-
-    /// Copy-on-write: makes block `idx` of `(seq, group)` exclusively
-    /// owned before a write. A shared block (refcount > 1) is replaced by
-    /// a fresh private copy; an exclusive one is returned unchanged.
-    pub fn write_block(
-        &mut self,
-        seq: SeqId,
-        group: GroupId,
-        idx: usize,
-    ) -> Result<BlockId, AllocError> {
-        let b = self
-            .tables
-            .get(&(seq, group))
-            .expect("unknown group")
-            .blocks[idx];
-        if self.refs[b.0 as usize] <= 1 {
-            return Ok(b);
-        }
-        if self.free_blocks() == 0 {
-            return Err(AllocError {
-                requested: 1,
-                free: 0,
-            });
-        }
-        let fresh = self.take_free();
-        self.refs[b.0 as usize] -= 1;
-        self.tables.get_mut(&(seq, group)).expect("present").blocks[idx] = fresh;
-        Ok(fresh)
-    }
-
-    /// Sharers of a block (0 = free).
-    pub fn ref_count(&self, b: BlockId) -> u32 {
-        self.refs[b.0 as usize]
-    }
-
     /// Appends one token to *every* resident group of `seq` (each decode
     /// step extends all groups of the request that live on this device).
     /// All-or-nothing per call.
@@ -240,21 +130,14 @@ impl HeadwiseAllocator {
             .get(&seq)
             .cloned()
             .expect("unknown sequence on this device");
-        // First pass: count needed blocks — a boundary crossing takes a
-        // fresh block, and a shared tail needs a CoW copy (conservative
-        // when groups alias the same tail block).
-        let mut need = 0u32;
-        for &g in &groups {
-            let t = &self.tables[&(seq, g)];
-            if t.tokens.is_multiple_of(self.config.block_size)
-                || t.blocks.is_empty()
-                || t.blocks
-                    .last()
-                    .is_some_and(|&b| self.refs[b.0 as usize] > 1)
-            {
-                need += 1;
-            }
-        }
+        // A group whose tokens exactly fill its blocks (or that has none)
+        // needs a fresh block for the next token.
+        let block_size = self.config.block_size;
+        let crosses = |t: &GroupTable| t.tokens.is_multiple_of(block_size) || t.blocks.is_empty();
+        let need = groups
+            .iter()
+            .filter(|&&g| crosses(&self.tables[&(seq, g)]))
+            .count() as u32;
         if need > self.free_blocks() {
             return Err(AllocError {
                 requested: need,
@@ -262,91 +145,27 @@ impl HeadwiseAllocator {
             });
         }
         for &g in &groups {
-            let t = &self.tables[&(seq, g)];
-            if t.tokens.is_multiple_of(self.config.block_size) || t.blocks.is_empty() {
+            if crosses(&self.tables[&(seq, g)]) {
                 let b = self.take_free();
                 self.tables
                     .get_mut(&(seq, g))
                     .expect("present")
                     .blocks
                     .push(b);
-            } else {
-                let idx = t.blocks.len() - 1;
-                self.write_block(seq, g, idx)?;
             }
             self.tables.get_mut(&(seq, g)).expect("present").tokens += 1;
         }
         Ok(())
     }
 
-    /// Grows *every* resident group of `seq` to hold `new_total` tokens
-    /// (chunked prefill: the reservation follows completed chunks instead
-    /// of paying the whole prompt at admission). All-or-nothing: on
-    /// failure no group advanced and the pool is unchanged. Groups
-    /// already at or past `new_total` are left alone.
-    pub fn grow_tokens_all_groups(&mut self, seq: SeqId, new_total: u32) -> Result<(), AllocError> {
-        let groups = self
-            .groups
-            .get(&seq)
-            .cloned()
-            .expect("unknown sequence on this device");
-        let target_blocks = self.config.blocks_for(new_total);
-        // First pass: count needed blocks across all groups — fresh tail
-        // extensions plus CoW copies for growing groups whose partial
-        // tail block is shared.
-        let mut need = 0u32;
-        for &g in &groups {
-            let t = &self.tables[&(seq, g)];
-            need += target_blocks.saturating_sub(t.blocks.len() as u32);
-            if t.tokens < new_total
-                && !t.tokens.is_multiple_of(self.config.block_size)
-                && t.blocks
-                    .last()
-                    .is_some_and(|&b| self.refs[b.0 as usize] > 1)
-            {
-                need += 1;
-            }
-        }
-        if need > self.free_blocks() {
-            return Err(AllocError {
-                requested: need,
-                free: self.free_blocks(),
-            });
-        }
-        for &g in &groups {
-            let t = &self.tables[&(seq, g)];
-            if t.tokens < new_total && !t.tokens.is_multiple_of(self.config.block_size) {
-                let idx = t.blocks.len() - 1;
-                self.write_block(seq, g, idx)?;
-            }
-            let add = target_blocks.saturating_sub(self.tables[&(seq, g)].blocks.len() as u32);
-            for _ in 0..add {
-                let b = self.take_free();
-                self.tables
-                    .get_mut(&(seq, g))
-                    .expect("present")
-                    .blocks
-                    .push(b);
-            }
-            let t = self.tables.get_mut(&(seq, g)).expect("present");
-            t.tokens = t.tokens.max(new_total);
-        }
-        Ok(())
-    }
-
     /// Frees one head group of a sequence (e.g. after migrating it away).
-    /// Returns the number of blocks reclaimed to the pool — shared blocks
-    /// whose other sharers remain are released but not reclaimed.
+    /// Returns the number of blocks reclaimed to the pool.
     pub fn free_group(&mut self, seq: SeqId, group: GroupId) -> u32 {
         let Some(table) = self.tables.remove(&(seq, group)) else {
             return 0;
         };
-        let mut n = 0;
-        for b in table.blocks {
-            if self.release(b) {
-                n += 1;
-            }
-        }
+        let n = table.blocks.len() as u32;
+        self.free.extend(table.blocks);
         if let Some(gs) = self.groups.get_mut(&seq) {
             gs.retain(|&g| g != group);
             if gs.is_empty() {
@@ -357,7 +176,7 @@ impl HeadwiseAllocator {
     }
 
     /// Frees every group of a sequence; returns blocks reclaimed to the
-    /// pool (shared blocks with surviving sharers are not counted).
+    /// pool.
     pub fn free_seq(&mut self, seq: SeqId) -> u32 {
         let Some(groups) = self.groups.remove(&seq) else {
             return 0;
@@ -365,11 +184,8 @@ impl HeadwiseAllocator {
         let mut released = 0;
         for g in groups {
             if let Some(table) = self.tables.remove(&(seq, g)) {
-                for b in table.blocks {
-                    if self.release(b) {
-                        released += 1;
-                    }
-                }
+                released += table.blocks.len() as u32;
+                self.free.extend(table.blocks);
             }
         }
         released
@@ -455,36 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn grow_tokens_extends_every_group() {
-        let mut a = alloc(100);
-        a.allocate_groups(SeqId(1), &groups(&[0, 1]), 16).unwrap();
-        assert_eq!(a.used_blocks(), 2);
-        a.grow_tokens_all_groups(SeqId(1), 40).unwrap(); // 3 blocks/group
-        assert_eq!(a.used_blocks(), 6);
-        assert_eq!(a.tokens_of(SeqId(1), GroupId(0)), Some(40));
-        assert_eq!(a.tokens_of(SeqId(1), GroupId(1)), Some(40));
-        // No-op growth.
-        a.grow_tokens_all_groups(SeqId(1), 30).unwrap();
-        assert_eq!(a.used_blocks(), 6);
-        assert_eq!(a.tokens_of(SeqId(1), GroupId(0)), Some(40));
-    }
-
-    #[test]
-    fn grow_tokens_all_or_nothing_on_exhaustion() {
-        let mut a = alloc(4);
-        a.allocate_groups(SeqId(1), &groups(&[0, 1]), 16).unwrap();
-        let err = a.grow_tokens_all_groups(SeqId(1), 48).unwrap_err();
-        assert_eq!(err.requested, 4);
-        assert_eq!(err.free, 2);
-        // No group advanced, the pool is unchanged.
-        assert_eq!(a.tokens_of(SeqId(1), GroupId(0)), Some(16));
-        assert_eq!(a.tokens_of(SeqId(1), GroupId(1)), Some(16));
-        assert_eq!(a.free_blocks(), 2);
-        a.grow_tokens_all_groups(SeqId(1), 32).unwrap();
-        assert_eq!(a.free_blocks(), 0);
-    }
-
-    #[test]
     fn free_group_releases_only_that_group() {
         let mut a = alloc(100);
         a.allocate_groups(SeqId(1), &groups(&[0, 1, 2]), 32)
@@ -512,108 +298,34 @@ mod tests {
 
     #[test]
     fn storage_overhead_vs_paged() {
-        // The Fig. 15b storage effect: head-wise tables perform more block
-        // writes than token-wise tables for the same logical cache.
+        // The Fig. 15b storage effect at the bench's shape: 512 sequences
+        // of 700 tokens plus 100 decode appends end at 800 tokens, 50
+        // blocks each. Head-wise tables write one block per group where
+        // token-wise tables write one per sequence: 8x the storage ops.
         use crate::paged::PagedAllocator;
-        let cfg_paged = BlockConfig {
+        let mut p = PagedAllocator::new(BlockConfig {
             block_size: 16,
-            num_blocks: 1000,
-        };
+            num_blocks: 64_000,
+        });
         // Head-wise pool: 8 groups → blocks are 1/8 the bytes; same bytes
         // = 8x the blocks.
-        let cfg_head = BlockConfig {
+        let mut h = HeadwiseAllocator::new(BlockConfig {
             block_size: 16,
-            num_blocks: 8000,
-        };
-        let mut p = PagedAllocator::new(cfg_paged);
-        let mut h = HeadwiseAllocator::new(cfg_head);
+            num_blocks: 8 * 64_000,
+        });
         let all_groups = groups(&[0, 1, 2, 3, 4, 5, 6, 7]);
-        for s in 0..20u64 {
-            p.allocate_seq(SeqId(s), 100).unwrap();
-            h.allocate_groups(SeqId(s), &all_groups, 100).unwrap();
-            for _ in 0..30 {
+        for s in 0..512u64 {
+            p.allocate_seq(SeqId(s), 700).unwrap();
+            h.allocate_groups(SeqId(s), &all_groups, 700).unwrap();
+        }
+        for _ in 0..100 {
+            for s in 0..512u64 {
                 p.append_token(SeqId(s)).unwrap();
                 h.append_token_all_groups(SeqId(s)).unwrap();
             }
         }
-        assert!(h.store_ops() > p.store_ops());
-    }
-
-    #[test]
-    fn shared_groups_refcount_and_reclaim_at_zero() {
-        let mut a = alloc(100);
-        a.allocate_groups(SeqId(1), &groups(&[0, 1]), 32).unwrap(); // 2 blocks/group
-        let g0: Vec<BlockId> = a.blocks_of(SeqId(1), GroupId(0)).unwrap().to_vec();
-        let g1: Vec<BlockId> = a.blocks_of(SeqId(1), GroupId(1)).unwrap().to_vec();
-        a.allocate_groups_shared(SeqId(2), &groups(&[0, 1]), 48, &[&g0, &g1])
-            .unwrap();
-        // 4 shared blocks counted once + 1 fresh tail per group.
-        assert_eq!(a.used_blocks(), 6);
-        assert_eq!(a.ref_count(g0[0]), 2);
-        assert_eq!(a.ref_count(g1[1]), 2);
-        // Freeing the first owner reclaims nothing: all blocks shared.
-        assert_eq!(a.free_seq(SeqId(1)), 0);
-        assert_eq!(a.used_blocks(), 6);
-        assert_eq!(a.ref_count(g0[0]), 1);
-        // The last sharer returns everything.
-        assert_eq!(a.free_seq(SeqId(2)), 6);
-        assert_eq!(a.used_blocks(), 0);
-    }
-
-    #[test]
-    fn shared_alloc_charges_only_cold_tails() {
-        let mut a = alloc(4);
-        a.allocate_groups(SeqId(1), &groups(&[0]), 64).unwrap(); // all 4 blocks
-        let g0: Vec<BlockId> = a.blocks_of(SeqId(1), GroupId(0)).unwrap().to_vec();
-        // 6 blocks needed, 4 shared → 2 cold > 0 free.
-        let err = a
-            .allocate_groups_shared(SeqId(2), &groups(&[0]), 96, &[&g0])
-            .unwrap_err();
-        assert_eq!(err.requested, 2);
-        assert_eq!(err.free, 0);
-        assert_eq!(a.ref_count(g0[0]), 1);
-        // Fully shared: free.
-        a.allocate_groups_shared(SeqId(2), &groups(&[0]), 64, &[&g0])
-            .unwrap();
-        assert_eq!(a.used_blocks(), 4);
-    }
-
-    #[test]
-    fn cow_isolates_writer_per_group() {
-        let mut a = alloc(100);
-        a.allocate_groups(SeqId(1), &groups(&[0]), 32).unwrap();
-        let g0: Vec<BlockId> = a.blocks_of(SeqId(1), GroupId(0)).unwrap().to_vec();
-        a.allocate_groups_shared(SeqId(2), &groups(&[0]), 32, &[&g0])
-            .unwrap();
-        let fresh = a.write_block(SeqId(2), GroupId(0), 1).unwrap();
-        assert_ne!(fresh, g0[1]);
-        assert_eq!(a.ref_count(g0[1]), 1);
-        assert_eq!(a.blocks_of(SeqId(1), GroupId(0)).unwrap(), &g0[..]);
-        // Idempotent once exclusive.
-        assert_eq!(a.write_block(SeqId(2), GroupId(0), 1).unwrap(), fresh);
-    }
-
-    #[test]
-    fn append_and_grow_copy_shared_tails() {
-        let mut a = alloc(100);
-        a.allocate_groups(SeqId(1), &groups(&[0, 1]), 24).unwrap(); // partial tails
-        let g0: Vec<BlockId> = a.blocks_of(SeqId(1), GroupId(0)).unwrap().to_vec();
-        let g1: Vec<BlockId> = a.blocks_of(SeqId(1), GroupId(1)).unwrap().to_vec();
-        a.allocate_groups_shared(SeqId(2), &groups(&[0, 1]), 24, &[&g0, &g1])
-            .unwrap();
-        assert_eq!(a.used_blocks(), 4);
-        a.append_token_all_groups(SeqId(2)).unwrap(); // CoW both tails
-        assert_eq!(a.used_blocks(), 6);
-        assert_ne!(a.blocks_of(SeqId(2), GroupId(0)).unwrap()[1], g0[1]);
-        assert_eq!(a.tokens_of(SeqId(1), GroupId(0)), Some(24));
-        assert_eq!(a.tokens_of(SeqId(2), GroupId(0)), Some(25));
-        // Grow through a shared tail on a third sharer.
-        a.allocate_groups_shared(SeqId(3), &groups(&[0]), 24, &[&g0])
-            .unwrap();
-        a.grow_tokens_all_groups(SeqId(3), 48).unwrap();
-        assert_ne!(a.blocks_of(SeqId(3), GroupId(0)).unwrap()[1], g0[1]);
-        assert_eq!(a.blocks_of(SeqId(1), GroupId(0)).unwrap(), &g0[..]);
-        assert_eq!(a.tokens_of(SeqId(3), GroupId(0)), Some(48));
+        assert_eq!(p.store_ops(), 25_600);
+        assert_eq!(h.store_ops(), 204_800);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Paged and head-granular KV cache management.
+//! Paged and head-granular KV cache block tables (Fig. 15b).
 //!
 //! Two allocators over fixed-size token blocks:
 //!
@@ -7,7 +7,7 @@
 //! * [`headwise::HeadwiseAllocator`] — Hetis-style (§6 "KV cache
 //!   management"): block tables are keyed by *(sequence, KV-head group)*,
 //!   so different head groups of the same request can live on different
-//!   devices, be migrated independently, and be freed partially.
+//!   devices and be freed partially.
 //!
 //! [`index`] implements the block-index assembly that the paper
 //! accelerates with "multi-core parallelization on the CPU": building the
@@ -15,25 +15,16 @@
 //! by the paged-attention kernel each decode step. Both a serial and a
 //! rayon-parallel version exist; Fig. 15b is reproduced by timing them.
 //!
-//! [`migration`] plans partial cache moves between placements, reusing the
-//! overlap between old and new head distributions (§5.3's "opportunistic
-//! cache reuse").
-//!
-//! [`prefix`] is the radix-keyed prefix index for automatic prefix
-//! caching: block-granular token-id prefixes map to resident blocks, and
-//! both allocators refcount shared blocks with copy-on-write on first
-//! write — a block only returns to the pool at refcount zero.
+//! The serving engine does not use these tables: it keeps a byte ledger
+//! with the same block rounding (`hetis_engine::DeviceKv`), and plans
+//! head-group migrations itself (`hetis_engine::HeadPlacement`).
 
 pub mod block;
 pub mod headwise;
 pub mod index;
-pub mod migration;
 pub mod paged;
-pub mod prefix;
 
 pub use block::{BlockConfig, BlockId, SeqId};
 pub use headwise::{GroupId, HeadwiseAllocator};
 pub use index::{build_fetch_index_parallel, build_fetch_index_serial, FetchIndex};
-pub use migration::{plan_migration, MoveOp, Placement};
 pub use paged::{AllocError, PagedAllocator};
-pub use prefix::PrefixIndex;

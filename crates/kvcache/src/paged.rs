@@ -1,10 +1,4 @@
 //! vLLM-style token-granular paged allocator: one block table per sequence.
-//!
-//! Blocks are refcounted so sequences admitted through the
-//! [`crate::prefix::PrefixIndex`] can share their common prefix blocks
-//! ([`PagedAllocator::allocate_seq_shared`]); the first write into a
-//! shared block copies it ([`PagedAllocator::write_block`]), and a block
-//! only returns to the free list when its last sharer frees it.
 
 use crate::block::{BlockConfig, BlockId, SeqId};
 use std::collections::HashMap;
@@ -47,9 +41,6 @@ pub struct PagedAllocator {
     config: BlockConfig,
     free: Vec<BlockId>,
     tables: HashMap<SeqId, BlockTable>,
-    /// Sharer count per block; 0 = free. A block is reclaimed only when
-    /// its count returns to zero.
-    refs: Vec<u32>,
     /// Cumulative count of block-table write operations (storage ops in
     /// Fig. 15b's terms).
     store_ops: u64,
@@ -64,28 +55,15 @@ impl PagedAllocator {
             config,
             free,
             tables: HashMap::new(),
-            refs: vec![0; config.num_blocks as usize],
             store_ops: 0,
         }
     }
 
-    /// Pops a free block with refcount 1, counting the table write.
+    /// Pops a free block, counting the table write.
     fn take_free(&mut self) -> BlockId {
         let b = self.free.pop().expect("free list checked by caller");
-        debug_assert_eq!(self.refs[b.0 as usize], 0);
-        self.refs[b.0 as usize] = 1;
         self.store_ops += 1;
         b
-    }
-
-    /// Drops one sharer; the block returns to the pool at refcount zero.
-    fn release(&mut self, b: BlockId) {
-        let r = &mut self.refs[b.0 as usize];
-        debug_assert!(*r > 0, "releasing free block {b:?}");
-        *r -= 1;
-        if *r == 0 {
-            self.free.push(b);
-        }
     }
 
     /// Pool geometry.
@@ -139,82 +117,14 @@ impl PagedAllocator {
         Ok(())
     }
 
-    /// Registers a new sequence of `tokens` tokens whose leading blocks
-    /// are `shared` — resident blocks (e.g. from a
-    /// [`crate::prefix::PrefixIndex`] probe) whose refcounts grow by one.
-    /// Only the cold tail costs free blocks. All-or-nothing on failure.
-    pub fn allocate_seq_shared(
-        &mut self,
-        seq: SeqId,
-        tokens: u32,
-        shared: &[BlockId],
-    ) -> Result<(), AllocError> {
-        assert!(
-            !self.tables.contains_key(&seq),
-            "sequence {seq:?} already allocated"
-        );
-        let total = self.config.blocks_for(tokens);
-        assert!(
-            shared.len() as u32 <= total,
-            "shared prefix of {} blocks exceeds the {total} the sequence needs",
-            shared.len()
-        );
-        let need = total - shared.len() as u32;
-        if need > self.free_blocks() {
-            return Err(AllocError {
-                requested: need,
-                free: self.free_blocks(),
-            });
-        }
-        let mut blocks = Vec::with_capacity(total as usize);
-        for &b in shared {
-            assert!(self.refs[b.0 as usize] > 0, "sharing free block {b:?}");
-            self.refs[b.0 as usize] += 1;
-            blocks.push(b);
-        }
-        for _ in 0..need {
-            blocks.push(self.take_free());
-        }
-        self.tables.insert(seq, BlockTable { blocks, tokens });
-        Ok(())
-    }
-
-    /// Copy-on-write: makes block `idx` of `seq`'s table exclusively
-    /// owned before a write. A shared block (refcount > 1) is replaced by
-    /// a fresh private copy; an exclusive one is returned unchanged. The
-    /// retired shared copy stays resident for its other sharers.
-    pub fn write_block(&mut self, seq: SeqId, idx: usize) -> Result<BlockId, AllocError> {
-        let b = self.tables.get(&seq).expect("unknown sequence").blocks[idx];
-        if self.refs[b.0 as usize] <= 1 {
-            return Ok(b);
-        }
-        if self.free_blocks() == 0 {
-            return Err(AllocError {
-                requested: 1,
-                free: 0,
-            });
-        }
-        let fresh = self.take_free();
-        self.refs[b.0 as usize] -= 1;
-        self.tables.get_mut(&seq).expect("present").blocks[idx] = fresh;
-        Ok(fresh)
-    }
-
-    /// Sharers of a block (0 = free).
-    pub fn ref_count(&self, b: BlockId) -> u32 {
-        self.refs[b.0 as usize]
-    }
-
-    /// Appends one generated token; may consume one new block. A shared
-    /// tail block is copied first (the token writes into it).
+    /// Appends one generated token; may consume one new block.
     pub fn append_token(&mut self, seq: SeqId) -> Result<(), AllocError> {
         let table = self.tables.get(&seq).expect("unknown sequence");
         let need_block =
             table.tokens.is_multiple_of(self.config.block_size) && self.config.block_size > 0;
         // A full table (tokens exactly filling blocks) needs a new block
         // for the next token; a fresh empty table too.
-        let need_block = need_block || table.blocks.is_empty();
-        if need_block {
+        if need_block || table.blocks.is_empty() {
             if self.free_blocks() == 0 {
                 return Err(AllocError {
                     requested: 1,
@@ -223,65 +133,16 @@ impl PagedAllocator {
             }
             let b = self.take_free();
             self.tables.get_mut(&seq).expect("present").blocks.push(b);
-        } else {
-            let idx = table.blocks.len() - 1;
-            self.write_block(seq, idx)?;
         }
         self.tables.get_mut(&seq).expect("present").tokens += 1;
         Ok(())
     }
 
-    /// Grows a sequence's table to hold `new_total` tokens (chunked
-    /// prefill: each completed chunk extends the reservation by the next
-    /// chunk instead of paying the whole prompt at admission).
-    /// All-or-nothing: on failure the pool and table are unchanged.
-    /// A `new_total` at or below the current count is a no-op.
-    pub fn grow_tokens(&mut self, seq: SeqId, new_total: u32) -> Result<(), AllocError> {
-        let free_now = self.free_blocks();
-        let table = self.tables.get(&seq).expect("unknown sequence");
-        if new_total <= table.tokens {
-            return Ok(());
-        }
-        let have = table.blocks.len() as u32;
-        let mut need = self.config.blocks_for(new_total).saturating_sub(have);
-        // Growth writes into the partial tail block: CoW if shared (the
-        // retired copy stays with its other sharers, so it costs a free
-        // block too).
-        let tail_cow = !table.tokens.is_multiple_of(self.config.block_size)
-            && table
-                .blocks
-                .last()
-                .is_some_and(|&b| self.refs[b.0 as usize] > 1);
-        if tail_cow {
-            need += 1;
-        }
-        if need > free_now {
-            return Err(AllocError {
-                requested: need,
-                free: free_now,
-            });
-        }
-        if tail_cow {
-            let idx = table.blocks.len() - 1;
-            self.write_block(seq, idx)?;
-        }
-        let fresh = self.config.blocks_for(new_total).saturating_sub(have);
-        for _ in 0..fresh {
-            let b = self.take_free();
-            self.tables.get_mut(&seq).expect("present").blocks.push(b);
-        }
-        self.tables.get_mut(&seq).expect("present").tokens = new_total;
-        Ok(())
-    }
-
-    /// Releases the sequence's hold on all its blocks (completion or
-    /// preemption); a block returns to the pool only when its last
-    /// sharer releases it.
+    /// Returns all of the sequence's blocks to the pool (completion or
+    /// preemption).
     pub fn free_seq(&mut self, seq: SeqId) {
         if let Some(table) = self.tables.remove(&seq) {
-            for b in table.blocks {
-                self.release(b);
-            }
+            self.free.extend(table.blocks);
         }
     }
 
@@ -345,39 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn grow_tokens_extends_in_chunks() {
-        let mut a = alloc(10);
-        a.allocate_seq(SeqId(1), 16).unwrap(); // chunk 1: 1 block
-        assert_eq!(a.used_blocks(), 1);
-        a.grow_tokens(SeqId(1), 48).unwrap(); // chunks 2-3: +2 blocks
-        assert_eq!(a.used_blocks(), 3);
-        assert_eq!(a.tokens_of(SeqId(1)), Some(48));
-        // Shrinking targets and same-size targets are no-ops.
-        a.grow_tokens(SeqId(1), 48).unwrap();
-        a.grow_tokens(SeqId(1), 10).unwrap();
-        assert_eq!(a.used_blocks(), 3);
-        assert_eq!(a.tokens_of(SeqId(1)), Some(48));
-        // Growth composes with appends at the new boundary.
-        a.append_token(SeqId(1)).unwrap(); // 49th token → block 4
-        assert_eq!(a.used_blocks(), 4);
-    }
-
-    #[test]
-    fn grow_tokens_all_or_nothing_on_exhaustion() {
-        let mut a = alloc(3);
-        a.allocate_seq(SeqId(1), 16).unwrap();
-        let err = a.grow_tokens(SeqId(1), 100).unwrap_err();
-        assert_eq!(err.requested, 6);
-        assert_eq!(err.free, 2);
-        // Failed growth leaves the table and pool untouched.
-        assert_eq!(a.tokens_of(SeqId(1)), Some(16));
-        assert_eq!(a.free_blocks(), 2);
-        // A fitting growth still succeeds afterwards.
-        a.grow_tokens(SeqId(1), 48).unwrap();
-        assert_eq!(a.free_blocks(), 0);
-    }
-
-    #[test]
     fn exhaustion_reported() {
         let mut a = alloc(2);
         let err = a.allocate_seq(SeqId(1), 100).unwrap_err();
@@ -422,87 +250,6 @@ mod tests {
         let mut a = alloc(10);
         a.allocate_seq(SeqId(1), 80).unwrap();
         assert!((a.utilization() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shared_prefix_refcounts_and_free() {
-        let mut a = alloc(10);
-        a.allocate_seq(SeqId(1), 48).unwrap(); // 3 blocks
-        let shared: Vec<BlockId> = a.blocks_of(SeqId(1)).unwrap()[..2].to_vec();
-        a.allocate_seq_shared(SeqId(2), 40, &shared).unwrap(); // 2 shared + 1 fresh
-        assert_eq!(a.used_blocks(), 4, "shared blocks counted once");
-        assert_eq!(a.ref_count(shared[0]), 2);
-        a.free_seq(SeqId(1));
-        // Shared blocks survive their first owner.
-        assert_eq!(a.ref_count(shared[0]), 1);
-        assert_eq!(a.used_blocks(), 3);
-        a.free_seq(SeqId(2));
-        assert_eq!(a.used_blocks(), 0);
-        assert_eq!(a.free_blocks(), 10);
-    }
-
-    #[test]
-    fn shared_alloc_charges_only_cold_tail() {
-        let mut a = alloc(3);
-        a.allocate_seq(SeqId(1), 48).unwrap(); // all 3 blocks
-        let shared: Vec<BlockId> = a.blocks_of(SeqId(1)).unwrap()[..2].to_vec();
-        // 5 blocks total, 2 shared → 3 cold > 0 free.
-        let err = a.allocate_seq_shared(SeqId(2), 80, &shared).unwrap_err();
-        assert_eq!(err.requested, 3);
-        assert_eq!(err.free, 0);
-        // Failure left refcounts untouched.
-        assert_eq!(a.ref_count(shared[0]), 1);
-        // A fully-shared sequence costs nothing.
-        a.allocate_seq_shared(SeqId(2), 32, &shared).unwrap();
-        assert_eq!(a.used_blocks(), 3);
-    }
-
-    #[test]
-    fn cow_on_write_into_shared_block() {
-        let mut a = alloc(10);
-        a.allocate_seq(SeqId(1), 32).unwrap(); // 2 full blocks
-        let shared = a.blocks_of(SeqId(1)).unwrap().to_vec();
-        a.allocate_seq_shared(SeqId(2), 32, &shared).unwrap();
-        assert_eq!(a.used_blocks(), 2);
-        let fresh = a.write_block(SeqId(2), 1).unwrap();
-        assert_ne!(fresh, shared[1]);
-        assert_eq!(a.ref_count(shared[1]), 1);
-        assert_eq!(a.ref_count(fresh), 1);
-        assert_eq!(a.used_blocks(), 3);
-        // Exclusive block: no copy, same id back.
-        assert_eq!(a.write_block(SeqId(2), 1).unwrap(), fresh);
-        assert_eq!(a.used_blocks(), 3);
-        // The original owner's table is untouched.
-        assert_eq!(a.blocks_of(SeqId(1)).unwrap(), &shared[..]);
-    }
-
-    #[test]
-    fn append_copies_shared_tail() {
-        let mut a = alloc(10);
-        a.allocate_seq(SeqId(1), 24).unwrap(); // 2 blocks, partial tail
-        let shared = a.blocks_of(SeqId(1)).unwrap().to_vec();
-        a.allocate_seq_shared(SeqId(2), 24, &shared).unwrap();
-        assert_eq!(a.used_blocks(), 2);
-        a.append_token(SeqId(2)).unwrap(); // writes into shared tail → CoW
-        assert_eq!(a.used_blocks(), 3);
-        assert_ne!(a.blocks_of(SeqId(2)).unwrap()[1], shared[1]);
-        assert_eq!(a.blocks_of(SeqId(1)).unwrap()[1], shared[1]);
-        assert_eq!(a.tokens_of(SeqId(2)), Some(25));
-        assert_eq!(a.tokens_of(SeqId(1)), Some(24));
-    }
-
-    #[test]
-    fn grow_copies_shared_partial_tail() {
-        let mut a = alloc(10);
-        a.allocate_seq(SeqId(1), 24).unwrap();
-        let shared = a.blocks_of(SeqId(1)).unwrap().to_vec();
-        a.allocate_seq_shared(SeqId(2), 24, &shared).unwrap();
-        a.grow_tokens(SeqId(2), 48).unwrap(); // CoW tail + 1 fresh block
-        assert_eq!(a.used_blocks(), 4);
-        assert_eq!(a.blocks_of(SeqId(1)).unwrap(), &shared[..]);
-        assert_eq!(a.ref_count(shared[1]), 1);
-        assert_eq!(a.tokens_of(SeqId(2)), Some(48));
-        assert_eq!(a.tokens_of(SeqId(1)), Some(24));
     }
 
     #[test]

@@ -1,17 +1,13 @@
-//! Property tests: block conservation, CoW refcount conservation, and
-//! placement/migration invariants.
+//! Property tests: both allocators conserve blocks.
 
-use hetis_kvcache::{
-    plan_migration, BlockConfig, BlockId, GroupId, HeadwiseAllocator, PagedAllocator, Placement,
-    PrefixIndex, SeqId,
-};
+use hetis_kvcache::{BlockConfig, GroupId, HeadwiseAllocator, PagedAllocator, SeqId};
 use proptest::prelude::*;
 
 proptest! {
     /// Paged allocator conserves blocks across an arbitrary workload of
-    /// allocate / append / grow / free operations.
+    /// allocate / append / free operations.
     #[test]
-    fn paged_block_conservation(ops in proptest::collection::vec((0u8..4, 0u64..8, 1u32..80), 1..200)) {
+    fn paged_block_conservation(ops in proptest::collection::vec((0u8..3, 0u64..8, 1u32..80), 1..200)) {
         let cfg = BlockConfig { block_size: 16, num_blocks: 64 };
         let mut a = PagedAllocator::new(cfg);
         let mut live: Vec<u64> = Vec::new();
@@ -25,11 +21,6 @@ proptest! {
                 1 => {
                     if live.contains(&seq) {
                         let _ = a.append_token(SeqId(seq));
-                    }
-                }
-                2 => {
-                    if live.contains(&seq) {
-                        let _ = a.grow_tokens(SeqId(seq), tokens);
                     }
                 }
                 _ => {
@@ -50,7 +41,7 @@ proptest! {
     /// Headwise allocator conserves blocks under group-level churn.
     #[test]
     fn headwise_block_conservation(
-        ops in proptest::collection::vec((0u8..5, 0u64..6, 0u16..8, 1u32..60), 1..150)
+        ops in proptest::collection::vec((0u8..4, 0u64..6, 0u16..8, 1u32..60), 1..150)
     ) {
         let cfg = BlockConfig { block_size: 16, num_blocks: 256 };
         let mut a = HeadwiseAllocator::new(cfg);
@@ -67,11 +58,6 @@ proptest! {
                     }
                 }
                 2 => {
-                    if !a.groups_of(SeqId(seq)).is_empty() {
-                        let _ = a.grow_tokens_all_groups(SeqId(seq), tokens);
-                    }
-                }
-                3 => {
                     let _ = a.free_group(SeqId(seq), GroupId(group));
                 }
                 _ => {
@@ -86,286 +72,5 @@ proptest! {
             a.free_seq(s);
         }
         prop_assert_eq!(a.free_blocks(), cfg.num_blocks);
-    }
-
-    /// Chunk-by-chunk growth telescopes: growing a sequence through an
-    /// arbitrary chunk schedule lands on exactly the block count (and
-    /// token count) of a single up-front allocation of the total — the
-    /// incremental-KV path never over- or under-reserves.
-    #[test]
-    fn chunked_growth_telescopes_to_atomic(
-        chunks in proptest::collection::vec(1u32..600, 1..12),
-    ) {
-        let total: u32 = chunks.iter().sum();
-        let cfg = BlockConfig { block_size: 16, num_blocks: 4096 };
-        // Paged: allocate the first chunk, grow by each subsequent chunk.
-        let mut grown = PagedAllocator::new(cfg);
-        grown.allocate_seq(SeqId(1), chunks[0]).unwrap();
-        let mut so_far = chunks[0];
-        for &c in &chunks[1..] {
-            so_far += c;
-            grown.grow_tokens(SeqId(1), so_far).unwrap();
-        }
-        let mut atomic = PagedAllocator::new(cfg);
-        atomic.allocate_seq(SeqId(1), total).unwrap();
-        prop_assert_eq!(grown.used_blocks(), atomic.used_blocks());
-        prop_assert_eq!(grown.tokens_of(SeqId(1)), Some(total));
-
-        // Headwise: same schedule over several resident groups.
-        let gs = [GroupId(0), GroupId(3), GroupId(7)];
-        let mut hg = HeadwiseAllocator::new(cfg);
-        hg.allocate_groups(SeqId(1), &gs, chunks[0]).unwrap();
-        let mut so_far = chunks[0];
-        for &c in &chunks[1..] {
-            so_far += c;
-            hg.grow_tokens_all_groups(SeqId(1), so_far).unwrap();
-        }
-        let mut ha = HeadwiseAllocator::new(cfg);
-        ha.allocate_groups(SeqId(1), &gs, total).unwrap();
-        prop_assert_eq!(hg.used_blocks(), ha.used_blocks());
-        for g in gs {
-            prop_assert_eq!(hg.tokens_of(SeqId(1), g), Some(total));
-        }
-    }
-
-    /// CoW sharing conserves refcounts: across arbitrary interleavings of
-    /// allocate / share / CoW-write / append / grow / free, every block's
-    /// refcount equals the number of block-table references to it, no
-    /// block is simultaneously free and referenced (double-free), and
-    /// none is unreferenced yet unavailable (leak).
-    #[test]
-    fn paged_cow_refcount_conservation(
-        ops in proptest::collection::vec((0u8..6, 0u64..8, 1u32..80), 1..150)
-    ) {
-        let cfg = BlockConfig { block_size: 16, num_blocks: 96 };
-        let mut a = PagedAllocator::new(cfg);
-        let mut live: Vec<u64> = Vec::new();
-        for (kind, seq, tokens) in ops {
-            match kind {
-                0 => {
-                    if !live.contains(&seq) && a.allocate_seq(SeqId(seq), tokens).is_ok() {
-                        live.push(seq);
-                    }
-                }
-                1 => {
-                    // Share the longest common full-block prefix of the
-                    // oldest live sequence.
-                    if !live.contains(&seq) {
-                        if let Some(&donor) = live.first() {
-                            let dt = a.tokens_of(SeqId(donor)).unwrap();
-                            let full = ((dt / cfg.block_size).min(tokens / cfg.block_size)) as usize;
-                            let shared: Vec<BlockId> =
-                                a.blocks_of(SeqId(donor)).unwrap()[..full].to_vec();
-                            if a.allocate_seq_shared(SeqId(seq), tokens, &shared).is_ok() {
-                                live.push(seq);
-                            }
-                        }
-                    }
-                }
-                2 => {
-                    if live.contains(&seq) {
-                        let _ = a.append_token(SeqId(seq));
-                    }
-                }
-                3 => {
-                    if live.contains(&seq) {
-                        let _ = a.grow_tokens(SeqId(seq), tokens);
-                    }
-                }
-                4 => {
-                    // CoW write into a pseudo-random block of the table.
-                    if live.contains(&seq) {
-                        let n = a.blocks_of(SeqId(seq)).unwrap().len();
-                        if n > 0 {
-                            let _ = a.write_block(SeqId(seq), tokens as usize % n);
-                        }
-                    }
-                }
-                _ => {
-                    a.free_seq(SeqId(seq));
-                    live.retain(|&s| s != seq);
-                }
-            }
-            // Refcounts equal table references; used = referenced blocks.
-            let mut counted = vec![0u32; cfg.num_blocks as usize];
-            let seqs: Vec<SeqId> = a.sequences().collect();
-            for s in &seqs {
-                for b in a.blocks_of(*s).unwrap() {
-                    counted[b.0 as usize] += 1;
-                }
-            }
-            let mut used = 0;
-            for (i, &c) in counted.iter().enumerate() {
-                prop_assert_eq!(a.ref_count(BlockId(i as u32)), c);
-                if c > 0 { used += 1; }
-            }
-            prop_assert_eq!(a.used_blocks(), used);
-            prop_assert_eq!(a.used_blocks() + a.free_blocks(), cfg.num_blocks);
-        }
-        // Terminal zero: freeing all sharers returns the whole pool.
-        for s in live {
-            a.free_seq(SeqId(s));
-        }
-        prop_assert_eq!(a.free_blocks(), cfg.num_blocks);
-    }
-
-    /// Headwise CoW refcount conservation under per-group sharing churn.
-    #[test]
-    fn headwise_cow_refcount_conservation(
-        ops in proptest::collection::vec((0u8..6, 0u64..6, 0u16..4, 1u32..60), 1..120)
-    ) {
-        let cfg = BlockConfig { block_size: 16, num_blocks: 192 };
-        let mut a = HeadwiseAllocator::new(cfg);
-        for (kind, seq, group, tokens) in ops {
-            match kind {
-                0 => {
-                    if a.tokens_of(SeqId(seq), GroupId(group)).is_none() {
-                        let _ = a.allocate_groups(SeqId(seq), &[GroupId(group)], tokens);
-                    }
-                }
-                1 => {
-                    // Share a full-block prefix of the lowest other
-                    // sequence holding the same head group here.
-                    if a.tokens_of(SeqId(seq), GroupId(group)).is_none() {
-                        let donor = a
-                            .sequences()
-                            .filter(|s| s.0 != seq && a.tokens_of(*s, GroupId(group)).is_some())
-                            .min_by_key(|s| s.0);
-                        if let Some(d) = donor {
-                            let dt = a.tokens_of(d, GroupId(group)).unwrap();
-                            let full = ((dt / cfg.block_size).min(tokens / cfg.block_size)) as usize;
-                            let shared: Vec<BlockId> =
-                                a.blocks_of(d, GroupId(group)).unwrap()[..full].to_vec();
-                            let _ = a.allocate_groups_shared(
-                                SeqId(seq), &[GroupId(group)], tokens, &[&shared],
-                            );
-                        }
-                    }
-                }
-                2 => {
-                    if !a.groups_of(SeqId(seq)).is_empty() {
-                        let _ = a.append_token_all_groups(SeqId(seq));
-                    }
-                }
-                3 => {
-                    if !a.groups_of(SeqId(seq)).is_empty() {
-                        let _ = a.grow_tokens_all_groups(SeqId(seq), tokens);
-                    }
-                }
-                4 => {
-                    if let Some(blocks) = a.blocks_of(SeqId(seq), GroupId(group)) {
-                        let n = blocks.len();
-                        if n > 0 {
-                            let _ = a.write_block(SeqId(seq), GroupId(group), tokens as usize % n);
-                        }
-                    }
-                }
-                _ => {
-                    if tokens % 2 == 0 {
-                        let _ = a.free_group(SeqId(seq), GroupId(group));
-                    } else {
-                        let _ = a.free_seq(SeqId(seq));
-                    }
-                }
-            }
-            let mut counted = vec![0u32; cfg.num_blocks as usize];
-            let seqs: Vec<SeqId> = a.sequences().collect();
-            for s in &seqs {
-                for g in a.groups_of(*s).to_vec() {
-                    for b in a.blocks_of(*s, g).unwrap() {
-                        counted[b.0 as usize] += 1;
-                    }
-                }
-            }
-            let mut used = 0;
-            for (i, &c) in counted.iter().enumerate() {
-                prop_assert_eq!(a.ref_count(BlockId(i as u32)), c);
-                if c > 0 { used += 1; }
-            }
-            prop_assert_eq!(a.used_blocks(), used);
-            prop_assert_eq!(a.used_blocks() + a.free_blocks(), cfg.num_blocks);
-        }
-        let seqs: Vec<SeqId> = a.sequences().collect();
-        for s in seqs {
-            a.free_seq(s);
-        }
-        prop_assert_eq!(a.free_blocks(), cfg.num_blocks);
-    }
-
-    /// Hit → evict → re-register → re-hit is deterministic: running the
-    /// identical admit/share/evict/re-admit cycle twice from fresh state
-    /// produces identical probe results, and within a cycle the rehit
-    /// matches the re-registered table exactly.
-    #[test]
-    fn hit_evict_rehit_deterministic(prompt_blocks in 1u32..8, tail in 0u32..16) {
-        let cfg = BlockConfig { block_size: 16, num_blocks: 64 };
-        let len = prompt_blocks * 16 + tail;
-        let tokens: Vec<u32> = (0..len).map(|t| t * 7 + 3).collect();
-        let cycle = || -> (Vec<BlockId>, Vec<BlockId>) {
-            let mut a = PagedAllocator::new(cfg);
-            let mut idx = PrefixIndex::new(16);
-            a.allocate_seq(SeqId(1), len).unwrap();
-            idx.insert(&tokens, a.blocks_of(SeqId(1)).unwrap());
-            let hit = idx.probe(&tokens);
-            assert_eq!(hit.len() as u32, prompt_blocks);
-            // A sharer admitted through the index bumps every hit block.
-            a.allocate_seq_shared(SeqId(2), len, &hit).unwrap();
-            for &b in &hit {
-                assert_eq!(a.ref_count(b), 2);
-            }
-            // Evict both; index entries die with their blocks.
-            a.free_seq(SeqId(1));
-            a.free_seq(SeqId(2));
-            for &b in &hit {
-                idx.invalidate_block(b);
-            }
-            assert!(idx.probe(&tokens).is_empty());
-            assert_eq!(a.free_blocks(), cfg.num_blocks);
-            // Re-admit the same prompt and re-register.
-            a.allocate_seq(SeqId(3), len).unwrap();
-            idx.insert(&tokens, a.blocks_of(SeqId(3)).unwrap());
-            let rehit = idx.probe(&tokens);
-            assert_eq!(
-                &rehit[..],
-                &a.blocks_of(SeqId(3)).unwrap()[..prompt_blocks as usize],
-                "rehit must map to the re-registered table"
-            );
-            (hit, rehit)
-        };
-        prop_assert_eq!(cycle(), cycle());
-    }
-
-    /// Migration plans are exact: applying moves+frees to the old placement
-    /// reproduces the new placement restricted to surviving groups, and no
-    /// group is both moved and freed.
-    #[test]
-    fn migration_plan_exactness(
-        old_counts in proptest::collection::vec(0u32..6, 1..5),
-        new_counts in proptest::collection::vec(0u32..6, 1..5),
-    ) {
-        let old = Placement::from_counts(&old_counts);
-        let new = Placement::from_counts(&new_counts);
-        let (moves, frees) = plan_migration(&old, &new);
-
-        // Disjointness.
-        for m in &moves {
-            prop_assert!(!frees.iter().any(|&(g, _)| g == m.group));
-        }
-        // Moves land where `new` says.
-        for m in &moves {
-            prop_assert_eq!(new.device_of(m.group), Some(m.dst));
-            prop_assert_eq!(old.device_of(m.group), Some(m.src));
-            prop_assert_ne!(m.src, m.dst);
-        }
-        // Every group of `old` is accounted for: moved, freed, or unchanged.
-        for (g, d) in old.iter() {
-            let moved = moves.iter().any(|m| m.group == g);
-            let freed = frees.iter().any(|&(fg, _)| fg == g);
-            let stays = new.device_of(g) == Some(d);
-            prop_assert!(moved ^ freed ^ stays, "group {g:?} inconsistently planned");
-        }
-        // Overlap is never moved: identical placements yield no ops.
-        let (self_moves, self_frees) = plan_migration(&old, &old);
-        prop_assert!(self_moves.is_empty() && self_frees.is_empty());
     }
 }
