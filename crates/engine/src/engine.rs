@@ -2253,18 +2253,20 @@ impl<'a, P: Policy> Engine<'a, P> {
         (inst, lost as u64)
     }
 
-    /// Applies a re-dispatch: alloc grows, free shrinks, schedule the
-    /// transfer, pause the request until it lands. Returns false if the
-    /// grows don't fit or the request is not re-dispatchable.
+    /// Applies a re-dispatch along the plan of [`HeadPlacement::moves_to`]
+    /// (§6's Hauler): grows every destination, all-or-nothing, then
+    /// shrinks each move's source and schedules that move's transfer at
+    /// once. The request pauses until the last transfer lands. Returns
+    /// false if the grows don't fit or the request is not
+    /// re-dispatchable.
     fn execute_redispatch(&mut self, rid: RequestId, new_placement: HeadPlacement) -> bool {
         let gqa = self.model.gqa_ratio();
         if new_placement.validate(self.model.num_heads, gqa).is_err() {
             return false;
         }
-        // Borrow the old placement in place (it used to be cloned per
-        // call); everything derived from it is extracted before the
-        // request is mutated.
-        let (inst, tokens, grows, shrinks) = {
+        // Borrow the old placement in place; everything derived from it
+        // is extracted before the request is mutated.
+        let (inst, tokens, moves) = {
             let Some(r) = self.requests.get(&rid) else {
                 return false;
             };
@@ -2275,81 +2277,59 @@ impl<'a, P: Policy> Engine<'a, P> {
             if *old == new_placement {
                 return false;
             }
-            let inst = r.instance;
-
             // Token count from any resident entry (uniform across devices).
             let tokens = old.per_stage[0]
                 .first()
                 .and_then(|&(d, _)| self.kv.device(d).entry(rid, 0))
                 .map(|e| e.tokens)
                 .expect("resident entry");
-
-            // Per-stage grow/shrink sets.
-            let mut grows: Vec<(DeviceId, u16, u32, u32)> = Vec::new(); // dev, stage, groups, layers
-            let mut shrinks: Vec<(DeviceId, u16, u32)> = Vec::new();
-            for s in 0..new_placement.per_stage.len() {
-                let layers = self.topo.instances[inst].stages[s].primary.layers;
-                let mut devs: Vec<DeviceId> = old.per_stage[s]
-                    .iter()
-                    .map(|&(d, _)| d)
-                    .chain(new_placement.per_stage[s].iter().map(|&(d, _)| d))
-                    .collect();
-                devs.sort();
-                devs.dedup();
-                for d in devs {
-                    let before = old.heads_on(s, d) / gqa;
-                    let after = new_placement.heads_on(s, d) / gqa;
-                    if after > before {
-                        grows.push((d, s as u16, after - before, layers));
-                    } else if before > after {
-                        shrinks.push((d, s as u16, before - after));
-                    }
-                }
-            }
-            (inst, tokens, grows, shrinks)
+            (r.instance, tokens, old.moves_to(&new_placement, gqa))
         };
-        if grows.is_empty() && shrinks.is_empty() {
+        if moves.is_empty() {
             return false;
         }
         // Churn guard: never grow KV onto a dead or draining device.
-        if grows
+        if moves
             .iter()
-            .any(|&(d, ..)| !self.health[d.index()].accepts_kv())
+            .any(|m| !self.health[m.dst.index()].accepts_kv())
         {
             return false;
         }
+        let layers: Vec<u32> = self.topo.instances[inst]
+            .stages
+            .iter()
+            .map(|s| s.primary.layers)
+            .collect();
 
-        // All-or-nothing: allocate grows first.
-        let mut applied: Vec<(DeviceId, u16, u32)> = Vec::new();
-        for &(d, s, g, layers) in &grows {
-            if self
+        // All-or-nothing: allocate every destination first.
+        for (k, m) in moves.iter().enumerate() {
+            let l = layers[m.stage as usize];
+            let grown = self
                 .kv
-                .device_mut(d)
-                .grow_groups(rid, s, g, tokens, layers)
-                .is_err()
-            {
-                for &(d2, s2, g2) in &applied {
-                    self.kv.device_mut(d2).shrink_groups(rid, s2, g2);
+                .device_mut(m.dst)
+                .grow_groups(rid, m.stage, m.groups, tokens, l);
+            if grown.is_err() {
+                for m in &moves[..k] {
+                    self.kv
+                        .device_mut(m.dst)
+                        .shrink_groups(rid, m.stage, m.groups);
                 }
                 return false;
             }
-            applied.push((d, s, g));
         }
         // High-water point of the move: grown destinations coexist with
         // the not-yet-shrunk sources.
         self.note_kv_peak();
-        let mut moved_bytes = 0.0;
         let now = self.clock.now().as_secs();
-        let mut finish = now;
-        // Pair shrinks to grows for transfer scheduling (greedy order).
-        let mut grow_iter = grows.iter();
-        for &(src, s, g) in &shrinks {
-            let layers = self.topo.instances[inst].stages[s as usize].primary.layers;
-            let bytes = self.kv.device(src).bytes_needed(g, tokens, layers) as f64;
-            self.kv.device_mut(src).shrink_groups(rid, s, g);
-            let dst = grow_iter.next().map(|&(d, ..)| d).unwrap_or(src);
-            let link = self.cluster.link(src, dst);
-            let done = self.migration.schedule(src.0, dst.0, link, bytes, now);
+        let (mut moved_bytes, mut finish) = (0.0, now);
+        for m in &moves {
+            let l = layers[m.stage as usize];
+            let bytes = self.kv.device(m.src).bytes_needed(m.groups, tokens, l) as f64;
+            self.kv
+                .device_mut(m.src)
+                .shrink_groups(rid, m.stage, m.groups);
+            let link = self.cluster.link(m.src, m.dst);
+            let done = self.migration.schedule(m.src.0, m.dst.0, link, bytes, now);
             finish = finish.max(done);
             moved_bytes += bytes;
         }
@@ -2361,7 +2341,7 @@ impl<'a, P: Policy> Engine<'a, P> {
         let r = self.requests.get_mut(&rid).expect("live");
         r.placement = Some(new_placement);
         r.redispatches += 1;
-        let sources = shrinks.iter().map(|&(d, ..)| d).collect();
+        let sources = moves.iter().map(|m| m.src).collect();
         self.begin_migration(rid, sources, moved_bytes, finish);
         self.tap(FlowEventKind::Redispatch {
             req: rid,

@@ -16,8 +16,9 @@
 //! rayon-parallel version exist; Fig. 15b is reproduced by timing them.
 //!
 //! The serving engine does not use these tables: it keeps a byte ledger
-//! with the same block rounding (`hetis_engine::DeviceKv`), and plans
-//! head-group migrations itself (`hetis_engine::HeadPlacement`).
+//! with the same block rounding (`hetis_engine::DeviceKv`) and plans
+//! head-group migrations itself (`HeadPlacement::moves_to` in
+//! `hetis-engine`).
 
 pub mod block;
 pub mod headwise;
