@@ -84,14 +84,14 @@ pub struct EngineConfig {
     /// field is kept only so configurations that still set it compile.
     pub sim_shards: usize,
     /// Session-keyed prefix/KV reuse. When on, a finished request's KV
-    /// stays probe-able in *free* pool memory keyed by its session turn; a returning turn that extends that
-    /// context routes to the holding instance, re-admits only the cold
-    /// suffix (warm full blocks skip both the chunk-prefill iterations
-    /// and their KV reservations — `RunReport::prefix_hit_tokens`), and
-    /// shares the warm bytes copy-free. Cached entries are evicted
-    /// oldest-first per device whenever live allocations need the
-    /// memory, so reuse never displaces live KV. `false` (the default)
-    /// is bit-identical to the pre-reuse engine.
+    /// stays probe-able in *free* pool memory keyed by its session turn;
+    /// a returning turn that extends that context routes to the holding
+    /// instance, re-admits only the cold suffix (warm full blocks skip
+    /// both the chunk-prefill iterations and their KV reservations —
+    /// `RunReport::prefix_hit_tokens`), and adopts the warm bytes.
+    /// Cached entries are evicted oldest-first per device whenever live
+    /// allocations need the memory, so reuse never displaces live KV.
+    /// `false` (the default) is bit-identical to the pre-reuse engine.
     pub prefix_reuse: bool,
 }
 
