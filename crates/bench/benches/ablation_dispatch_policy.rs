@@ -32,6 +32,7 @@ fn main() {
     );
 
     // Background load on the primaries so the decision is non-trivial.
+    let blocks = kv.blocks_for(2500);
     for (k, &dev) in stage.primary.devices.iter().enumerate() {
         for q in 0..30u64 {
             kv.device_mut(dev)
@@ -39,7 +40,7 @@ fn main() {
                     hetis_workload::RequestId(900 + k as u64 * 50 + q),
                     0,
                     8,
-                    2500,
+                    blocks,
                     80,
                 )
                 .unwrap();

@@ -132,6 +132,7 @@ fn bench_dispatch(c: &mut Criterion) {
         layers: 80,
     });
     stage.attention_workers = cluster.devices_of_type(GpuType::P100);
+    let blocks = kv.blocks_for(2000);
     for (k, &dev) in stage.primary.devices.iter().enumerate() {
         for q in 0..25u64 {
             kv.device_mut(dev)
@@ -139,7 +140,7 @@ fn bench_dispatch(c: &mut Criterion) {
                     hetis_workload::RequestId(k as u64 * 100 + q),
                     0,
                     8,
-                    2000,
+                    blocks,
                     80,
                 )
                 .unwrap();
@@ -185,7 +186,7 @@ fn bench_dispatch(c: &mut Criterion) {
     // call solves.
     let mut kv_b = kv.clone();
     kv_b.device_mut(stage.primary.devices[0])
-        .allocate(hetis_workload::RequestId(10_000), 0, 8, 2000, 80)
+        .allocate(hetis_workload::RequestId(10_000), 0, 8, blocks, 80)
         .unwrap();
     let states = [&kv, &kv_b].map(|kv| {
         let (current, _) = waterfill.current_attention_time(&cluster, &model, kv, &stage, 0);

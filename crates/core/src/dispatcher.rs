@@ -751,6 +751,7 @@ mod tests {
     fn heavy_resident_load_spills_to_workers() {
         let (cluster, model, mut kv, stage, d) = setup();
         // Pre-load the primaries with resident requests (high h, g).
+        let blocks = kv.blocks_for(4000);
         for (k, &dev) in stage.primary.devices.iter().enumerate() {
             for q in 0..40u64 {
                 kv.device_mut(dev)
@@ -758,7 +759,7 @@ mod tests {
                         hetis_workload::RequestId(1000 + k as u64 * 100 + q),
                         0,
                         8,
-                        4000,
+                        blocks,
                         80,
                     )
                     .unwrap();
@@ -803,7 +804,7 @@ mod tests {
                         hetis_workload::RequestId(5000 + dev.0 as u64),
                         0,
                         groups,
-                        16,
+                        1,
                         80,
                     )
                     .unwrap();
@@ -818,9 +819,10 @@ mod tests {
         let (cluster, model, mut kv, stage, d) = setup();
         // Imbalanced residency: everything on one primary device.
         let dev = stage.primary.devices[0];
+        let blocks = kv.blocks_for(3000);
         for q in 0..30u64 {
             kv.device_mut(dev)
-                .allocate(hetis_workload::RequestId(q), 0, 8, 3000, 80)
+                .allocate(hetis_workload::RequestId(q), 0, 8, blocks, 80)
                 .unwrap();
         }
         let (current, bottleneck) = d.current_attention_time(&cluster, &model, &kv, &stage, 0);

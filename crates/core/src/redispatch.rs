@@ -32,14 +32,10 @@ fn victim_stage_loads(
     r.per_stage[stage_idx as usize]
         .iter()
         .map(|&(dev, heads)| {
-            let entry = ctx.kv.device(dev).entry(rid, stage_idx);
-            let g = entry
-                .map(|e| {
-                    ctx.kv
-                        .device(dev)
-                        .bytes_needed(e.groups, e.tokens, e.layers) as f64
-                        / e.layers as f64
-                })
+            let kv = ctx.kv.device(dev);
+            let g = kv
+                .entry(rid, stage_idx)
+                .map(|e| kv.entry_bytes(&e) as f64 / e.layers as f64)
                 .unwrap_or(0.0);
             (dev, heads as f64, g)
         })

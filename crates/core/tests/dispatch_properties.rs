@@ -36,11 +36,12 @@ fn setup(
     let devices = stage.attention_devices();
     for (k, &(dev_idx, groups, tokens)) in resident.iter().enumerate() {
         let dev = devices[dev_idx % devices.len()];
+        let blocks = kv.blocks_for(tokens.max(16));
         let _ = kv.device_mut(dev).allocate(
             RequestId(10_000 + k as u64),
             0,
             groups.clamp(1, 8),
-            tokens.max(16),
+            blocks,
             80,
         );
     }
@@ -226,8 +227,9 @@ fn ideal_memo_matches_fresh_solve() {
         let fill = |weights: &HashMap<DeviceId, u64>| {
             let mut kv = KvState::new(&cluster, &model, 16, weights).unwrap();
             for (k, &(s, dev, groups, tokens)) in case.resident.iter().enumerate() {
+                let blocks = kv.blocks_for(tokens);
                 kv.device_mut(dev)
-                    .allocate(RequestId(k as u64), s, groups, tokens, 80)
+                    .allocate(RequestId(k as u64), s, groups, blocks, 80)
                     .expect("residency fits the pool");
             }
             kv

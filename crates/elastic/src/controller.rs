@@ -612,15 +612,10 @@ fn plan_drain(
             stage_pl.sort_by_key(|&(d, _)| d);
             // Pressure bookkeeping so sequential drains spread out: only
             // this stage's resident bytes land on this target.
-            let moved = ctx
-                .kv
-                .device(draining)
+            let kv = ctx.kv.device(draining);
+            let moved = kv
                 .entry(rid, s as u16)
-                .map(|e| {
-                    ctx.kv
-                        .device(draining)
-                        .bytes_needed(e.groups, e.tokens, e.layers)
-                })
+                .map(|e| kv.entry_bytes(&e))
                 .unwrap_or(0);
             planned_bytes.push((target, moved));
             changed = true;

@@ -66,7 +66,17 @@ struct Ubatch {
     chunks: Vec<u32>,
     /// Decode participants.
     decode_reqs: Vec<RequestId>,
+    /// The decode participants' query heads, summed per (stage, device):
+    /// what their tokens add to the cohort's load table on completion.
+    decode_heads: StageHeads,
 }
+
+/// Query-head totals per (stage index, device), in no particular order.
+type StageHeads = Vec<(usize, DeviceId, u64)>;
+
+/// A formed decode batch: its participants, their per-stage attention
+/// loads and their head totals.
+type DecodeBatch = (Vec<RequestId>, Vec<Vec<AttnLoad>>, StageHeads);
 
 #[derive(Debug, Clone, Default)]
 struct Cohort {
@@ -89,9 +99,11 @@ struct Cohort {
     /// `groups × (ctx+1) × unit` bytes), so adds and removes are exact
     /// and the formed loads are bit-identical to a from-scratch rebuild
     /// — which `debug_assert` checks on every formation. Maintained on
-    /// decode entry/exit, re-dispatch, eviction and per-token context
-    /// growth; replaces the old O(batch × stages × placement-entries)
-    /// rebuild in the decode hot loop.
+    /// decode entry/exit, re-dispatch and eviction, and advanced once
+    /// per completed iteration by its participants' head totals
+    /// ([`Ubatch::decode_heads`]); replaces the old
+    /// O(batch × stages × placement-entries) rebuild in the decode hot
+    /// loop.
     load: Vec<FxHashMap<DeviceId, (u64, u64)>>,
 }
 
@@ -755,6 +767,8 @@ impl<'a, P: Policy> Engine<'a, P> {
             .values()
             .filter(|r| r.phase != Phase::Done)
             .count();
+        #[cfg(debug_assertions)]
+        self.audit_kv(unfinished);
         RunReport {
             policy: self.policy.name(),
             completed: self.completed,
@@ -788,6 +802,35 @@ impl<'a, P: Policy> Engine<'a, P> {
             // Cost accounting is attached post-run by a cost meter (the
             // engine itself never bills anything).
             cost: None,
+        }
+    }
+
+    /// End-of-run KV audit (debug builds): every ledger entry belongs to
+    /// a request that still holds KV (neither done nor waiting) and holds
+    /// the blocks of exactly its `kv_reserved` tokens, and a run that
+    /// finished every request has returned every KV byte to the pools.
+    #[cfg(debug_assertions)]
+    fn audit_kv(&self, unfinished: usize) {
+        for d in 0..self.kv.len() {
+            let dev = DeviceId(d as u32);
+            let kv = self.kv.device(dev);
+            for ((rid, stage), e) in kv.entries() {
+                let r = &self.requests[&rid];
+                assert!(
+                    !matches!(r.phase, Phase::Done | Phase::Waiting),
+                    "{dev} holds KV of {rid} stage {stage} in phase {:?}",
+                    r.phase
+                );
+                assert_eq!(
+                    e.blocks,
+                    self.kv.blocks_for(r.kv_reserved),
+                    "{dev}: {rid} stage {stage} vs its {} tokens",
+                    r.kv_reserved
+                );
+            }
+            if unfinished == 0 {
+                assert_eq!(kv.used_bytes(), 0, "{dev} holds KV after the last request");
+            }
         }
     }
 
@@ -906,8 +949,31 @@ impl<'a, P: Policy> Engine<'a, P> {
                 None => self.start_decoding_after_scatter(rid, inst, cohort),
             }
         }
-        for rid in ub.decode_reqs {
-            let invalidated = self.churn_invalidated(rid);
+        // Every surviving decode participant's context grows a token:
+        // advance the load table by the survivors' head totals before
+        // any removal reads it. A churn-invalidated participant loses its
+        // token, so its heads leave the totals and it leaves the table
+        // below at the context the table still holds for it.
+        let invalidated: Vec<bool> = ub
+            .decode_reqs
+            .iter()
+            .map(|&rid| self.churn_invalidated(rid))
+            .collect();
+        let mut heads = ub.decode_heads;
+        for (rid, _) in ub.decode_reqs.iter().zip(&invalidated).filter(|(_, &i)| i) {
+            let placement = self.requests[rid].placement.as_ref().expect("placed");
+            for (s, stage_pl) in placement.per_stage.iter().enumerate() {
+                for &(dev, h) in stage_pl {
+                    let total = heads
+                        .iter_mut()
+                        .find(|&&mut (st, d, _)| st == s && d == dev)
+                        .expect("participant counted at formation");
+                    total.2 -= h as u64;
+                }
+            }
+        }
+        self.load_table_advance(inst, cohort, &heads);
+        for (rid, invalidated) in ub.decode_reqs.into_iter().zip(invalidated) {
             let r = self.requests.get_mut(&rid).expect("live request");
             r.in_flight = false;
             if invalidated {
@@ -916,13 +982,7 @@ impl<'a, P: Policy> Engine<'a, P> {
                 continue;
             }
             r.push_token(now);
-            let complete = r.is_complete();
-            // The context grew a token: mirror it into the incremental
-            // load table before any removal reads the new state.
-            if self.requests[&rid].in_load_table {
-                self.load_table_bump_ctx(inst, rid);
-            }
-            if complete {
+            if r.is_complete() {
                 self.finish(rid);
             }
         }
@@ -1749,14 +1809,10 @@ impl<'a, P: Policy> Engine<'a, P> {
 
     /// Forms the cohort's decode batch: appends every ready member's next
     /// token (the policy handles exhaustion) and derives the per-stage
-    /// attention loads from the incremental load table. `None` when no
-    /// member can decode this iteration, and always on a prefill-only
-    /// instance.
-    fn collect_decode_batch(
-        &mut self,
-        inst: usize,
-        cohort: usize,
-    ) -> Option<(Vec<RequestId>, Vec<Vec<AttnLoad>>)> {
+    /// attention loads and head totals from the incremental load table.
+    /// `None` when no member can decode this iteration, and always on a
+    /// prefill-only instance.
+    fn collect_decode_batch(&mut self, inst: usize, cohort: usize) -> Option<DecodeBatch> {
         if self.topo.instances[inst].role == InstanceRole::PrefillOnly {
             return None;
         }
@@ -1793,24 +1849,25 @@ impl<'a, P: Policy> Engine<'a, P> {
         if batch.is_empty() {
             return None;
         }
-        let stage_loads = self.stage_loads_for(inst, cohort, &batch);
-        Some((batch, stage_loads))
+        let (stage_loads, heads) = self.stage_loads_for(inst, cohort, &batch);
+        Some((batch, stage_loads, heads))
     }
 
-    /// Per-stage attention loads of `batch`, read from the cohort's
-    /// incremental load table: the table's totals cover every registered
-    /// decoding member, so the only per-iteration work is subtracting the
-    /// (rare) registered members excluded from this batch and converting
-    /// the integer aggregates to [`AttnLoad`]s — replacing the old
-    /// O(batch × stages × placement-entries) rebuild. The integer
-    /// accounting makes the result bit-identical to that rebuild, which
-    /// debug builds assert on every formation.
+    /// Per-stage attention loads and query-head totals of `batch`, read
+    /// from the cohort's incremental load table: the table's totals cover
+    /// every registered decoding member, so the only per-iteration work is
+    /// subtracting the (rare) registered members excluded from this batch,
+    /// from a copy of the table, and converting the integer aggregates to
+    /// [`AttnLoad`]s — replacing the old O(batch × stages ×
+    /// placement-entries) rebuild. The integer accounting makes the
+    /// result bit-identical to that rebuild, which debug builds assert on
+    /// every formation.
     fn stage_loads_for(
         &self,
         inst: usize,
         cohort: usize,
         batch: &[RequestId],
-    ) -> Vec<Vec<AttnLoad>> {
+    ) -> (Vec<Vec<AttnLoad>>, StageHeads) {
         let gqa = self.model.gqa_ratio() as u64;
         let unit = 2 * self.model.head_dim * self.model.dtype.bytes();
         let co = &self.instances[inst].cohorts[cohort];
@@ -1819,10 +1876,12 @@ impl<'a, P: Policy> Engine<'a, P> {
             .iter()
             .filter(|rid| self.requests[rid].in_load_table)
             .count();
-        let mut per_stage: Vec<FxHashMap<DeviceId, (u64, u64)>> = co.load.clone();
+        let adjusted: Vec<FxHashMap<DeviceId, (u64, u64)>>;
+        let mut per_stage = &co.load;
         if registered != batch.len() {
             // Some registered members sit this iteration out (stalled on
             // memory, racing a victim decision): take them off the totals.
+            let mut copy = co.load.clone();
             let in_batch: std::collections::HashSet<RequestId> = batch.iter().copied().collect();
             for &rid in co.members.iter() {
                 let r = &self.requests[&rid];
@@ -1833,26 +1892,32 @@ impl<'a, P: Policy> Engine<'a, P> {
                 let placement = r.placement.as_ref().expect("registered request placed");
                 for (s, stage_pl) in placement.per_stage.iter().enumerate() {
                     for &(dev, heads) in stage_pl {
-                        let e = per_stage[s].get_mut(&dev).expect("registered device");
+                        let e = copy[s].get_mut(&dev).expect("registered device");
                         e.0 -= heads as u64;
                         e.1 -= heads as u64 / gqa * ctx * unit;
                     }
                 }
             }
+            adjusted = copy;
+            per_stage = &adjusted;
         }
         let mut stage_loads: Vec<Vec<AttnLoad>> = Vec::with_capacity(per_stage.len());
+        let mut heads: StageHeads = Vec::new();
         for (s, map) in per_stage.iter().enumerate() {
             let primary = &self.topo.instances[inst].stages[s].primary.devices;
             let mut loads: Vec<AttnLoad> = map
                 .iter()
                 .filter(|&(_, &(h, k))| h != 0 || k != 0)
-                .map(|(&device, &(h, k))| AttnLoad {
-                    device,
-                    work: AttnWork {
-                        query_heads: h as f64,
-                        kv_bytes: k as f64,
-                    },
-                    remote: !primary.contains(&device),
+                .map(|(&device, &(h, k))| {
+                    heads.push((s, device, h));
+                    AttnLoad {
+                        device,
+                        work: AttnWork {
+                            query_heads: h as f64,
+                            kv_bytes: k as f64,
+                        },
+                        remote: !primary.contains(&device),
+                    }
                 })
                 .collect();
             loads.sort_by_key(|l| l.device);
@@ -1866,7 +1931,7 @@ impl<'a, P: Policy> Engine<'a, P> {
                 "incremental load table drifted from the rebuilt map:\n{stage_loads:?}\nvs\n{oracle:?}"
             );
         }
-        stage_loads
+        (stage_loads, heads)
     }
 
     /// The old from-scratch load computation, kept as the debug-mode
@@ -1917,7 +1982,7 @@ impl<'a, P: Policy> Engine<'a, P> {
         inst: usize,
         cohort: usize,
         entries: Vec<(RequestId, u64, u64)>,
-        (batch, stage_loads): (Vec<RequestId>, Vec<Vec<AttnLoad>>),
+        (batch, stage_loads, heads): DecodeBatch,
     ) {
         let chunk = self.prefill_batch_of(&entries);
         for rid in &batch {
@@ -1989,6 +2054,7 @@ impl<'a, P: Policy> Engine<'a, P> {
             reqs: entries.iter().map(|&(rid, ..)| rid).collect(),
             chunks: entries.iter().map(|&(_, c, _)| c as u32).collect(),
             decode_reqs: batch,
+            decode_heads: heads,
         });
         self.events
             .schedule(arrive, Event::UbatchDone { inst, cohort });
@@ -2014,6 +2080,7 @@ impl<'a, P: Policy> Engine<'a, P> {
         {
             return false;
         }
+        let blocks = self.kv.blocks_for(tokens);
         let mut done: Vec<DeviceId> = Vec::new();
         for (s, stage_pl) in placement.per_stage.iter().enumerate() {
             let layers = self.topo.instances[r.instance].stages[s].primary.layers;
@@ -2022,7 +2089,7 @@ impl<'a, P: Policy> Engine<'a, P> {
                 let res = self
                     .kv
                     .device_mut(dev)
-                    .allocate(rid, s as u16, groups, tokens, layers);
+                    .allocate(rid, s as u16, groups, blocks, layers);
                 if res.is_err() {
                     for &d in &done {
                         self.kv.device_mut(d).free_request(rid);
@@ -2038,7 +2105,7 @@ impl<'a, P: Policy> Engine<'a, P> {
         }
         let r = self.requests.get_mut(&rid).expect("live");
         r.placement = Some(placement);
-        r.kv_reserved = tokens;
+        r.reserve(tokens);
         self.note_kv_peak();
         true
     }
@@ -2072,25 +2139,14 @@ impl<'a, P: Policy> Engine<'a, P> {
     /// attempt never leaves any device partially grown (the caller
     /// evicts/requeues the grower whole — no truncation).
     fn try_grow_tokens(&mut self, inst: usize, rid: RequestId, new_total: u32) -> bool {
+        let blocks = self.kv.blocks_for(new_total);
         // Bounded victim loop: each pass either frees memory or gives up.
         for _ in 0..64 {
-            let devices = self.requests[&rid]
-                .placement
-                .as_ref()
-                .expect("growing request placed")
-                .devices();
-            let blocked = devices.iter().copied().find(|&d| {
-                let kv = self.kv.device(d);
-                kv.grow_cost(rid, new_total) > kv.free_bytes()
-            });
-            let Some(dev) = blocked else {
-                for &d in &devices {
-                    self.kv
-                        .device_mut(d)
-                        .grow_tokens(rid, new_total)
-                        .expect("checked headroom");
-                }
-                self.requests.get_mut(&rid).expect("live").kv_reserved = new_total;
+            let Some(dev) = self.grow_or_blocked(rid, blocks) else {
+                self.requests
+                    .get_mut(&rid)
+                    .expect("live")
+                    .reserve(new_total);
                 self.kv_growths += 1;
                 self.note_kv_peak();
                 return true;
@@ -2117,10 +2173,12 @@ impl<'a, P: Policy> Engine<'a, P> {
         false
     }
 
-    /// Appends one decode token's KV across the request's devices,
-    /// consulting the policy on exhaustion. Returns false when the request
-    /// cannot proceed this iteration.
+    /// Appends one decode token to `rid`'s KV. Only a token that opens a
+    /// block touches the ledger: it grows every entry by one block,
+    /// all-or-nothing, consulting the policy on exhaustion. Returns false
+    /// when the request cannot proceed this iteration.
     fn try_append_token(&mut self, inst: usize, rid: RequestId) -> bool {
+        let r = self.requests.get_mut(&rid).expect("live");
         // Decode headroom: tokens inside the admission-time reservation
         // are prepaid — the resident entries already cover them, so the
         // first appends after prefill completion consume the cushion
@@ -2128,33 +2186,21 @@ impl<'a, P: Policy> Engine<'a, P> {
         // Atomic admission reserves exactly the effective prompt, whose
         // context has already outgrown it by the first decode append, so
         // this branch never fires there (bit-identical legacy behavior).
-        {
-            let r = &self.requests[&rid];
-            if r.context_len() < r.kv_reserved {
-                return true;
-            }
+        if r.context_len() < r.decode_prepaid {
+            return true;
         }
+        // The token lands in the last block's free slots: no device.
+        if !r.kv_reserved.is_multiple_of(BLOCK_SIZE) {
+            r.kv_reserved += 1;
+            return true;
+        }
+        let blocks = self.kv.blocks_for(r.kv_reserved + 1);
         // Bounded victim loop: each pass either frees memory or stalls.
         for _ in 0..64 {
-            let devices = self.requests[&rid]
-                .placement
-                .as_ref()
-                .expect("decoding request placed")
-                .devices();
-            let blocked = devices.iter().copied().find(|&d| {
-                let kv = self.kv.device(d);
-                kv.append_cost(rid) > kv.free_bytes()
-            });
-            let Some(dev) = blocked else {
-                for &d in &devices {
-                    self.kv
-                        .device_mut(d)
-                        .append_token(rid)
-                        .expect("checked headroom");
-                }
+            let Some(dev) = self.grow_or_blocked(rid, blocks) else {
                 // Peak sampling happens once per decode batch in
-                // `collect_decode_batch`, not per append — this is the
-                // hottest allocation path.
+                // `collect_decode_batch`, not per append.
+                self.requests.get_mut(&rid).expect("live").kv_reserved += 1;
                 return true;
             };
             let action = self.policy.select_victim(inst, dev, rid, &ctx!(self));
@@ -2183,6 +2229,30 @@ impl<'a, P: Policy> Engine<'a, P> {
             }
         }
         false
+    }
+
+    /// Grows every entry of `rid` to `blocks` blocks when each device of
+    /// its placement has the room, and returns `None`; otherwise returns
+    /// the first device (in id order) that lacks it, and changes nothing.
+    fn grow_or_blocked(&mut self, rid: RequestId, blocks: u32) -> Option<DeviceId> {
+        let devices = self.requests[&rid]
+            .placement
+            .as_ref()
+            .expect("growing request placed")
+            .devices();
+        let blocked = devices.iter().copied().find(|&d| {
+            let kv = self.kv.device(d);
+            kv.grow_cost(rid, blocks) > kv.free_bytes()
+        });
+        if blocked.is_none() {
+            for &d in &devices {
+                self.kv
+                    .device_mut(d)
+                    .grow_blocks(rid, blocks)
+                    .expect("checked headroom");
+            }
+        }
+        blocked
     }
 
     /// Recompute-preempts a victim of memory pressure: KV freed
@@ -2277,13 +2347,7 @@ impl<'a, P: Policy> Engine<'a, P> {
             if *old == new_placement {
                 return false;
             }
-            // Token count from any resident entry (uniform across devices).
-            let tokens = old.per_stage[0]
-                .first()
-                .and_then(|&(d, _)| self.kv.device(d).entry(rid, 0))
-                .map(|e| e.tokens)
-                .expect("resident entry");
-            (r.instance, tokens, old.moves_to(&new_placement, gqa))
+            (r.instance, r.kv_reserved, old.moves_to(&new_placement, gqa))
         };
         if moves.is_empty() {
             return false;
@@ -2302,12 +2366,13 @@ impl<'a, P: Policy> Engine<'a, P> {
             .collect();
 
         // All-or-nothing: allocate every destination first.
+        let blocks = self.kv.blocks_for(tokens);
         for (k, m) in moves.iter().enumerate() {
             let l = layers[m.stage as usize];
             let grown = self
                 .kv
                 .device_mut(m.dst)
-                .grow_groups(rid, m.stage, m.groups, tokens, l);
+                .grow_groups(rid, m.stage, m.groups, blocks, l);
             if grown.is_err() {
                 for m in &moves[..k] {
                     self.kv
@@ -2690,23 +2755,18 @@ impl<'a, P: Policy> Engine<'a, P> {
         self.requests.get_mut(&rid).expect("live").in_load_table = false;
     }
 
-    /// Mirrors a one-token context growth of a registered request into
-    /// its cohort's load table: every resident head group reads one more
-    /// token next iteration.
-    fn load_table_bump_ctx(&mut self, inst: usize, rid: RequestId) {
+    /// Mirrors one decoded token of every survivor of an iteration into
+    /// the cohort's load table, given their query-head totals: every
+    /// resident head group reads one more token next iteration. Each
+    /// placement entry's heads are a whole number of groups, so one
+    /// `heads / gqa × unit` per device equals the per-request sum.
+    fn load_table_advance(&mut self, inst: usize, cohort: usize, heads: &[(usize, DeviceId, u64)]) {
         let gqa = self.model.gqa_ratio() as u64;
         let unit = 2 * self.model.head_dim * self.model.dtype.bytes();
-        let r = &self.requests[&rid];
-        debug_assert!(r.in_load_table);
-        let placement = r.placement.as_ref().expect("registered request placed");
-        let cohort = &mut self.instances[inst].cohorts[r.cohort];
-        for (s, stage_pl) in placement.per_stage.iter().enumerate() {
-            for &(dev, heads) in stage_pl {
-                let e = cohort.load[s]
-                    .get_mut(&dev)
-                    .expect("registered device present");
-                e.1 += heads as u64 / gqa * unit;
-            }
+        let load = &mut self.instances[inst].cohorts[cohort].load;
+        for &(s, dev, h) in heads.iter().filter(|&&(.., h)| h > 0) {
+            let e = load[s].get_mut(&dev).expect("registered device present");
+            e.1 += h / gqa * unit;
         }
     }
 

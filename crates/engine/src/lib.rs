@@ -17,9 +17,9 @@
 //! * **fine-grained paged KV admission** — byte-accurate per-device
 //!   pools with block rounding; under chunking, admission reserves only
 //!   the first chunk + decode headroom and the reservation grows with
-//!   each completed chunk (`grow_tokens`); decode steps allocate before
-//!   running; both paths trigger the policy's preemption hooks on
-//!   exhaustion,
+//!   each completed chunk (`grow_blocks`); a decode token allocates,
+//!   before its iteration runs, only when it opens a block; both paths
+//!   trigger the policy's preemption hooks on exhaustion,
 //! * **head placements** — every request carries a per-stage map of which
 //!   device computes which query heads (trivially stage-local for the
 //!   baselines; LP-dispatched for Hetis),

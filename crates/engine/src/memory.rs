@@ -1,10 +1,12 @@
-//! Byte-accurate per-device KV accounting with block-granularity rounding.
+//! Byte-accurate per-device KV accounting in whole blocks.
 //!
 //! The engine tracks, for every device, which *(request, stage)* pairs hold
-//! KV there, with how many head groups and tokens. Bytes are rounded up to
-//! whole blocks (`block_size` tokens × one head group × one layer is the
-//! unit), so capacity behaves exactly like the block allocators in
-//! `hetis-kvcache`. The engine keeps only this ledger: block tables,
+//! KV there, with how many head groups and blocks (`block_size` tokens ×
+//! one head group × one layer is the unit), so capacity behaves exactly
+//! like the block allocators in `hetis-kvcache`. The ledger never counts
+//! tokens: each request owns its token count
+//! ([`crate::RunningRequest::kv_reserved`]) and asks for a block only when
+//! a token opens one. The engine keeps only this ledger: block tables,
 //! fetch indices and their storage cost live in that crate, for Fig. 15b.
 
 use hetis_cluster::{Cluster, DeviceId, MemoryLedger};
@@ -43,8 +45,8 @@ impl std::error::Error for KvAllocError {}
 pub struct KvEntry {
     /// KV head groups resident.
     pub groups: u32,
-    /// Tokens cached.
-    pub tokens: u32,
+    /// Blocks per head group and layer.
+    pub blocks: u32,
     /// Layers of the owning stage.
     pub layers: u32,
 }
@@ -78,12 +80,18 @@ pub struct DeviceKv {
 }
 
 impl DeviceKv {
-    fn blocks_for(&self, tokens: u32) -> u64 {
-        tokens.div_ceil(self.block_size) as u64
+    fn blocks_for(&self, tokens: u32) -> u32 {
+        tokens.div_ceil(self.block_size)
     }
 
-    fn entry_bytes(&self, e: &KvEntry) -> u64 {
-        self.blocks_for(e.tokens) * e.groups as u64 * e.layers as u64 * self.block_unit
+    /// Bytes of `blocks` blocks × `groups` groups × `layers` layers.
+    fn block_bytes(&self, groups: u32, blocks: u32, layers: u32) -> u64 {
+        blocks as u64 * groups as u64 * layers as u64 * self.block_unit
+    }
+
+    /// Bytes `e` holds.
+    pub fn entry_bytes(&self, e: &KvEntry) -> u64 {
+        self.block_bytes(e.groups, e.blocks, e.layers)
     }
 
     /// `req`'s entries on this device: one lookup per stage index seen.
@@ -96,9 +104,10 @@ impl DeviceKv {
         self.stages.get(stage as usize).copied().unwrap_or_default()
     }
 
-    /// Bytes needed to hold `groups` groups × `tokens` tokens × `layers`.
+    /// Bytes needed to hold `groups` groups × `tokens` tokens × `layers`,
+    /// rounded up to whole blocks.
     pub fn bytes_needed(&self, groups: u32, tokens: u32, layers: u32) -> u64 {
-        self.blocks_for(tokens) * groups as u64 * layers as u64 * self.block_unit
+        self.block_bytes(groups, self.blocks_for(tokens), layers)
     }
 
     /// KV bytes free.
@@ -126,6 +135,12 @@ impl DeviceKv {
         self.entries.get(&(req, stage)).copied()
     }
 
+    /// Every resident entry with its `(request, stage)` key, in no
+    /// particular order.
+    pub fn entries(&self) -> impl Iterator<Item = ((RequestId, u16), KvEntry)> + '_ {
+        self.entries.iter().map(|(&k, &e)| (k, e))
+    }
+
     /// Requests with any residency here.
     pub fn resident_requests(&self) -> Vec<RequestId> {
         let mut v: Vec<RequestId> = self.entries.keys().map(|&(r, _)| r).collect();
@@ -134,14 +149,14 @@ impl DeviceKv {
         v
     }
 
-    /// Registers an entry, allocating its bytes. Fails without side
-    /// effects when the pool is short.
+    /// Registers an entry of `blocks` blocks, allocating its bytes. Fails
+    /// without side effects when the pool is short.
     pub fn allocate(
         &mut self,
         req: RequestId,
         stage: u16,
         groups: u32,
-        tokens: u32,
+        blocks: u32,
         layers: u32,
     ) -> Result<(), KvAllocError> {
         assert!(groups > 0 && layers > 0);
@@ -151,7 +166,7 @@ impl DeviceKv {
         );
         let e = KvEntry {
             groups,
-            tokens,
+            blocks,
             layers,
         };
         let bytes = self.entry_bytes(&e);
@@ -159,81 +174,45 @@ impl DeviceKv {
             requested: bytes,
             available: err.available,
         })?;
-        let units = self.blocks_for(tokens) * groups as u64;
         if stage as usize >= self.stages.len() {
             self.stages.resize(stage as usize + 1, StageLoad::default());
         }
         let load = &mut self.stages[stage as usize];
         load.groups += groups as u64;
-        load.units += units;
+        load.units += blocks as u64 * groups as u64;
         self.entries.insert((req, stage), e);
         Ok(())
     }
 
-    /// Bytes that raising every entry of `req` from `tokens` to
-    /// `to(tokens)` tokens would newly consume (0 when no block boundary is
-    /// crossed). `to` never lowers a count.
-    fn raise_cost(&self, req: RequestId, to: impl Fn(u32) -> u32) -> u64 {
+    /// Bytes that growing every entry of `req` to `blocks` blocks would
+    /// newly consume (0 when every entry already holds that many).
+    pub fn grow_cost(&self, req: RequestId, blocks: u32) -> u64 {
         self.request_entries(req)
-            .map(|e| {
-                let added = self.blocks_for(to(e.tokens)) - self.blocks_for(e.tokens);
-                added * e.groups as u64 * e.layers as u64 * self.block_unit
-            })
+            .map(|e| self.block_bytes(e.groups, blocks.saturating_sub(e.blocks), e.layers))
             .sum()
     }
 
-    /// Raises every entry of `req` from `tokens` to `to(tokens)` tokens.
-    /// Fails without side effects when the pool is short.
-    fn raise_tokens(
-        &mut self,
-        req: RequestId,
-        to: impl Fn(u32) -> u32,
-    ) -> Result<(), KvAllocError> {
-        let cost = self.raise_cost(req, &to);
+    /// Grows every entry of `req` on this device to `blocks` blocks: the
+    /// chunked-prefill reservation (admission reserves the first chunk,
+    /// each completed chunk grows to cover the next) and the decode token
+    /// that opens a block. Entries already at or past `blocks` are left
+    /// alone. Fails without side effects when the pool is short.
+    pub fn grow_blocks(&mut self, req: RequestId, blocks: u32) -> Result<(), KvAllocError> {
+        let cost = self.grow_cost(req, blocks);
         if cost > 0 {
             self.ledger.alloc_kv(cost).map_err(|e| KvAllocError {
                 requested: cost,
                 available: e.available,
             })?;
         }
-        let block_size = self.block_size;
         for (s, load) in self.stages.iter_mut().enumerate() {
             if let Some(e) = self.entries.get_mut(&(req, s as u16)) {
-                let new_tokens = to(e.tokens);
-                let added =
-                    new_tokens.div_ceil(block_size) as u64 - e.tokens.div_ceil(block_size) as u64;
-                load.units += added * e.groups as u64;
-                e.tokens = new_tokens;
+                let added = blocks.saturating_sub(e.blocks);
+                load.units += added as u64 * e.groups as u64;
+                e.blocks += added;
             }
         }
         Ok(())
-    }
-
-    /// Bytes that appending one token to every entry of `req` would newly
-    /// consume (0 when no block boundary is crossed).
-    pub fn append_cost(&self, req: RequestId) -> u64 {
-        self.raise_cost(req, |t| t + 1)
-    }
-
-    /// Appends one token to every entry of `req`. Fails without side
-    /// effects when the pool is short.
-    pub fn append_token(&mut self, req: RequestId) -> Result<(), KvAllocError> {
-        self.raise_tokens(req, |t| t + 1)
-    }
-
-    /// Bytes that growing every entry of `req` to `new_tokens` tokens
-    /// would newly consume (0 when no entry gains a block).
-    pub fn grow_cost(&self, req: RequestId, new_tokens: u32) -> u64 {
-        self.raise_cost(req, |t| t.max(new_tokens))
-    }
-
-    /// Grows every entry of `req` on this device to `new_tokens` tokens —
-    /// the chunked-prefill reservation path: admission reserves the first
-    /// chunk, each completed chunk grows to cover the next. Entries
-    /// already at or past `new_tokens` are left alone. Fails without side
-    /// effects when the pool is short.
-    pub fn grow_tokens(&mut self, req: RequestId, new_tokens: u32) -> Result<(), KvAllocError> {
-        self.raise_tokens(req, |t| t.max(new_tokens))
     }
 
     /// Frees every entry of `req`; returns bytes released.
@@ -243,7 +222,7 @@ impl DeviceKv {
             if let Some(e) = self.entries.remove(&(req, s as u16)) {
                 released += self.entry_bytes(&e);
                 self.stages[s].groups -= e.groups as u64;
-                self.stages[s].units -= self.blocks_for(e.tokens) * e.groups as u64;
+                self.stages[s].units -= e.blocks as u64 * e.groups as u64;
             }
         }
         self.ledger.free_kv(released);
@@ -255,47 +234,44 @@ impl DeviceKv {
     pub fn shrink_groups(&mut self, req: RequestId, stage: u16, groups: u32) -> u64 {
         let e = *self.entries.get(&(req, stage)).expect("entry must exist");
         assert!(groups <= e.groups, "shrinking {groups} of {}", e.groups);
-        let per_group = self.blocks_for(e.tokens) * e.layers as u64 * self.block_unit;
-        let released = per_group * groups as u64;
+        let released = self.block_bytes(groups, e.blocks, e.layers);
         if e.groups == groups {
             self.entries.remove(&(req, stage));
         } else {
             self.entries.get_mut(&(req, stage)).expect("present").groups -= groups;
         }
-        let units = self.blocks_for(e.tokens) * groups as u64;
         let load = &mut self.stages[stage as usize];
         load.groups -= groups as u64;
-        load.units -= units;
+        load.units -= e.blocks as u64 * groups as u64;
         self.ledger.free_kv(released);
         released
     }
 
-    /// Adds `groups` groups to (req, stage), creating the entry if absent
-    /// (migration in). Fails without side effects when short.
+    /// Adds `groups` groups of `blocks` blocks to (req, stage), creating
+    /// the entry if absent (migration in). Fails without side effects when
+    /// short.
     pub fn grow_groups(
         &mut self,
         req: RequestId,
         stage: u16,
         groups: u32,
-        tokens: u32,
+        blocks: u32,
         layers: u32,
     ) -> Result<(), KvAllocError> {
         if let Some(e) = self.entries.get(&(req, stage)).copied() {
-            assert_eq!(e.tokens, tokens, "token mismatch on grow");
-            let per_group = self.blocks_for(tokens) * layers as u64 * self.block_unit;
-            let bytes = per_group * groups as u64;
+            assert_eq!(e.blocks, blocks, "block mismatch on grow");
+            let bytes = self.block_bytes(groups, blocks, layers);
             self.ledger.alloc_kv(bytes).map_err(|err| KvAllocError {
                 requested: bytes,
                 available: err.available,
             })?;
             self.entries.get_mut(&(req, stage)).expect("present").groups += groups;
-            let units = self.blocks_for(tokens) * groups as u64;
             let load = &mut self.stages[stage as usize];
             load.groups += groups as u64;
-            load.units += units;
+            load.units += blocks as u64 * groups as u64;
             Ok(())
         } else {
-            self.allocate(req, stage, groups, tokens, layers)
+            self.allocate(req, stage, groups, blocks, layers)
         }
     }
 
@@ -371,25 +347,13 @@ impl DeviceKv {
             .map(|(_, e)| (self.entry_bytes(e) / e.layers as u64) as f64)
             .sum()
     }
-
-    /// The most recently useful victim query: requests resident on this
-    /// device for a given stage, with their entry token counts.
-    pub fn stage_residents(&self, stage: u16) -> Vec<(RequestId, KvEntry)> {
-        let mut v: Vec<(RequestId, KvEntry)> = self
-            .entries
-            .iter()
-            .filter(|&(&(_, s), _)| s == stage)
-            .map(|(&(r, _), &e)| (r, e))
-            .collect();
-        v.sort_by_key(|&(r, _)| r);
-        v
-    }
 }
 
 /// Cluster-wide KV state: one [`DeviceKv`] per device.
 #[derive(Debug, Clone)]
 pub struct KvState {
     devices: Vec<DeviceKv>,
+    block_size: u32,
 }
 
 impl KvState {
@@ -418,7 +382,16 @@ impl KvState {
                 block_size,
             });
         }
-        Ok(KvState { devices })
+        Ok(KvState {
+            devices,
+            block_size,
+        })
+    }
+
+    /// Blocks that hold `tokens` tokens: the entry size of a request
+    /// covering that many.
+    pub fn blocks_for(&self, tokens: u32) -> u32 {
+        tokens.div_ceil(self.block_size)
     }
 
     /// Accessor for one device.
@@ -548,24 +521,65 @@ mod tests {
         let mut s = state();
         let d = DeviceId(0);
         let r = RequestId(1);
-        s.device_mut(d).allocate(r, 0, 8, 100, 80).unwrap();
+        // 100 tokens → 7 blocks.
+        s.device_mut(d).allocate(r, 0, 8, 7, 80).unwrap();
+        assert_eq!(s.blocks_for(100), 7);
         let used = s.device(d).used_bytes();
         // 7 blocks × 8 groups × 80 layers × block_unit(16×2×128×2)
         assert_eq!(used, 7 * 8 * 80 * (16 * 2 * 128 * 2));
-        // Appending inside the 7th block costs nothing (100 → 101 < 112).
-        assert_eq!(s.device(d).append_cost(r), 0);
-        s.device_mut(d).append_token(r).unwrap();
-        assert_eq!(s.device(d).used_bytes(), used);
-        // Push to the boundary: 112 tokens → next append opens block 8.
-        for _ in 0..11 {
-            s.device_mut(d).append_token(r).unwrap();
+        // Appends up to the 7th block's end (100 → 112) stay inside it:
+        // they cost nothing and leave the ledger alone.
+        for tokens in 101..=112 {
+            let blocks = s.blocks_for(tokens);
+            assert_eq!(s.device(d).grow_cost(r, blocks), 0);
+            s.device_mut(d).grow_blocks(r, blocks).unwrap();
+            assert_eq!(s.device(d).used_bytes(), used);
         }
-        assert!(s.device(d).append_cost(r) > 0);
-        s.device_mut(d).append_token(r).unwrap();
+        // Token 113 opens block 8.
+        let blocks = s.blocks_for(113);
+        assert!(s.device(d).grow_cost(r, blocks) > 0);
+        s.device_mut(d).grow_blocks(r, blocks).unwrap();
         assert!(s.device(d).used_bytes() > used);
         let released = s.device_mut(d).free_request(r);
         assert_eq!(s.device(d).used_bytes(), 0);
         assert!(released > used);
+    }
+
+    #[test]
+    fn block_opening_token_costs_one_block_per_entry() {
+        let c = paper_cluster();
+        let m = llama_70b();
+        let p100 = c.devices_of_type(hetis_cluster::GpuType::P100)[0];
+        let mut s = KvState::new(&c, &m, 16, &HashMap::from([(p100, 10_000_000_000)])).unwrap();
+        let block_unit = 16 * 2 * 128 * 2;
+        let r = RequestId(1);
+        // Two stage entries covering 32 tokens: token 33 opens block 3.
+        s.device_mut(p100).allocate(r, 0, 8, 2, 40).unwrap();
+        s.device_mut(p100).allocate(r, 1, 3, 2, 24).unwrap();
+        let cost = s.device(p100).grow_cost(r, 3);
+        assert_eq!(cost, (8 * 40 + 3 * 24) * block_unit);
+        let used = s.device(p100).used_bytes();
+        s.device_mut(p100).grow_blocks(r, 3).unwrap();
+        assert_eq!(s.device(p100).used_bytes(), used + cost);
+        assert_eq!(s.device(p100).entry(r, 0).unwrap().blocks, 3);
+        assert_eq!(s.device(p100).entry(r, 1).unwrap().blocks, 3);
+        // Fill the pool with another request so the next block cannot fit:
+        // the append fails and leaves entries, bytes and counters alone.
+        let free = s.device(p100).free_bytes();
+        let filler = (free / (8 * 40 * block_unit)) as u32;
+        s.device_mut(p100)
+            .allocate(RequestId(2), 0, 8, filler, 40)
+            .unwrap();
+        let before = s.device(p100).clone();
+        let cost = s.device(p100).grow_cost(r, 4);
+        assert_eq!(cost, (8 * 40 + 3 * 24) * block_unit);
+        assert!(cost > s.device(p100).free_bytes());
+        let err = s.device_mut(p100).grow_blocks(r, 4).unwrap_err();
+        assert_eq!(err.requested, cost);
+        let after = s.device(p100);
+        assert_eq!(after.used_bytes(), before.used_bytes());
+        assert_eq!(after.entries, before.entries);
+        assert_eq!(after.stages, before.stages);
     }
 
     #[test]
@@ -575,23 +589,27 @@ mod tests {
         let d = DeviceId(1);
         let r = RequestId(3);
         // Chunk schedule 300 + 300 + 177 vs one 777-token allocation.
-        grown.device_mut(d).allocate(r, 0, 8, 300, 40).unwrap();
-        grown.device_mut(d).allocate(r, 1, 4, 300, 40).unwrap();
+        let first = grown.blocks_for(300);
+        grown.device_mut(d).allocate(r, 0, 8, first, 40).unwrap();
+        grown.device_mut(d).allocate(r, 1, 4, first, 40).unwrap();
         for target in [600, 777] {
+            let blocks = grown.blocks_for(target);
             assert!(
-                grown.device_mut(d).grow_cost(r, target) > 0,
+                grown.device_mut(d).grow_cost(r, blocks) > 0,
                 "each chunk adds blocks"
             );
-            grown.device_mut(d).grow_tokens(r, target).unwrap();
+            grown.device_mut(d).grow_blocks(r, blocks).unwrap();
         }
-        atomic.device_mut(d).allocate(r, 0, 8, 777, 40).unwrap();
-        atomic.device_mut(d).allocate(r, 1, 4, 777, 40).unwrap();
+        let whole = atomic.blocks_for(777);
+        atomic.device_mut(d).allocate(r, 0, 8, whole, 40).unwrap();
+        atomic.device_mut(d).allocate(r, 1, 4, whole, 40).unwrap();
         assert_eq!(grown.device(d).used_bytes(), atomic.device(d).used_bytes());
-        assert_eq!(grown.device(d).entry(r, 0).unwrap().tokens, 777);
-        assert_eq!(grown.device(d).entry(r, 1).unwrap().tokens, 777);
+        assert_eq!(grown.device(d).entry(r, 0).unwrap().blocks, 49);
+        assert_eq!(grown.device(d).entry(r, 1).unwrap().blocks, 49);
         // Shrinking targets are no-ops.
-        assert_eq!(grown.device(d).grow_cost(r, 100), 0);
-        grown.device_mut(d).grow_tokens(r, 100).unwrap();
+        let fewer = grown.blocks_for(100);
+        assert_eq!(grown.device(d).grow_cost(r, fewer), 0);
+        grown.device_mut(d).grow_blocks(r, fewer).unwrap();
         assert_eq!(grown.device(d).used_bytes(), atomic.device(d).used_bytes());
     }
 
@@ -603,14 +621,15 @@ mod tests {
         let p100 = c.devices_of_type(hetis_cluster::GpuType::P100)[0];
         weights.insert(p100, 10_000_000_000);
         let mut s = KvState::new(&c, &m, 16, &weights).unwrap();
+        let (four, huge) = (s.blocks_for(64), s.blocks_for(1_000_000));
         s.device_mut(p100)
-            .allocate(RequestId(1), 0, 8, 64, 80)
+            .allocate(RequestId(1), 0, 8, four, 80)
             .unwrap();
         let used = s.device(p100).used_bytes();
-        let res = s.device_mut(p100).grow_tokens(RequestId(1), 1_000_000);
+        let res = s.device_mut(p100).grow_blocks(RequestId(1), huge);
         assert!(res.is_err());
         assert_eq!(s.device(p100).used_bytes(), used);
-        assert_eq!(s.device(p100).entry(RequestId(1), 0).unwrap().tokens, 64);
+        assert_eq!(s.device(p100).entry(RequestId(1), 0).unwrap().blocks, 4);
         // Terminal zero: freeing the request balances the ledger exactly.
         let released = s.device_mut(p100).free_request(RequestId(1));
         assert_eq!(released, used);
@@ -622,12 +641,13 @@ mod tests {
         let mut s = state();
         let d = DeviceId(2);
         let r = RequestId(7);
-        s.device_mut(d).allocate(r, 1, 8, 64, 40).unwrap();
+        let blocks = s.blocks_for(64);
+        s.device_mut(d).allocate(r, 1, 8, blocks, 40).unwrap();
         let full = s.device(d).used_bytes();
         let released = s.device_mut(d).shrink_groups(r, 1, 3);
         assert_eq!(released, full * 3 / 8);
         assert_eq!(s.device(d).entry(r, 1).unwrap().groups, 5);
-        s.device_mut(d).grow_groups(r, 1, 3, 64, 40).unwrap();
+        s.device_mut(d).grow_groups(r, 1, 3, blocks, 40).unwrap();
         assert_eq!(s.device(d).used_bytes(), full);
         // Shrinking to zero removes the entry.
         s.device_mut(d).shrink_groups(r, 1, 8);
@@ -649,7 +669,7 @@ mod tests {
         let need_groups = (free / (16 * 2 * 128 * 2) / 80 + 2) as u32;
         let res = s
             .device_mut(p100)
-            .allocate(RequestId(1), 0, need_groups, 16, 80);
+            .allocate(RequestId(1), 0, need_groups, 1, 80);
         assert!(res.is_err());
         assert_eq!(s.device(p100).used_bytes(), 0);
         assert_eq!(s.device(p100).free_bytes(), free);
@@ -666,9 +686,10 @@ mod tests {
         let available = s.device(p100).free_bytes();
         let requested = s.device(p100).bytes_needed(8, 1_000_000, 80);
         assert!(requested > available, "setup must exhaust the pool");
+        let huge = s.blocks_for(1_000_000);
         let err = s
             .device_mut(p100)
-            .allocate(RequestId(1), 0, 8, 1_000_000, 80)
+            .allocate(RequestId(1), 0, 8, huge, 80)
             .unwrap_err();
         assert_eq!(
             err,
@@ -679,13 +700,14 @@ mod tests {
         );
         assert!(err.to_string().contains(&format!("{requested} bytes")));
         // Growth failures report the *delta* they asked for.
+        let four = s.blocks_for(64);
         s.device_mut(p100)
-            .allocate(RequestId(1), 0, 8, 64, 80)
+            .allocate(RequestId(1), 0, 8, four, 80)
             .unwrap();
-        let delta = s.device(p100).grow_cost(RequestId(1), 1_000_000);
+        let delta = s.device(p100).grow_cost(RequestId(1), huge);
         let err = s
             .device_mut(p100)
-            .grow_tokens(RequestId(1), 1_000_000)
+            .grow_blocks(RequestId(1), huge)
             .unwrap_err();
         assert_eq!(err.requested, delta);
         assert_eq!(err.available, s.device(p100).free_bytes());
@@ -695,15 +717,10 @@ mod tests {
     fn resident_bookkeeping() {
         let mut s = state();
         let d = DeviceId(4);
-        s.device_mut(d)
-            .allocate(RequestId(1), 0, 2, 50, 40)
-            .unwrap();
-        s.device_mut(d)
-            .allocate(RequestId(2), 0, 4, 30, 40)
-            .unwrap();
-        s.device_mut(d)
-            .allocate(RequestId(1), 1, 1, 50, 40)
-            .unwrap();
+        // 50 and 30 tokens: 4 and 2 blocks.
+        s.device_mut(d).allocate(RequestId(1), 0, 2, 4, 40).unwrap();
+        s.device_mut(d).allocate(RequestId(2), 0, 4, 2, 40).unwrap();
+        s.device_mut(d).allocate(RequestId(1), 1, 1, 4, 40).unwrap();
         assert_eq!(
             s.device(d).resident_requests(),
             vec![RequestId(1), RequestId(2)]
@@ -723,12 +740,12 @@ mod tests {
             .sum()
     }
 
-    fn scan_raise_cost(dev: &DeviceKv, req: RequestId, to: impl Fn(u32) -> u32) -> u64 {
+    fn scan_grow_cost(dev: &DeviceKv, req: RequestId, blocks: u32) -> u64 {
         dev.entries
             .iter()
             .filter(|&(&(r, _), _)| r == req)
             .map(|(_, e)| {
-                (dev.blocks_for(to(e.tokens)) - dev.blocks_for(e.tokens))
+                blocks.saturating_sub(e.blocks) as u64
                     * e.groups as u64
                     * e.layers as u64
                     * dev.block_unit
@@ -736,9 +753,11 @@ mod tests {
             .sum()
     }
 
-    /// Every counter-backed accessor against its scan, plus the ledger's
-    /// used bytes against the entries' bytes.
-    fn assert_matches_scans(dev: &DeviceKv, requests: u64) {
+    /// Every counter-backed accessor against its scan, the ledger's used
+    /// bytes against the entries' bytes, and every entry against the
+    /// token count its request owns (`tokens[req]`, `None` while the
+    /// request holds nothing here).
+    fn assert_matches_scans(dev: &DeviceKv, tokens: &[Option<u32>]) {
         for stage in 0..4 {
             assert_eq!(
                 dev.stage_query_heads(stage, 8),
@@ -750,14 +769,17 @@ mod tests {
             );
         }
         assert_eq!(dev.resident_query_heads(8), dev.scan_query_heads(None, 8));
-        for q in 0..requests {
-            let req = RequestId(q);
+        for (q, owned) in tokens.iter().enumerate() {
+            let req = RequestId(q as u64);
             assert_eq!(dev.request_bytes(req), scan_request_bytes(dev, req));
-            assert_eq!(dev.append_cost(req), scan_raise_cost(dev, req, |t| t + 1));
-            assert_eq!(
-                dev.grow_cost(req, 2500),
-                scan_raise_cost(dev, req, |t| t.max(2500))
-            );
+            let next = owned.map_or(1, |t| dev.blocks_for(t + 1));
+            assert_eq!(dev.grow_cost(req, next), scan_grow_cost(dev, req, next));
+            let target = dev.blocks_for(2500);
+            assert_eq!(dev.grow_cost(req, target), scan_grow_cost(dev, req, target));
+        }
+        for (&(req, _), e) in &dev.entries {
+            let owned = tokens[req.0 as usize].expect("resident request owns a token count");
+            assert_eq!(e.blocks, dev.blocks_for(owned), "{req} entry vs its tokens");
         }
         let entry_bytes: u64 = dev.entries.values().map(|e| dev.entry_bytes(e)).sum();
         assert_eq!(dev.used_bytes(), entry_bytes);
@@ -774,39 +796,92 @@ mod tests {
         let dev = s.device_mut(p100);
         let layers = [40u32, 24, 16];
         let requests = 12;
+        // Each request's token count, as the engine's `kv_reserved` owns
+        // it: set by the first entry, advanced by appends and growth,
+        // dropped once the request holds nothing here.
+        let mut tokens: Vec<Option<u32>> = vec![None; requests as usize];
         let mut rng = hetis_sim::SplitMix64::new(13);
-        let (mut applied, mut failed) = (0, 0);
+        let (mut applied, mut failed, mut in_block) = (0, 0, 0);
         for _ in 0..3000 {
             let req = RequestId(rng.next_below(requests));
+            let q = req.0 as usize;
             let stage = rng.next_below(3) as u16;
             let entry = dev.entry(req, stage);
             let ok = match rng.next_below(6) {
-                0 if entry.is_none() => dev
-                    .allocate(
-                        req,
-                        stage,
-                        1 + rng.next_below(8) as u32,
-                        1 + rng.next_below(3000) as u32,
-                        layers[stage as usize],
-                    )
-                    .is_ok(),
-                1 => dev.append_token(req).is_ok(),
-                2 => dev
-                    .grow_tokens(req, 1 + rng.next_below(4000) as u32)
-                    .is_ok(),
+                0 if entry.is_none() => {
+                    let t = tokens[q].unwrap_or(1 + rng.next_below(3000) as u32);
+                    let ok = dev
+                        .allocate(
+                            req,
+                            stage,
+                            1 + rng.next_below(8) as u32,
+                            dev.blocks_for(t),
+                            layers[stage as usize],
+                        )
+                        .is_ok();
+                    if ok {
+                        tokens[q] = Some(t);
+                    }
+                    ok
+                }
+                // A decode append, as the engine runs it: a token inside
+                // the last block touches no device, a block-opening one
+                // grows every entry by one block.
+                1 => {
+                    let Some(t) = tokens[q] else { continue };
+                    let ok = if !t.is_multiple_of(16) {
+                        in_block += 1;
+                        true
+                    } else {
+                        let before = dev.request_bytes(req);
+                        let ok = dev.grow_blocks(req, dev.blocks_for(t + 1)).is_ok();
+                        if ok {
+                            assert!(dev.request_bytes(req) > before);
+                        }
+                        ok
+                    };
+                    if ok {
+                        tokens[q] = Some(t + 1);
+                    }
+                    ok
+                }
+                2 => {
+                    let Some(t) = tokens[q] else { continue };
+                    let target = 1 + rng.next_below(4000) as u32;
+                    let ok = dev.grow_blocks(req, dev.blocks_for(target)).is_ok();
+                    if ok {
+                        tokens[q] = Some(t.max(target));
+                    }
+                    ok
+                }
                 3 => {
                     let Some(e) = entry else { continue };
                     dev.shrink_groups(req, stage, 1 + rng.next_below(e.groups as u64) as u32);
+                    if dev.request_bytes(req) == 0 {
+                        tokens[q] = None;
+                    }
                     true
                 }
                 4 => {
-                    let tokens = entry.map_or(1 + rng.next_below(3000) as u32, |e| e.tokens);
+                    let t = tokens[q].unwrap_or(1 + rng.next_below(3000) as u32);
                     let groups = 1 + rng.next_below(4) as u32;
-                    dev.grow_groups(req, stage, groups, tokens, layers[stage as usize])
-                        .is_ok()
+                    let ok = dev
+                        .grow_groups(
+                            req,
+                            stage,
+                            groups,
+                            dev.blocks_for(t),
+                            layers[stage as usize],
+                        )
+                        .is_ok();
+                    if ok {
+                        tokens[q] = Some(t);
+                    }
+                    ok
                 }
                 5 => {
                     dev.free_request(req);
+                    tokens[q] = None;
                     true
                 }
                 _ => continue,
@@ -816,16 +891,17 @@ mod tests {
             } else {
                 failed += 1;
             }
-            assert_matches_scans(dev, requests);
+            assert_matches_scans(dev, &tokens);
         }
         assert!(
-            applied > 1000 && failed > 50,
-            "{applied} applied, {failed} failed"
+            applied > 1000 && failed > 50 && in_block > 100,
+            "{applied} applied, {failed} failed, {in_block} in-block appends"
         );
         for q in 0..requests {
             dev.free_request(RequestId(q));
         }
-        assert_matches_scans(dev, requests);
+        tokens.fill(None);
+        assert_matches_scans(dev, &tokens);
         assert!(dev.entries.is_empty());
         assert!(dev.stages.iter().all(|&l| l == StageLoad::default()));
         assert_eq!(dev.stages.len(), 3);

@@ -41,12 +41,21 @@ pub struct RunningRequest {
     /// chunking is off, where a prefill completes atomically). Reset on
     /// recompute preemption — the whole context re-prefills.
     pub prefilled: u32,
-    /// KV tokens currently reserved per resident entry (uniform across
-    /// the request's devices). Atomic admission reserves the whole
-    /// effective prompt; incremental growth (chunked prefill) reserves
-    /// the first chunk plus decode headroom and grows per completed
-    /// chunk. 0 while unplaced.
+    /// The token count every KV entry of the request covers: each entry
+    /// holds `ceil(kv_reserved / block size)` blocks, on every device of
+    /// the placement. Atomic admission reserves the whole effective
+    /// prompt; incremental growth (chunked prefill) reserves the first
+    /// chunk plus decode headroom and grows per completed chunk; every
+    /// decode append past [`Self::decode_prepaid`] adds one token, and
+    /// only a token that opens a block touches the ledger. 0 while
+    /// unplaced.
     pub kv_reserved: u32,
+    /// Decode appends are prepaid while the context is shorter than this:
+    /// the count the last admission or chunk growth reserved, which
+    /// appends leave alone. Past it every formed decode token advances
+    /// `kv_reserved`, even a token whose iteration a victim move cancels
+    /// before it runs. 0 while unplaced.
+    pub decode_prepaid: u32,
     /// True while this request's decode attention load is registered in
     /// its cohort's incremental per-device load table (engine-internal;
     /// see the engine's `load_table_add`).
@@ -87,6 +96,7 @@ impl RunningRequest {
             effective_input: req.input_len,
             prefilled: 0,
             kv_reserved: 0,
+            decode_prepaid: 0,
             in_load_table: false,
             req,
             phase: Phase::Waiting,
@@ -130,6 +140,14 @@ impl RunningRequest {
         self.generated >= self.req.output_len
     }
 
+    /// Records a reservation of `tokens` tokens (admission or chunk
+    /// growth): the entries now cover that many, and decode appends below
+    /// it are prepaid.
+    pub fn reserve(&mut self, tokens: u32) {
+        self.kv_reserved = tokens;
+        self.decode_prepaid = tokens;
+    }
+
     /// Records a produced token at `now`.
     pub fn push_token(&mut self, now: f64) {
         self.generated += 1;
@@ -141,7 +159,7 @@ impl RunningRequest {
     pub fn preempt_recompute(&mut self) {
         self.effective_input = self.req.input_len + self.generated;
         self.prefilled = 0;
-        self.kv_reserved = 0;
+        self.reserve(0);
         self.phase = Phase::Waiting;
         self.placement = None;
         self.in_flight = false;

@@ -79,8 +79,8 @@ impl Policy for MoveToC {
             return Vec::new();
         }
         // B's 20 groups go to C on an idle path, starting now.
-        let tokens = ctx.kv.device(B).entry(REQ, 0).expect("B holds KV").tokens;
-        let bytes = ctx.kv.device(B).bytes_needed(20, tokens, LAYERS) as f64;
+        assert!(ctx.kv.device(B).entry(REQ, 0).is_some(), "B holds KV");
+        let bytes = ctx.kv.device(B).bytes_needed(20, r.kv_reserved, LAYERS) as f64;
         let link = ctx.cluster.link(B, C);
         let lands = MigrationStream::new().schedule(B.0, C.0, link, bytes, ctx.now);
         self.lands.set(Some(lands));
