@@ -116,9 +116,8 @@ impl Policy for HetisPolicy {
 
     fn route(&mut self, _req: &Request, ctx: &PolicyCtx<'_>) -> usize {
         // Least-loaded entry instance; round-robin tie-break. One pass
-        // over the request map, finished requests included (they are
-        // visited and skipped; the old per-entry closure re-scanned the
-        // whole map twice per entry instance).
+        // over the request map, finished requests included: they are
+        // visited and skipped.
         let mut loads = vec![0usize; ctx.topology.instances.len()];
         for r in ctx.requests.values() {
             if r.phase != hetis_engine::Phase::Done {
