@@ -19,11 +19,11 @@
 # than the parent's by at most the metric's bound. It then says, per
 # seed, whether both sides printed the same episode digests and the same
 # ttft_p50_s, tpot_p50_s, goodput_tok_s and slo_attainment, and how many
-# requests failed. The summary is also written as JSON to
-# target/perfbench-pairs/summary.json.
+# requests failed. The summary, with the run length and pair count, is
+# also written as JSON to target/perfbench-pairs/summary.json.
 #
-# PAIRS_RUN_SECONDS overrides run_seconds for a quick smoke run. Nothing
-# is written under the main tree's perfbench/.
+# A pairs count of 1 makes a quick check. Nothing is written under the
+# main tree's perfbench/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,8 +42,8 @@ readarray -t workloads < <(python3 -c '
 import json
 for w in json.load(open("BENCHMARK.json"))["workloads"]:
     print(w["name"])')
-seconds="${PAIRS_RUN_SECONDS:-$(python3 -c '
-import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')}"
+seconds=$(python3 -c '
+import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
 
 # Exports and builds one revision; prints the path of its binary.
 build() {
@@ -78,12 +78,13 @@ for workload in "${workloads[@]}"; do
   done
 done
 
-python3 - "$runs" "$pairs" "$root/summary.json" "$parent" "$change" <<'EOF'
+python3 - "$runs" "$pairs" "$seconds" "$root/summary.json" "$parent" "$change" <<'EOF'
 import json
 import statistics
 import sys
 
-runs, pairs, out_path, parent, change = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4], sys.argv[5]
+runs, pairs, seconds, out_path, parent, change = sys.argv[1:]
+pairs, seconds = int(pairs), float(seconds)
 spec = json.load(open("BENCHMARK.json"))
 serving = ["ttft_p50_s", "tpot_p50_s", "goodput_tok_s", "slo_attainment"]
 
@@ -109,11 +110,12 @@ def quartiles(values):
     return q1, q2, q3
 
 
-summary = {"parent": parent, "change": change, "pairs": pairs, "workloads": {}}
+summary = {"parent": parent, "change": change, "pairs": pairs, "run_seconds": seconds,
+           "workloads": {}}
 for workload in (w["name"] for w in spec["workloads"]):
     seeds = range(1, pairs + 1)
     got = {s: {side: load(workload, s, side) for side in ("parent", "change")} for s in seeds}
-    print(f"\n{workload}: {pairs} pairs")
+    print(f"\n{workload}: {pairs} pairs of {seconds:g} s runs")
     print(f"{'metric':17} {'parent median':>14} {'q1':>11} {'q3':>11} {'change median':>14} "
           f"{'q1':>11} {'q3':>11} {'chg/par':>8} {'wins':>5} {'ties':>5} {'>IQR':>5}  bound")
     metrics = {}

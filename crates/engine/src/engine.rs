@@ -2189,12 +2189,12 @@ impl<'a, P: Policy> Engine<'a, P> {
         if r.context_len() < r.decode_prepaid {
             return true;
         }
+        let blocks = self.kv.blocks_for(r.kv_reserved + 1);
         // The token lands in the last block's free slots: no device.
-        if !r.kv_reserved.is_multiple_of(BLOCK_SIZE) {
+        if blocks == self.kv.blocks_for(r.kv_reserved) {
             r.kv_reserved += 1;
             return true;
         }
-        let blocks = self.kv.blocks_for(r.kv_reserved + 1);
         // Bounded victim loop: each pass either frees memory or stalls.
         for _ in 0..64 {
             let Some(dev) = self.grow_or_blocked(rid, blocks) else {

@@ -353,7 +353,6 @@ impl DeviceKv {
 #[derive(Debug, Clone)]
 pub struct KvState {
     devices: Vec<DeviceKv>,
-    block_size: u32,
 }
 
 impl KvState {
@@ -382,16 +381,14 @@ impl KvState {
                 block_size,
             });
         }
-        Ok(KvState {
-            devices,
-            block_size,
-        })
+        Ok(KvState { devices })
     }
 
     /// Blocks that hold `tokens` tokens: the entry size of a request
-    /// covering that many.
+    /// covering that many. Every device shares the block size the state
+    /// was built with.
     pub fn blocks_for(&self, tokens: u32) -> u32 {
-        tokens.div_ceil(self.block_size)
+        self.devices[0].blocks_for(tokens)
     }
 
     /// Accessor for one device.
@@ -829,12 +826,13 @@ mod tests {
                 // grows every entry by one block.
                 1 => {
                     let Some(t) = tokens[q] else { continue };
-                    let ok = if !t.is_multiple_of(16) {
+                    let next = dev.blocks_for(t + 1);
+                    let ok = if next == dev.blocks_for(t) {
                         in_block += 1;
                         true
                     } else {
                         let before = dev.request_bytes(req);
-                        let ok = dev.grow_blocks(req, dev.blocks_for(t + 1)).is_ok();
+                        let ok = dev.grow_blocks(req, next).is_ok();
                         if ok {
                             assert!(dev.request_bytes(req) > before);
                         }

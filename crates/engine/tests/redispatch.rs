@@ -79,8 +79,9 @@ impl Policy for MoveToC {
             return Vec::new();
         }
         // B's 20 groups go to C on an idle path, starting now.
-        assert!(ctx.kv.device(B).entry(REQ, 0).is_some(), "B holds KV");
-        let bytes = ctx.kv.device(B).bytes_needed(20, r.kv_reserved, LAYERS) as f64;
+        let e = ctx.kv.device(B).entry(REQ, 0).expect("B holds KV");
+        assert_eq!(e.groups, 20);
+        let bytes = ctx.kv.device(B).entry_bytes(&e) as f64;
         let link = ctx.cluster.link(B, C);
         let lands = MigrationStream::new().schedule(B.0, C.0, link, bytes, ctx.now);
         self.lands.set(Some(lands));
