@@ -21,8 +21,8 @@
 # The waterfill lane additionally pins the repo benchmark's own
 # per-episode digests (perfbench at --seed 1, one behavior-digest row per
 # workload in $outdir/perfbench.waterfill.out, which ci/repin.sh harvests
-# like any bench output) and runs the telemetry-enabled live_telemetry
-# example smoke.
+# like any bench output), runs the telemetry-enabled live_telemetry
+# example smoke and runs the history_scaling guard.
 #
 # Every bench run's wall-clock seconds land in $outdir/elapsed.tsv
 # (bench <TAB> solver-or-tag <TAB> seconds) so lane balance is visible
@@ -192,6 +192,22 @@ if [[ $waterfill_lane -eq 1 ]]; then
   else
     echo "FAIL: live_telemetry example exited non-zero" >&2
     tail -5 "$smoke" >&2
+    fail=1
+  fi
+fi
+
+# ---- 4. history-scaling guard (waterfill lane) ----------------------------
+# Serves one Hetis workload at about 3k, 24k and 3k requests in one
+# process; the bench exits non-zero when the long run's wall time per
+# request exceeds 1.5x the short runs' mean, i.e. when a per-event path
+# pays for the requests already served.
+if [[ $waterfill_lane -eq 1 ]]; then
+  echo "== history_scaling"
+  if cargo bench --bench history_scaling > "$outdir/history_scaling.out"; then
+    grep '^history-scaling' "$outdir/history_scaling.out"
+  else
+    echo "FAIL: history_scaling: wall time per request grew with history" >&2
+    cat "$outdir/history_scaling.out" >&2
     fail=1
   fi
 fi

@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks of the hot scheduling paths: the dispatch
 //! solvers (water-fill fast path vs the simplex oracle, at the paper's
-//! 6-device × 4-request shape and a 12×16 stress shape), the ideal-time
-//! relaxation (a memo hit and a real solve), head rounding and
-//! fetch-index assembly.
+//! 6-device × 4-request shape and a 12×16 stress shape), the §5.3.1
+//! balance check (a memo hit, a certified miss and the relaxed-ideal
+//! solve), head rounding and fetch-index assembly.
 //!
 //! `BENCH_4.json` at the repository root records the old-vs-new numbers
 //! for the dispatch pairs.
@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetis_cluster::cluster::paper_cluster;
 use hetis_cluster::GpuType;
-use hetis_core::{DispatchSolver, Dispatcher, HetisConfig, Profiler};
+use hetis_core::{DispatchSolver, Dispatcher, HetisConfig, Profiler, StageBalance};
 use hetis_engine::{KvState, StageTopo};
 use hetis_kvcache::index::build_headwise_index_serial;
 use hetis_kvcache::{build_fetch_index_parallel, BlockConfig, GroupId, HeadwiseAllocator, SeqId};
@@ -180,32 +180,50 @@ fn bench_dispatch(c: &mut Criterion) {
         );
     });
 
-    // The balance-check memo answers a repeated query without solving:
-    // `_repeat` times that lookup, and asserts for CI quick mode that no
-    // solve ran; the `_solve` rows alternate two KV states, so that every
-    // call solves.
+    // The §5.3.1 balance check, with CI quick-mode asserts that no solve
+    // ran: `stage_balance_repeat` checks an unchanged balanced stage (a
+    // memo hit), `stage_balance_certified` alternates two balanced states
+    // (every call misses the memo and the level certificate settles it).
+    // The `_solve` rows time the relaxed-ideal solve itself, alternating
+    // the same two states, so that every call solves.
     let mut kv_b = kv.clone();
     kv_b.device_mut(stage.primary.devices[0])
         .allocate(hetis_workload::RequestId(10_000), 0, 8, blocks, 80)
         .unwrap();
-    let states = [&kv, &kv_b].map(|kv| {
-        let (current, _) = waterfill.current_attention_time(&cluster, &model, kv, &stage, 0);
-        (kv, current)
-    });
-    c.bench_function("ideal_attention_time_repeat", |b| {
-        let (kv, current) = states[0];
-        let ideal = |d: &Dispatcher| {
-            d.ideal_attention_time(&cluster, &model, kv, &stage, 0, current)
-                .unwrap()
-        };
-        ideal(&waterfill);
+    let theta = HetisConfig::default().theta;
+    let balanced = |d: &Dispatcher, kv: &KvState| {
+        let verdict = d.stage_balance(&cluster, &model, kv, &stage, 0, theta);
+        assert_eq!(verdict, StageBalance::Balanced);
+    };
+    c.bench_function("stage_balance_repeat", |b| {
+        balanced(&waterfill, &kv);
         let before = waterfill.solver_counts();
-        b.iter(|| ideal(&waterfill));
+        b.iter(|| balanced(&waterfill, &kv));
         assert_eq!(
             waterfill.solver_counts(),
             before,
-            "balance-check memo did not engage on a repeated query"
+            "the balance-check memo did not answer a repeated check"
         );
+    });
+    c.bench_function("stage_balance_certified", |b| {
+        let states = [&kv, &kv_b];
+        let before = (waterfill.solver_counts(), waterfill.balance_counts());
+        let mut calls = 0u64;
+        b.iter(|| {
+            calls += 1;
+            balanced(&waterfill, states[calls as usize % 2]);
+        });
+        let counts = waterfill.balance_counts();
+        assert_eq!(
+            waterfill.solver_counts(),
+            before.0,
+            "a balanced state was solved instead of certified"
+        );
+        assert_eq!(counts.certified - before.1.certified, calls);
+    });
+    let states = [&kv, &kv_b].map(|kv| {
+        let (current, _) = waterfill.current_attention_time(&cluster, &model, kv, &stage, 0);
+        (kv, current)
     });
     for (id, d) in [
         ("ideal_attention_time_solve", &waterfill),

@@ -53,7 +53,9 @@ pub struct DispatchOutcome {
 /// staging: raw seconds-per-unit values, with the `MS`/`GB` scaling
 /// applied at row-build time (this exact operation order is what keeps
 /// `DispatchSolver::Simplex` bit-identical to the pre-fast-path
-/// dispatcher). `ideal_attention_time` stages into `ideal` instead.
+/// dispatcher). The §5.3.1 relaxation stages its scaled per-device terms
+/// into `constants`, `a_eff`, `b_coef` and `free` instead (see
+/// `Dispatcher::pose_ideal`).
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     builder: MinMaxBuilder,
@@ -65,50 +67,22 @@ struct Scratch {
     b_coef: Vec<f64>,
     constants: Vec<f64>,
     caps: Vec<u32>,
-    ideal: IdealInputs,
+    /// The balance-check key of the stage being checked (see
+    /// [`Dispatcher::stage_balance`]).
+    key: Vec<u64>,
     /// The balance-check memo: one slot per stage, keyed by the stage's
     /// anchor device and stage index.
-    ideal_memo: FxHashMap<(DeviceId, u16), IdealSlot>,
+    memo: FxHashMap<(DeviceId, u16), BalanceSlot>,
     counts: SolveCounts,
+    balance: BalanceCounts,
 }
 
-/// Every number one §5.3.1 relaxed-ideal solve reads: the stage's total
-/// query heads and per-layer KV bytes, and per attention device the
-/// constant, α and β cost terms (ms, already scaled) and the pool
-/// capacity (per-layer bytes). The solve is a pure function of these.
-#[derive(Debug, Clone, Default)]
-struct IdealInputs {
-    h_total: f64,
-    g_total: f64,
-    constants: Vec<f64>,
-    alpha: Vec<f64>,
-    beta: Vec<f64>,
-    capacity: Vec<f64>,
-}
-
-impl IdealInputs {
-    /// Bitwise equality, so that a memo hit reproduces the solve exactly.
-    fn same_bits(&self, other: &IdealInputs) -> bool {
-        fn same(a: &[f64], b: &[f64]) -> bool {
-            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-        }
-        same(
-            &[self.h_total, self.g_total],
-            &[other.h_total, other.g_total],
-        ) && same(&self.constants, &other.constants)
-            && same(&self.alpha, &other.alpha)
-            && same(&self.beta, &other.beta)
-            && same(&self.capacity, &other.capacity)
-    }
-}
-
-/// One stage's memo slot: the inputs of its last relaxed-ideal solve and
-/// that solve's `f*` in seconds, before the clamp to the current time
-/// (`None` when the LP was infeasible).
-#[derive(Debug, Clone, Default)]
-struct IdealSlot {
-    inputs: IdealInputs,
-    ideal: Option<f64>,
+/// One stage's memo slot: the key of its last balance check and that
+/// check's verdict.
+#[derive(Debug, Clone)]
+struct BalanceSlot {
+    key: Vec<u64>,
+    verdict: StageBalance,
 }
 
 /// Solver telemetry behind [`Dispatcher::solver_counts`].
@@ -118,6 +92,41 @@ struct SolveCounts {
     fallback: u64,
     simplex: u64,
 }
+
+/// A stage's §5.3.1 verdict, from [`Dispatcher::stage_balance`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StageBalance {
+    /// The stage's attention time is within Θ of the relaxed ideal, or
+    /// the stage carries no attention load.
+    Balanced,
+    /// The attention time exceeds the relaxed ideal by more than Θ;
+    /// `bottleneck` is the device realizing it.
+    Imbalanced {
+        /// The device with the largest attention time.
+        bottleneck: DeviceId,
+    },
+    /// The relaxation has no solution; the caller stops checking.
+    Unsolvable,
+}
+
+/// How [`Dispatcher::stage_balance`] settled its checks since
+/// construction. Every check is counted once.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BalanceCounts {
+    /// Answered by the memo: the stage's key equalled its last check's.
+    pub memo_hits: u64,
+    /// Misses on a stage without attention load, settled without a
+    /// solve.
+    pub idle: u64,
+    /// Misses the level certificate settled as balanced.
+    pub certified: u64,
+    /// Misses that ran the relaxed-ideal solve.
+    pub solved: u64,
+}
+
+/// The relative margin of the level certificate (see
+/// [`Dispatcher::stage_balance`]).
+const CERTIFICATE_MARGIN: f64 = 1e-6;
 
 /// The online head-wise dispatcher.
 #[derive(Debug, Clone)]
@@ -142,14 +151,24 @@ impl Dispatcher {
     /// fallbacks and [`DispatchSolver::Simplex`]-mode solves. A batch
     /// rejected by the pooled-capacity bound
     /// ([`Dispatcher::pooled_prefix`]) counts as neither, and so does a
-    /// memo hit of [`Dispatcher::ideal_attention_time`].
+    /// [`Dispatcher::stage_balance`] check that its memo or its level
+    /// certificate settles (the debug-build oracle's solves are not
+    /// counted either).
     pub fn solver_counts(&self) -> (u64, u64) {
         let c = self.scratch.borrow().counts;
         (c.fast, c.fallback + c.simplex)
     }
 
-    /// Access to the underlying profiler (e.g. for perturbation).
+    /// How [`Dispatcher::stage_balance`] settled its checks since
+    /// construction.
+    pub fn balance_counts(&self) -> BalanceCounts {
+        self.scratch.borrow().balance
+    }
+
+    /// Access to the underlying profiler (e.g. for perturbation). Clears
+    /// the balance-check memo, whose verdicts read the profiler's models.
     pub fn profiler_mut(&mut self) -> &mut Profiler {
+        self.scratch.get_mut().memo.clear();
         &mut self.profiler
     }
 
@@ -481,19 +500,195 @@ impl Dispatcher {
         sc.builder.solve().ok()
     }
 
+    /// The §5.3.1 verdict on stage `stage_idx` (`stage`) under threshold
+    /// `theta`: [`StageBalance::Imbalanced`] when the stage's current
+    /// attention time exceeds `(1 + theta)` times the relaxed ideal,
+    /// exactly as [`Dispatcher::stage_balance_reference`] decides, but at
+    /// a cost that depends on what changed since the stage's last check.
+    ///
+    /// **Memo.** Each stage slot (anchor device, stage index) keeps the
+    /// key and verdict of its last check, and an equal key returns the
+    /// stored verdict before any attention time is computed. The key is
+    /// every input of the verdict that can change between checks:
+    /// `theta`, the stage's layer count, its primary and worker device
+    /// lists, and per attention device its `stage_query_heads`,
+    /// `stage_kv_bytes_per_layer` (as bits) and pool bytes. The remaining
+    /// inputs are the profiler's models, whose only mutator
+    /// ([`Dispatcher::profiler_mut`]) clears the memo, and the cluster
+    /// and model, which are fixed for a dispatcher's life.
+    ///
+    /// **Certificate.** A miss on a loaded stage first runs one pass of
+    /// the water-fill's uncapacitated level oracle
+    /// ([`WaterFill::reaches_level`]) at `τ = current/(1+θ)·(1+1e-6)`. If
+    /// the demand cannot finish at τ, the relaxed optimum `f*` exceeds
+    /// τ, so `current ≤ (1+θ)·min(f*, current)` whatever either solver
+    /// returns (for `θ ≥ 0`), and the stage is balanced without a
+    /// bisection or simplex solve. The 1e-6 margin covers the solvers'
+    /// own tolerance: they may return an optimum just above
+    /// `current/(1+θ)` a hair below it. The relaxation always has a
+    /// solution for resident load (the current placement is a feasible
+    /// point), so the certificate never hides an `Unsolvable` verdict.
+    /// Otherwise the full solve runs.
+    ///
+    /// Debug builds recompute the reference verdict on every memo hit and
+    /// every certificate and assert that it is equal.
+    pub fn stage_balance(
+        &self,
+        cluster: &Cluster,
+        model: &ModelSpec,
+        kv: &KvState,
+        stage: &StageTopo,
+        stage_idx: u16,
+        theta: f64,
+    ) -> StageBalance {
+        let slot_id = (stage.primary.devices[0], stage_idx);
+        let hit = {
+            let mut guard = self.scratch.borrow_mut();
+            let sc = &mut *guard;
+            Self::balance_key(&mut sc.key, model, kv, stage, stage_idx, theta);
+            let hit = sc.memo.get(&slot_id).filter(|m| m.key == sc.key);
+            let verdict = hit.map(|m| m.verdict);
+            sc.balance.memo_hits += verdict.is_some() as u64;
+            verdict
+        };
+        if let Some(verdict) = hit {
+            #[cfg(debug_assertions)]
+            self.assert_reference(cluster, model, kv, stage, stage_idx, theta, verdict);
+            return verdict;
+        }
+
+        let (current, bottleneck) =
+            self.current_attention_time(cluster, model, kv, stage, stage_idx);
+        let mut guard = self.scratch.borrow_mut();
+        let sc = &mut *guard;
+        let totals =
+            bottleneck.and_then(|_| self.pose_ideal(sc, cluster, model, kv, stage, stage_idx));
+        let (verdict, _certified) = match (bottleneck, totals) {
+            (Some(bottleneck), Some(totals)) => {
+                // The posed relaxation is in ms (see `pose_ideal`).
+                let tau = current * MS / (1.0 + theta) * (1.0 + CERTIFICATE_MARGIN);
+                if theta >= 0.0 && !sc.wf.reaches_level(tau) {
+                    sc.balance.certified += 1;
+                    (StageBalance::Balanced, true)
+                } else {
+                    sc.balance.solved += 1;
+                    let ideal = Self::solve_ideal(self.cfg.solver, sc, totals);
+                    (Self::verdict(current, bottleneck, ideal, theta), false)
+                }
+            }
+            _ => {
+                sc.balance.idle += 1;
+                (StageBalance::Balanced, false)
+            }
+        };
+        let slot = sc.memo.entry(slot_id).or_insert_with(|| BalanceSlot {
+            key: Vec::new(),
+            verdict,
+        });
+        std::mem::swap(&mut slot.key, &mut sc.key);
+        slot.verdict = verdict;
+        drop(guard);
+        #[cfg(debug_assertions)]
+        if _certified {
+            self.assert_reference(cluster, model, kv, stage, stage_idx, theta, verdict);
+        }
+        verdict
+    }
+
+    /// The §5.3.1 verdict computed from scratch, with no memo and no
+    /// certificate: [`Dispatcher::current_attention_time`], then
+    /// [`Dispatcher::ideal_attention_time`] on a loaded stage. The oracle
+    /// [`Dispatcher::stage_balance`] must agree with.
+    pub fn stage_balance_reference(
+        &self,
+        cluster: &Cluster,
+        model: &ModelSpec,
+        kv: &KvState,
+        stage: &StageTopo,
+        stage_idx: u16,
+        theta: f64,
+    ) -> StageBalance {
+        let (current, bottleneck) =
+            self.current_attention_time(cluster, model, kv, stage, stage_idx);
+        let Some(bottleneck) = bottleneck else {
+            return StageBalance::Balanced;
+        };
+        let ideal = self.ideal_attention_time(cluster, model, kv, stage, stage_idx, current);
+        Self::verdict(current, bottleneck, ideal, theta)
+    }
+
+    /// Θ's test on a loaded stage: `ideal` is the relaxed ideal clamped
+    /// to `current` (`None` when the relaxation has no solution).
+    fn verdict(current: f64, bottleneck: DeviceId, ideal: Option<f64>, theta: f64) -> StageBalance {
+        match ideal.map(|f| f.min(current)) {
+            None => StageBalance::Unsolvable,
+            Some(ideal) if ideal <= 0.0 || current <= (1.0 + theta) * ideal => {
+                StageBalance::Balanced
+            }
+            Some(_) => StageBalance::Imbalanced { bottleneck },
+        }
+    }
+
+    /// Debug oracle of [`Dispatcher::stage_balance`]: the reference
+    /// verdict must equal `verdict`. Its solves are not the
+    /// dispatcher's, so the solver counts are restored after it.
+    #[cfg(debug_assertions)]
+    #[allow(clippy::too_many_arguments)]
+    fn assert_reference(
+        &self,
+        cluster: &Cluster,
+        model: &ModelSpec,
+        kv: &KvState,
+        stage: &StageTopo,
+        stage_idx: u16,
+        theta: f64,
+        verdict: StageBalance,
+    ) {
+        let counts = self.scratch.borrow().counts;
+        let reference = self.stage_balance_reference(cluster, model, kv, stage, stage_idx, theta);
+        self.scratch.borrow_mut().counts = counts;
+        assert_eq!(
+            verdict, reference,
+            "balance check of stage {stage_idx} at {}: {verdict:?}, the reference {reference:?}",
+            stage.primary.devices[0]
+        );
+    }
+
+    /// Writes the balance-check key of `stage` into `key` (see
+    /// [`Dispatcher::stage_balance`]) without allocating once `key` has
+    /// grown to size.
+    fn balance_key(
+        key: &mut Vec<u64>,
+        model: &ModelSpec,
+        kv: &KvState,
+        stage: &StageTopo,
+        stage_idx: u16,
+        theta: f64,
+    ) {
+        let r = model.gqa_ratio();
+        key.clear();
+        key.push(theta.to_bits());
+        key.push(stage.primary.layers as u64);
+        key.push(stage.primary.devices.len() as u64);
+        key.extend(stage.primary.devices.iter().map(|d| d.0 as u64));
+        key.push(stage.attention_workers.len() as u64);
+        key.extend(stage.attention_workers.iter().map(|d| d.0 as u64));
+        for &dev in stage.primary.devices.iter().chain(&stage.attention_workers) {
+            let d = kv.device(dev);
+            key.push(d.stage_query_heads(stage_idx, r));
+            key.push(d.stage_kv_bytes_per_layer(stage_idx).to_bits());
+            key.push(d.pool_bytes());
+        }
+    }
+
     /// The relaxed ideal attention time `f*` over *all* load currently on
     /// the stage (§5.3.1): re-balance the total (h, g) freely across
     /// devices, respecting capacity. Two variables per device.
     ///
     /// `current` is the stage's current attention time, from
     /// [`Dispatcher::current_attention_time`]; `f*` is clamped to it.
-    ///
-    /// The balance check calls this for every stage before every decode
-    /// round, and most calls find the stage as the last call left it. So
-    /// each stage (by anchor device and stage index) keeps a memo of its
-    /// last solve: when every number the solve reads is bitwise equal,
-    /// the stored result is returned without solving. Debug builds solve
-    /// on every hit too and assert that the two results are bitwise equal.
+    /// Every call solves (unless the stage holds no query heads); the
+    /// balance check skips it through [`Dispatcher::stage_balance`].
     pub fn ideal_attention_time(
         &self,
         cluster: &Cluster,
@@ -503,35 +698,57 @@ impl Dispatcher {
         stage_idx: u16,
         current: f64,
     ) -> Option<f64> {
-        let devices = stage.attention_devices();
+        let mut guard = self.scratch.borrow_mut();
+        let sc = &mut *guard;
+        let Some(totals) = self.pose_ideal(sc, cluster, model, kv, stage, stage_idx) else {
+            return Some(0.0);
+        };
+        // The epigraph LP charges every device's constant term even at
+        // zero assigned load (a fixed-charge effect linear programs cannot
+        // express), so at very light loads the "ideal" can exceed the
+        // status quo. Clamp: the current assignment is itself feasible,
+        // hence an upper bound on the true optimum.
+        Self::solve_ideal(self.cfg.solver, sc, totals).map(|f| f.min(current))
+    }
+
+    /// Stages the §5.3.1 relaxation of `stage` into `sc` and poses it on
+    /// `sc.wf`: per attention device the constant, α and β terms (ms,
+    /// already scaled) in `constants`, `a_eff` and `b_coef`, and the pool
+    /// capacity (per-layer bytes) in `free`. Returns the stage's total
+    /// query heads and per-layer KV bytes, or `None`, posing nothing,
+    /// when the stage holds no query heads.
+    fn pose_ideal(
+        &self,
+        sc: &mut Scratch,
+        cluster: &Cluster,
+        model: &ModelSpec,
+        kv: &KvState,
+        stage: &StageTopo,
+        stage_idx: u16,
+    ) -> Option<(f64, f64)> {
         let r = model.gqa_ratio();
         let layers = stage.primary.layers as f64;
         let anchor = stage.primary.devices[0];
-
-        let mut sc = self.scratch.borrow_mut();
-        let sc = &mut *sc;
-        let p = &mut sc.ideal;
-        p.h_total = devices
-            .iter()
+        let devices = || stage.primary.devices.iter().chain(&stage.attention_workers);
+        let h_total: f64 = devices()
             .map(|&d| kv.device(d).stage_query_heads(stage_idx, r) as f64)
             .sum();
-        p.g_total = devices
-            .iter()
+        let g_total: f64 = devices()
             .map(|&d| kv.device(d).stage_kv_bytes_per_layer(stage_idx))
             .sum();
-        if p.h_total == 0.0 {
-            return Some(0.0);
+        if h_total == 0.0 {
+            return None;
         }
 
         // Vars: [h'_0.. (heads), g'_0.. (GB)]; times in ms — see the unit
         // note at the top of the module.
         let per_head_bytes =
             (2.0 + 2.0 / r as f64) * model.head_dim as f64 * model.dtype.bytes() as f64;
-        p.constants.clear();
-        p.alpha.clear();
-        p.beta.clear();
-        p.capacity.clear();
-        for &dev in devices.iter() {
+        sc.constants.clear();
+        sc.a_eff.clear();
+        sc.b_coef.clear();
+        sc.free.clear();
+        for &dev in devices() {
             let m = self.profiler.attn_model(dev);
             let remote = !stage.primary.devices.contains(&dev);
             let (gamma, beta) = if remote {
@@ -540,102 +757,61 @@ impl Dispatcher {
             } else {
                 (0.0, 0.0)
             };
-            p.alpha.push((m.a + gamma * per_head_bytes) * MS);
-            p.beta.push(m.b * MS / GB);
-            p.constants
+            sc.a_eff.push((m.a + gamma * per_head_bytes) * MS);
+            sc.b_coef.push(m.b * MS / GB);
+            sc.constants
                 .push((m.c + if remote { beta } else { 0.0 }) * MS);
             // Capacity on g'_i: cannot exceed the device pool (per layer).
-            p.capacity.push(kv.device(dev).pool_bytes() as f64 / layers);
+            sc.free.push(kv.device(dev).pool_bytes() as f64 / layers);
         }
 
-        let slot = sc.ideal_memo.entry((anchor, stage_idx)).or_default();
-        if slot.inputs.same_bits(&sc.ideal) {
-            #[cfg(debug_assertions)]
-            {
-                let fresh = Self::solve_ideal(
-                    self.cfg.solver,
-                    &sc.ideal,
-                    &mut sc.wf,
-                    &mut sc.builder,
-                    &mut SolveCounts::default(),
-                );
-                debug_assert!(
-                    fresh.map(f64::to_bits) == slot.ideal.map(f64::to_bits),
-                    "balance-check memo of stage {stage_idx} at {anchor}: {:?}, a fresh solve {fresh:?}",
-                    slot.ideal
-                );
-            }
-        } else {
-            slot.ideal = Self::solve_ideal(
-                self.cfg.solver,
-                &sc.ideal,
-                &mut sc.wf,
-                &mut sc.builder,
-                &mut sc.counts,
-            );
-            std::mem::swap(&mut slot.inputs, &mut sc.ideal);
+        // Two demands over the devices: the stage's total heads (α-cost
+        // only) and its total KV bytes (β-cost only, capacity-consuming),
+        // which is exactly the water-fill's rank-2 structure.
+        sc.wf.clear();
+        for i in 0..sc.a_eff.len() {
+            sc.wf.push_device(WfDevice {
+                constant: sc.constants[i],
+                alpha: sc.a_eff[i],
+                beta: sc.b_coef[i],
+                capacity: sc.free[i] * GB,
+            });
         }
-
-        // The epigraph LP charges every device's constant term even at
-        // zero assigned load (a fixed-charge effect linear programs cannot
-        // express), so at very light loads the "ideal" can exceed the
-        // status quo. Clamp: the current assignment is itself feasible,
-        // hence an upper bound on the true optimum.
-        slot.ideal.map(|f| f.min(current))
+        sc.wf.push_demand(WfDemand {
+            amount: h_total,
+            p: 1.0,
+            q: 0.0,
+            u: 0.0,
+        });
+        sc.wf.push_demand(WfDemand {
+            amount: g_total * GB,
+            p: 0.0,
+            q: 1.0,
+            u: 1.0,
+        });
+        Some((h_total, g_total))
     }
 
-    /// Solves the §5.3.1 relaxation posed by `p` under `solver`, counting
-    /// the solve in `counts`. Returns `f*` in seconds, unclamped; `None`
-    /// when the LP is infeasible.
-    fn solve_ideal(
-        solver: DispatchSolver,
-        p: &IdealInputs,
-        wf: &mut WaterFill,
-        builder: &mut MinMaxBuilder,
-        counts: &mut SolveCounts,
-    ) -> Option<f64> {
+    /// Solves the §5.3.1 relaxation `Dispatcher::pose_ideal` staged in
+    /// `sc` (with the stage's `totals` of heads and per-layer KV bytes)
+    /// under `solver`, counting the solve. Returns `f*` in seconds,
+    /// unclamped; `None` when the LP is infeasible.
+    fn solve_ideal(solver: DispatchSolver, sc: &mut Scratch, totals: (f64, f64)) -> Option<f64> {
         let solved = match solver {
-            DispatchSolver::WaterFill => {
-                // Two demands over the devices: the stage's total heads
-                // (α-cost only) and its total KV bytes (β-cost only,
-                // capacity-consuming), which is exactly the water-fill's
-                // rank-2 structure.
-                wf.clear();
-                for i in 0..p.alpha.len() {
-                    wf.push_device(WfDevice {
-                        constant: p.constants[i],
-                        alpha: p.alpha[i],
-                        beta: p.beta[i],
-                        capacity: p.capacity[i] * GB,
-                    });
+            DispatchSolver::WaterFill => match sc.wf.solve() {
+                WfOutcome::Solved(s) => {
+                    sc.counts.fast += 1;
+                    Some(s)
                 }
-                wf.push_demand(WfDemand {
-                    amount: p.h_total,
-                    p: 1.0,
-                    q: 0.0,
-                    u: 0.0,
-                });
-                wf.push_demand(WfDemand {
-                    amount: p.g_total * GB,
-                    p: 0.0,
-                    q: 1.0,
-                    u: 1.0,
-                });
-                match wf.solve() {
-                    WfOutcome::Solved(s) => {
-                        counts.fast += 1;
-                        Some(s)
-                    }
-                    WfOutcome::CapacityBound => {
-                        counts.fallback += 1;
-                        Self::solve_ideal_simplex(builder, p)
-                    }
-                    WfOutcome::Infeasible => None,
+                WfOutcome::CapacityBound => {
+                    sc.counts.fallback += 1;
+                    Self::solve_ideal_simplex(sc, totals)
                 }
-            }
+                WfOutcome::Infeasible => None,
+            },
             DispatchSolver::Simplex => {
-                counts.simplex += 1;
-                Self::solve_ideal_simplex(builder, p)
+                sc.counts.simplex += 1;
+                Self::solve_ideal_simplex(sc, totals)
             }
         };
         solved.map(|s| s.max_value / MS)
@@ -643,22 +819,33 @@ impl Dispatcher {
 
     /// The §5.3.1 relaxation as the epigraph LP (oracle / fallback path,
     /// bit-identical to the pre-fast-path dispatcher).
-    fn solve_ideal_simplex(builder: &mut MinMaxBuilder, p: &IdealInputs) -> Option<MinMaxSolution> {
-        let n = p.alpha.len();
+    fn solve_ideal_simplex(
+        sc: &mut Scratch,
+        (h_total, g_total): (f64, f64),
+    ) -> Option<MinMaxSolution> {
+        let Scratch {
+            builder,
+            constants,
+            a_eff: alpha,
+            b_coef: beta,
+            free: capacity,
+            ..
+        } = sc;
+        let n = alpha.len();
         builder.reset(2 * n);
         for i in 0..n {
-            let row = builder.push_max_term(p.constants[i]);
-            row[i] = p.alpha[i];
-            row[n + i] = p.beta[i];
-            let cap = builder.push_constraint(ConstraintOp::Le, p.capacity[i] * GB);
+            let row = builder.push_max_term(constants[i]);
+            row[i] = alpha[i];
+            row[n + i] = beta[i];
+            let cap = builder.push_constraint(ConstraintOp::Le, capacity[i] * GB);
             cap[n + i] = 1.0;
         }
         // Conservation.
-        let hrow = builder.push_constraint(ConstraintOp::Eq, p.h_total);
+        let hrow = builder.push_constraint(ConstraintOp::Eq, h_total);
         for v in hrow.iter_mut().take(n) {
             *v = 1.0;
         }
-        let grow = builder.push_constraint(ConstraintOp::Eq, p.g_total * GB);
+        let grow = builder.push_constraint(ConstraintOp::Eq, g_total * GB);
         for v in grow.iter_mut().skip(n) {
             *v = 1.0;
         }
@@ -680,7 +867,7 @@ impl Dispatcher {
         let per_head_bytes =
             (2.0 + 2.0 / r as f64) * model.head_dim as f64 * model.dtype.bytes() as f64;
         let mut worst = (0.0, None);
-        for dev in stage.attention_devices() {
+        for &dev in stage.primary.devices.iter().chain(&stage.attention_workers) {
             let h = kv.device(dev).stage_query_heads(stage_idx, r) as f64;
             let g = kv.device(dev).stage_kv_bytes_per_layer(stage_idx);
             if h == 0.0 && g == 0.0 {
@@ -833,6 +1020,10 @@ mod tests {
         assert!(ideal < current, "ideal {ideal} vs current {current}");
         // Re-balancing at least halves the bottleneck here.
         assert!(current / ideal > 1.5);
+        assert_eq!(
+            d.stage_balance(&cluster, &model, &kv, &stage, 0, 0.5),
+            StageBalance::Imbalanced { bottleneck: dev }
+        );
     }
 
     #[test]
@@ -846,6 +1037,10 @@ mod tests {
         assert_eq!(
             d.ideal_attention_time(&cluster, &model, &kv, &stage, 0, t),
             Some(0.0)
+        );
+        assert_eq!(
+            d.stage_balance(&cluster, &model, &kv, &stage, 0, 0.5),
+            StageBalance::Balanced
         );
     }
 }

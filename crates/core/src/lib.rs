@@ -35,7 +35,7 @@ pub mod split;
 pub mod system;
 
 pub use config::{DispatchSolver, HetisConfig, WorkloadProfile};
-pub use dispatcher::{DispatchOutcome, Dispatcher};
+pub use dispatcher::{BalanceCounts, DispatchOutcome, Dispatcher, StageBalance};
 pub use parallelizer::{search_topology, SearchOutcome};
 pub use profiler::{AttnModel, LinkModel, Profiler};
 pub use system::HetisPolicy;

@@ -13,7 +13,7 @@
 //!   cluster still has aggregate free memory the victim is re-dispatched
 //!   instead of evicted.
 
-use crate::dispatcher::Dispatcher;
+use crate::dispatcher::{Dispatcher, StageBalance};
 use hetis_cluster::DeviceId;
 use hetis_engine::{HeadPlacement, Phase, PolicyCtx, RedispatchOp, StageTopo, VictimAction};
 use hetis_workload::RequestId;
@@ -95,23 +95,23 @@ pub fn balance_computation(
 ) -> Option<RedispatchOp> {
     let stages = &ctx.topology.instances[instance].stages;
     for (s, stage) in stages.iter().enumerate() {
-        let (current, Some(bottleneck)) =
-            dispatcher.current_attention_time(ctx.cluster, ctx.model, ctx.kv, stage, s as u16)
-        else {
-            continue;
-        };
-        let ideal = dispatcher.ideal_attention_time(
+        let bottleneck = match dispatcher.stage_balance(
             ctx.cluster,
             ctx.model,
             ctx.kv,
             stage,
             s as u16,
-            current,
-        )?;
-        if ideal <= 0.0 || current <= (1.0 + theta) * ideal {
-            continue;
-        }
-        // The request contributing most to the bottleneck device.
+            theta,
+        ) {
+            StageBalance::Balanced => continue,
+            StageBalance::Imbalanced { bottleneck } => bottleneck,
+            StageBalance::Unsolvable => return None,
+        };
+        // Every request in the map is live, so this scan is O(live).
+        // When no victim is eligible (every candidate is in flight) or
+        // its replan fails, `?` ends the whole round, and the instance's
+        // later stages go unchecked until the next one. The memo keeps
+        // that: it stores `Imbalanced`, so the pick runs again next time.
         let victim = ctx
             .requests
             .values()

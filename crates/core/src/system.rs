@@ -116,13 +116,10 @@ impl Policy for HetisPolicy {
 
     fn route(&mut self, _req: &Request, ctx: &PolicyCtx<'_>) -> usize {
         // Least-loaded entry instance; round-robin tie-break. One pass
-        // over the request map, finished requests included: they are
-        // visited and skipped.
+        // over the request map, which holds live requests only.
         let mut loads = vec![0usize; ctx.topology.instances.len()];
         for r in ctx.requests.values() {
-            if r.phase != hetis_engine::Phase::Done {
-                loads[r.instance] += 1;
-            }
+            loads[r.instance] += 1;
         }
         let entries = ctx.topology.entry_instances();
         let min_load = entries.iter().map(|&i| loads[i]).min().unwrap_or(0);

@@ -1,13 +1,13 @@
 //! Property tests on the Hetis dispatcher: every outcome respects the
 //! paper's constraints (Eq. 5 integrality, Eq. 7b capacity, Eq. 7c head
 //! integrity) under randomized resident load, the pooled-capacity bound
-//! never cuts a placeable prefix, and the balance-check memo returns what
-//! a fresh solve returns.
+//! never cuts a placeable prefix, and the §5.3.1 balance check returns
+//! the reference verdict.
 
 use hetis_cluster::cluster::paper_cluster;
 use hetis_cluster::{DeviceId, GpuType};
 use hetis_core::profiler::Coefficient;
-use hetis_core::{DispatchSolver, Dispatcher, HetisConfig, Profiler};
+use hetis_core::{DispatchSolver, Dispatcher, HetisConfig, Profiler, StageBalance};
 use hetis_engine::{KvState, StageTopo};
 use hetis_model::llama_70b;
 use hetis_parallel::StageConfig;
@@ -175,26 +175,29 @@ fn pooled_prefix_bounds_every_accepted_prefix() {
     }
 }
 
-/// One KV state of [`ideal_memo_matches_fresh_solve`]: its residency as
+/// One KV state of [`stage_balance_matches_reference`]: its residency as
 /// `(stage, device, groups, tokens)` entries, the device whose pool a
-/// weight reservation cuts to exactly its resident bytes (if any), and
-/// the attention workers of each of the two stages.
+/// weight reservation cuts to exactly its resident bytes (if any), the
+/// attention workers of each of the two stages, and Θ.
 #[derive(Clone)]
 struct MemoCase {
     resident: Vec<(u16, DeviceId, u32, u32)>,
     cut_pool: Option<DeviceId>,
     workers: [Vec<DeviceId>; 2],
+    theta: f64,
 }
 
-/// The memo in `Dispatcher::ideal_attention_time` is exact. One
+/// `Dispatcher::stage_balance` returns the reference verdict. One
 /// long-lived dispatcher is driven through random KV states on two
-/// stages: fresh states, revisits of earlier ones, and copies of the last
-/// one that change only a stage's worker list, only one device's pool or
-/// only the profiler's cost coefficients, so the stage totals stay equal.
-/// Every answer must be bit-identical to a fresh dispatcher's, under both
-/// solvers, and asking again must solve nothing.
+/// stages: fresh states, states that pile their load onto one device,
+/// revisits of earlier ones, and copies of the last one that change only
+/// a stage's worker list, only one device's pool, only Θ or only the
+/// profiler's cost coefficients. Every verdict must equal the reference
+/// a fresh dispatcher computes, under both solvers, and checking again
+/// must solve nothing. Memo hits, certificates, full solves and both
+/// verdict kinds must all occur.
 #[test]
-fn ideal_memo_matches_fresh_solve() {
+fn stage_balance_matches_reference() {
     let (cluster, model, _, stage0, d) = setup(&[]);
     let a100 = cluster.devices_of_type(GpuType::A100);
     let r3090 = cluster.devices_of_type(GpuType::Rtx3090);
@@ -253,9 +256,9 @@ fn ideal_memo_matches_fresh_solve() {
         };
         let mut memo = Dispatcher::new(d.profiler().clone(), cfg.clone());
         let mut cases: Vec<MemoCase> = Vec::new();
-        let (mut hits, mut misses) = (0, 0);
-        for _ in 0..80 {
-            let case = match (cases.last(), rng.next_below(5)) {
+        let (mut hits, mut balanced, mut imbalanced) = (0, 0, 0);
+        for _ in 0..120 {
+            let case = match (cases.last(), rng.next_below(7)) {
                 (Some(_), 0) => cases[rng.next_below(cases.len() as u64) as usize].clone(),
                 (Some(last), 1) => {
                     let mut case = last.clone();
@@ -291,63 +294,84 @@ fn ideal_memo_matches_fresh_solve() {
                     memo.profiler_mut().perturb(which, frac);
                     last.clone()
                 }
-                _ => MemoCase {
-                    resident: (0..rng.next_below(12))
-                        .map(|_| {
-                            let s = rng.next_below(2) as u16;
-                            let on = &holders[s as usize];
-                            (
-                                s,
-                                on[rng.next_below(on.len() as u64) as usize],
-                                1 + rng.next_below(8) as u32,
-                                16 + rng.next_below(2000) as u32,
-                            )
-                        })
-                        .collect(),
-                    cut_pool: None,
-                    workers: [worker_lists[0][0].clone(), worker_lists[1][0].clone()],
+                (Some(last), 4) => MemoCase {
+                    theta: [0.3, 0.5][rng.next_below(2) as usize],
+                    ..last.clone()
                 },
+                (_, pick) => {
+                    // Odd picks pile each stage's load onto one device,
+                    // so that imbalanced verdicts occur.
+                    let piled = [0, 1].map(|s| {
+                        let on = &holders[s];
+                        (pick % 2 == 1).then(|| on[rng.next_below(on.len() as u64) as usize])
+                    });
+                    MemoCase {
+                        resident: (0..rng.next_below(12))
+                            .map(|_| {
+                                let s = rng.next_below(2) as u16;
+                                let on = &holders[s as usize];
+                                let dev = piled[s as usize].unwrap_or_else(|| {
+                                    on[rng.next_below(on.len() as u64) as usize]
+                                });
+                                (
+                                    s,
+                                    dev,
+                                    1 + rng.next_below(8) as u32,
+                                    16 + rng.next_below(2000) as u32,
+                                )
+                            })
+                            .collect(),
+                        cut_pool: None,
+                        workers: [worker_lists[0][0].clone(), worker_lists[1][0].clone()],
+                        theta: 0.5,
+                    }
+                }
             };
             let (kv, stages) = build(&case);
-            cases.push(case);
+            cases.push(case.clone());
             // Both stages in a random order, so a stage's slot must
-            // survive queries on the other.
+            // survive checks of the other.
             let first = rng.next_below(2) as usize;
             for s in [first, 1 - first] {
                 let stage = &stages[s];
-                let (current, _) =
-                    memo.current_attention_time(&cluster, &model, &kv, stage, s as u16);
-                let ideal = |d: &Dispatcher| {
-                    d.ideal_attention_time(&cluster, &model, &kv, stage, s as u16, current)
+                let check = |d: &Dispatcher| {
+                    d.stage_balance(&cluster, &model, &kv, stage, s as u16, case.theta)
                 };
-                let counts = memo.solver_counts();
-                let got = ideal(&memo);
-                // An empty stage returns 0 before any solve or lookup.
-                if got != Some(0.0) {
-                    if memo.solver_counts() == counts {
-                        hits += 1;
-                    } else {
-                        misses += 1;
-                    }
-                }
-                let fresh = ideal(&Dispatcher::new(memo.profiler().clone(), cfg.clone()));
+                let before = memo.balance_counts();
+                let got = check(&memo);
+                hits += memo.balance_counts().memo_hits - before.memo_hits;
+                let fresh = Dispatcher::new(memo.profiler().clone(), cfg.clone());
+                let reference = fresh
+                    .stage_balance_reference(&cluster, &model, &kv, stage, s as u16, case.theta);
                 assert_eq!(
-                    got.map(f64::to_bits),
-                    fresh.map(f64::to_bits),
-                    "{solver:?}, stage {s}: memo {got:?} vs fresh {fresh:?}"
+                    got, reference,
+                    "{solver:?}, stage {s}: checked {got:?}, the reference {reference:?}"
                 );
+                match got {
+                    StageBalance::Balanced => balanced += 1,
+                    StageBalance::Imbalanced { .. } => imbalanced += 1,
+                    StageBalance::Unsolvable => panic!("resident load is always solvable"),
+                }
                 let counts = memo.solver_counts();
-                assert_eq!(ideal(&memo).map(f64::to_bits), got.map(f64::to_bits));
+                let before = memo.balance_counts();
+                assert_eq!(check(&memo), got);
                 assert_eq!(
                     memo.solver_counts(),
                     counts,
-                    "{solver:?}: a repeated query solved"
+                    "{solver:?}: a repeated check solved"
+                );
+                assert_eq!(
+                    memo.balance_counts().memo_hits,
+                    before.memo_hits + 1,
+                    "{solver:?}: a repeated check missed the memo"
                 );
             }
         }
+        let c = memo.balance_counts();
         assert!(
-            hits > 0 && misses > 0,
-            "{solver:?}: {hits} hits, {misses} misses"
+            hits > 0 && c.certified > 0 && c.solved > 0 && balanced > 0 && imbalanced > 0,
+            "{solver:?}: {hits} first-check hits, {c:?}, {balanced} balanced, \
+             {imbalanced} imbalanced"
         );
     }
 }

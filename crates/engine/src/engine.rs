@@ -762,11 +762,8 @@ impl<'a, P: Policy> Engine<'a, P> {
         used.dedup();
         let total_kv_pool_bytes = self.kv.total_pool(&used);
         let usable_kv_bytes = crate::memory::usable_kv_bytes(self.model, &self.topo, &self.kv);
-        let unfinished = self
-            .requests
-            .values()
-            .filter(|r| r.phase != Phase::Done)
-            .count();
+        // Finished requests leave the map in `finish`.
+        let unfinished = self.requests.len();
         #[cfg(debug_assertions)]
         self.audit_kv(unfinished);
         RunReport {
@@ -806,20 +803,22 @@ impl<'a, P: Policy> Engine<'a, P> {
     }
 
     /// End-of-run KV audit (debug builds): every ledger entry belongs to
-    /// a request that still holds KV (neither done nor waiting) and holds
-    /// the blocks of exactly its `kv_reserved` tokens, and a run that
-    /// finished every request has returned every KV byte to the pools.
+    /// a live request that holds KV (not waiting) and holds the blocks of
+    /// exactly its `kv_reserved` tokens, and a run that finished every
+    /// request has returned every KV byte to the pools.
     #[cfg(debug_assertions)]
     fn audit_kv(&self, unfinished: usize) {
         for d in 0..self.kv.len() {
             let dev = DeviceId(d as u32);
             let kv = self.kv.device(dev);
             for ((rid, stage), e) in kv.entries() {
-                let r = &self.requests[&rid];
+                let r = self
+                    .requests
+                    .get(&rid)
+                    .unwrap_or_else(|| panic!("{dev} holds KV of finished {rid} stage {stage}"));
                 assert!(
-                    !matches!(r.phase, Phase::Done | Phase::Waiting),
-                    "{dev} holds KV of {rid} stage {stage} in phase {:?}",
-                    r.phase
+                    r.phase != Phase::Waiting,
+                    "{dev} holds KV of waiting {rid} stage {stage}"
                 );
                 assert_eq!(
                     e.blocks,
@@ -1039,8 +1038,7 @@ impl<'a, P: Policy> Engine<'a, P> {
     /// counting them out keeps the two chains from treating each other
     /// as pending work and ticking on until the drain deadline.
     fn work_remains(&self) -> bool {
-        self.requests.values().any(|r| r.phase != Phase::Done)
-            || self.events.len() > self.sampling_pending as usize
+        !self.requests.is_empty() || self.events.len() > self.sampling_pending as usize
     }
 
     // ------------------------------------------------------------- churn
@@ -1115,7 +1113,7 @@ impl<'a, P: Policy> Engine<'a, P> {
         let mut affected: Vec<RequestId> = self
             .requests
             .iter()
-            .filter(|(_, r)| r.phase != Phase::Done && r.phase != Phase::Waiting)
+            .filter(|(_, r)| r.phase != Phase::Waiting)
             .filter(|(rid, r)| {
                 self.kv.device(dev).request_bytes(**rid) > 0
                     || r.placement
@@ -1204,7 +1202,9 @@ impl<'a, P: Policy> Engine<'a, P> {
             // only a genuinely parked hand-off (Migrating, idle,
             // placed) is evicted here.
             while let Some(rid) = self.instances[i].pending_handoff.dequeue() {
-                let r = &self.requests[&rid];
+                let Some(r) = self.requests.get(&rid) else {
+                    continue; // finished since it parked
+                };
                 if r.phase == Phase::Migrating && !r.in_flight && r.placement.is_some() {
                     self.churn_evict_all([rid], record);
                 }
@@ -1214,9 +1214,7 @@ impl<'a, P: Policy> Engine<'a, P> {
             let mut residents: Vec<RequestId> = self
                 .requests
                 .iter()
-                .filter(|(_, r)| {
-                    r.instance == i && !matches!(r.phase, Phase::Waiting | Phase::Done)
-                })
+                .filter(|(_, r)| r.instance == i && r.phase != Phase::Waiting)
                 .map(|(rid, _)| *rid)
                 .collect();
             residents.sort();
@@ -2466,9 +2464,12 @@ impl<'a, P: Policy> Engine<'a, P> {
         from_queue: bool,
     ) -> bool {
         if from_queue {
-            let r = &self.requests[&rid];
             // Only a parked hand-off (Migrating, idle, placed) may
-            // proceed; anything else is a stale entry — drop it.
+            // proceed; anything else, a finished request included, is a
+            // stale entry — drop it.
+            let Some(r) = self.requests.get(&rid) else {
+                return true;
+            };
             if r.phase != Phase::Migrating || r.in_flight || r.placement.is_none() {
                 return true;
             }
@@ -2631,9 +2632,11 @@ impl<'a, P: Policy> Engine<'a, P> {
                 },
             );
         }
-        let r = self.requests.get_mut(&rid).expect("live");
-        r.phase = Phase::Done;
-        r.in_flight = false;
+        self.running_dec(inst);
+        self.remove_cohort_member(inst, rid);
+        // Retire the request: the map holds live requests only, so no
+        // per-event scan pays for the history of the run.
+        let r = self.requests.remove(&rid).expect("live");
         let rec = CompletedRequest {
             id: rid,
             arrival: r.req.arrival,
@@ -2665,8 +2668,6 @@ impl<'a, P: Policy> Engine<'a, P> {
             });
         }
         self.completed.push(rec);
-        self.running_dec(inst);
-        self.remove_cohort_member(inst, rid);
     }
 
     fn ensure_cohort_member(&mut self, inst: usize, rid: RequestId) {
@@ -2814,7 +2815,6 @@ impl<'a, P: Policy> Engine<'a, P> {
                 Phase::Prefilling => "prefilling",
                 Phase::Decoding => "decoding",
                 Phase::Migrating => "migrating",
-                Phase::Done => "done",
             };
             *out[r.instance].entry(name).or_insert(0) += 1;
         }

@@ -25,12 +25,10 @@ pub struct PolicyCtx<'a> {
     pub now: f64,
     /// Per-device KV state.
     pub kv: &'a KvState,
-    /// Every request that has arrived so far, keyed by id: waiting,
-    /// running and migrating ones, and finished ones too. `Engine::finish`
-    /// leaves a completed request in the map as
-    /// [`Phase::Done`](crate::Phase::Done) for the rest of the run, so a
-    /// policy that counts or scans live requests must filter `Done` out,
-    /// as `HetisPolicy::route` does.
+    /// The live requests, keyed by id: waiting, prefilling, decoding
+    /// and migrating ones. `Engine::finish` removes a request once it is
+    /// recorded, so a scan of this map costs O(live requests), however
+    /// many the run has already served.
     pub requests: &'a FxHashMap<RequestId, RunningRequest>,
     /// The serving topology.
     pub topology: &'a Topology,

@@ -16,8 +16,6 @@ pub enum Phase {
     /// Temporarily blocked on a KV migration (post-prefill scatter,
     /// Splitwise handoff, or a re-dispatch move).
     Migrating,
-    /// Finished.
-    Done,
 }
 
 /// A request being served.

@@ -111,6 +111,12 @@ fn counters_zero_after_clean_run() {
         "counters must drain to zero: {:?}",
         engine.running_counts()
     );
+    // Finished requests leave the engine's request map.
+    assert!(
+        engine.phase_summary().iter().all(|m| m.is_empty()),
+        "finished requests kept: {:?}",
+        engine.phase_summary()
+    );
     let report = engine.into_report();
     assert_eq!(report.completed.len(), n);
 }
@@ -181,6 +187,11 @@ fn counters_survive_churn_evictions() {
         engine.running_counts().iter().all(|&c| c == 0),
         "counters must drain to zero after churn: {:?}",
         engine.running_counts()
+    );
+    assert!(
+        engine.phase_summary().iter().all(|m| m.is_empty()),
+        "finished requests kept after churn: {:?}",
+        engine.phase_summary()
     );
     let report = engine.into_report();
     assert!(report.churn_evictions > 0, "the failure must evict work");

@@ -91,6 +91,21 @@ pub struct WaterFill {
     x: Vec<f64>,
 }
 
+/// How [`WaterFill`]'s shared prologue left the posed instance.
+enum Posed {
+    /// No positive demand: the optimum is the constant floor (0 with no
+    /// devices).
+    Empty,
+    /// Positive demand and no device.
+    Infeasible,
+    /// Zero-capacity exclusions that are not uniform, or no device left
+    /// after them: only the LP can decide.
+    CapacityBound,
+    /// The Monge orders of the kept devices and positive demands are
+    /// built; the level search may run.
+    Ordered,
+}
+
 /// Bisection iteration cap; with a halving interval this is far past
 /// f64 convergence and only guards against pathological inputs.
 const MAX_BISECT: usize = 200;
@@ -126,88 +141,20 @@ impl WaterFill {
     /// and the exactness argument.
     pub fn solve(&mut self) -> WfOutcome {
         let n = self.devices.len();
-        let j = self.demands.len();
-        let total_demand: f64 = self.demands.iter().map(|d| d.amount).sum();
-        // The objective can be negative when device constants are (the
-        // dispatcher's never are, but the API allows it): fold the
-        // constant floor from -inf, not 0.
-        let floor = self
-            .devices
-            .iter()
-            .fold(f64::NEG_INFINITY, |acc, d| acc.max(d.constant));
+        let floor = self.floor();
         self.x.clear();
-        self.x.resize(j * n, 0.0);
-        if total_demand <= 0.0 {
-            return WfOutcome::Solved(MinMaxSolution {
-                x: self.x.clone(),
-                max_value: if n == 0 { 0.0 } else { floor },
-            });
-        }
-        if n == 0 {
-            return WfOutcome::Infeasible;
-        }
-
-        // Exclusions: a zero-capacity device is exact to drop only when
-        // *every* positive demand consumes capacity on it; a mixed case
-        // (some u = 0) breaks the staircase structure — fall back.
-        let every_u_positive = self.demands.iter().all(|d| d.amount <= 0.0 || d.u > 0.0);
-        let any_u_positive = self.demands.iter().any(|d| d.amount > 0.0 && d.u > 0.0);
-        self.dev_order.clear();
-        for (i, d) in self.devices.iter().enumerate() {
-            if d.capacity <= 0.0 && any_u_positive {
-                if !every_u_positive {
-                    return WfOutcome::CapacityBound;
-                }
-                continue; // banned device: x_i· = 0 is forced by (7b)
+        self.x.resize(self.demands.len() * n, 0.0);
+        match self.pose() {
+            Posed::Empty => {
+                return WfOutcome::Solved(MinMaxSolution {
+                    x: self.x.clone(),
+                    max_value: if n == 0 { 0.0 } else { floor },
+                })
             }
-            self.dev_order.push(i);
+            Posed::Infeasible => return WfOutcome::Infeasible,
+            Posed::CapacityBound => return WfOutcome::CapacityBound,
+            Posed::Ordered => {}
         }
-        if self.dev_order.is_empty() {
-            return WfOutcome::CapacityBound;
-        }
-
-        // Monge order: devices by β/α ascending, demands by q/p
-        // descending. The ratios are compared as projective directions
-        // via cross-products, which is a total order on *nonzero*
-        // weight vectors only — an all-zero vector has zero cross
-        // product against everything and would make the comparator
-        // non-transitive (arbitrary sort output, and wrong relative
-        // order among the nonzero rows). Zero-cost rows are therefore a
-        // separate class: cost-free devices lead (they absorb any
-        // demand without spending budget, so any position is exact —
-        // first is canonical), cost-free demands trail (they consume no
-        // budget wherever they land). Within each class, ties break by
-        // index for determinism.
-        let devices = &self.devices;
-        self.dev_order.sort_by(|&a, &b| {
-            let (da, db) = (&devices[a], &devices[b]);
-            match (
-                da.alpha == 0.0 && da.beta == 0.0,
-                db.alpha == 0.0 && db.beta == 0.0,
-            ) {
-                (true, false) => std::cmp::Ordering::Less,
-                (false, true) => std::cmp::Ordering::Greater,
-                _ => (da.beta * db.alpha)
-                    .partial_cmp(&(db.beta * da.alpha))
-                    .expect("finite device costs")
-                    .then(a.cmp(&b)),
-            }
-        });
-        self.dem_order.clear();
-        self.dem_order
-            .extend((0..j).filter(|&k| self.demands[k].amount > 0.0));
-        let demands = &self.demands;
-        self.dem_order.sort_by(|&a, &b| {
-            let (da, db) = (&demands[a], &demands[b]);
-            match (da.p == 0.0 && da.q == 0.0, db.p == 0.0 && db.q == 0.0) {
-                (true, false) => std::cmp::Ordering::Greater,
-                (false, true) => std::cmp::Ordering::Less,
-                _ => (db.q * da.p)
-                    .partial_cmp(&(da.q * db.p))
-                    .expect("finite demand weights")
-                    .then(a.cmp(&b)),
-            }
-        });
 
         // Feasible upper bound: each demand fully on its cheapest device.
         let mut hi = floor;
@@ -272,6 +219,117 @@ impl WaterFill {
             x: self.x.clone(),
             max_value,
         })
+    }
+
+    /// Whether the posed instance can finish at level `tau` when capacity
+    /// is ignored: one greedy pass of the oracle [`WaterFill::solve`]
+    /// bisects with, after the same exclusions and Monge orders, and no
+    /// bisection. `false` proves that the optimum exceeds `tau`: dropping
+    /// the capacity rows only relaxes Eq. (7), so the capacitated optimum,
+    /// which either `solve` or the simplex fallback returns, is at least
+    /// the uncapacitated one, and that is above `tau` when the exact
+    /// oracle cannot place every demand under it (or a device constant
+    /// already exceeds it). `true` proves nothing about capacity; it is
+    /// also the answer when `solve` would report
+    /// [`WfOutcome::CapacityBound`] before any search.
+    ///
+    /// A caller comparing a solver's answer against `tau` should test a
+    /// level slightly above the bound it needs: the solvers stop at a
+    /// relative tolerance (1e-11 for the bisection, more after simplex
+    /// pivots), so an optimum just above `tau` can come back a hair
+    /// below it.
+    pub fn reaches_level(&mut self, tau: f64) -> bool {
+        let floor = self.floor();
+        match self.pose() {
+            Posed::Empty => tau >= if self.devices.is_empty() { 0.0 } else { floor },
+            Posed::Infeasible => false,
+            Posed::CapacityBound => true,
+            Posed::Ordered => tau >= floor && self.level_feasible(tau),
+        }
+    }
+
+    /// The largest device constant: every solution's objective is at
+    /// least this. Folded from -inf, not 0, because the API allows
+    /// negative constants (the dispatcher's never are).
+    fn floor(&self) -> f64 {
+        self.devices
+            .iter()
+            .fold(f64::NEG_INFINITY, |acc, d| acc.max(d.constant))
+    }
+
+    /// The prologue [`WaterFill::solve`] and [`WaterFill::reaches_level`]
+    /// share: the trivial outcomes, the zero-capacity exclusions and the
+    /// Monge orders of the kept devices and the positive demands.
+    fn pose(&mut self) -> Posed {
+        if self.demands.iter().map(|d| d.amount).sum::<f64>() <= 0.0 {
+            return Posed::Empty;
+        }
+        if self.devices.is_empty() {
+            return Posed::Infeasible;
+        }
+
+        // Exclusions: a zero-capacity device is exact to drop only when
+        // *every* positive demand consumes capacity on it; a mixed case
+        // (some u = 0) breaks the staircase structure — fall back.
+        let every_u_positive = self.demands.iter().all(|d| d.amount <= 0.0 || d.u > 0.0);
+        let any_u_positive = self.demands.iter().any(|d| d.amount > 0.0 && d.u > 0.0);
+        self.dev_order.clear();
+        for (i, d) in self.devices.iter().enumerate() {
+            if d.capacity <= 0.0 && any_u_positive {
+                if !every_u_positive {
+                    return Posed::CapacityBound;
+                }
+                continue; // banned device: x_i· = 0 is forced by (7b)
+            }
+            self.dev_order.push(i);
+        }
+        if self.dev_order.is_empty() {
+            return Posed::CapacityBound;
+        }
+
+        // Monge order: devices by β/α ascending, demands by q/p
+        // descending. The ratios are compared as projective directions
+        // via cross-products, which is a total order on *nonzero*
+        // weight vectors only — an all-zero vector has zero cross
+        // product against everything and would make the comparator
+        // non-transitive (arbitrary sort output, and wrong relative
+        // order among the nonzero rows). Zero-cost rows are therefore a
+        // separate class: cost-free devices lead (they absorb any
+        // demand without spending budget, so any position is exact —
+        // first is canonical), cost-free demands trail (they consume no
+        // budget wherever they land). Within each class, ties break by
+        // index for determinism.
+        let devices = &self.devices;
+        self.dev_order.sort_by(|&a, &b| {
+            let (da, db) = (&devices[a], &devices[b]);
+            match (
+                da.alpha == 0.0 && da.beta == 0.0,
+                db.alpha == 0.0 && db.beta == 0.0,
+            ) {
+                (true, false) => std::cmp::Ordering::Less,
+                (false, true) => std::cmp::Ordering::Greater,
+                _ => (da.beta * db.alpha)
+                    .partial_cmp(&(db.beta * da.alpha))
+                    .expect("finite device costs")
+                    .then(a.cmp(&b)),
+            }
+        });
+        self.dem_order.clear();
+        self.dem_order
+            .extend((0..self.demands.len()).filter(|&k| self.demands[k].amount > 0.0));
+        let demands = &self.demands;
+        self.dem_order.sort_by(|&a, &b| {
+            let (da, db) = (&demands[a], &demands[b]);
+            match (da.p == 0.0 && da.q == 0.0, db.p == 0.0 && db.q == 0.0) {
+                (true, false) => std::cmp::Ordering::Greater,
+                (false, true) => std::cmp::Ordering::Less,
+                _ => (db.q * da.p)
+                    .partial_cmp(&(da.q * db.p))
+                    .expect("finite demand weights")
+                    .then(a.cmp(&b)),
+            }
+        });
+        Posed::Ordered
     }
 
     /// Exact uncapacitated feasibility oracle at level `tau`:
@@ -642,6 +700,58 @@ mod tests {
         });
         let s2 = solved(&mut wf2);
         assert_eq!(s2.max_value, -2.0);
+    }
+
+    /// The level test brackets every fast-path optimum: it fails just
+    /// below `f*` and passes just above it, on seeded random instances
+    /// of the dispatcher's shapes (per-request heads, the §5.3.1 heads +
+    /// KV pair, banned devices and tight capacities).
+    #[test]
+    fn level_test_brackets_the_optimum() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x1e7e1);
+        let mut solved = 0;
+        for _ in 0..2000 {
+            let mut wf = WaterFill::new();
+            for _ in 0..rng.gen_range(1usize..=8) {
+                wf.push_device(WfDevice {
+                    constant: rng.gen_range(0.01f64..5.0),
+                    alpha: rng.gen_range(0.0f64..2.0),
+                    beta: rng.gen_range(0.0f64..2.0),
+                    capacity: match rng.gen_range(0u32..10) {
+                        0 => 0.0,
+                        1 => rng.gen_range(0.1f64..2.0),
+                        _ => rng.gen_range(10.0f64..1e3),
+                    },
+                });
+            }
+            for _ in 0..rng.gen_range(1usize..=5) {
+                let (p, q) = match rng.gen_range(0u32..4) {
+                    0 => (1.0, 0.0),
+                    1 => (0.0, 1.0),
+                    _ => (1.0, rng.gen_range(0.0f64..30.0)),
+                };
+                wf.push_demand(WfDemand {
+                    amount: rng.gen_range(0.5f64..64.0),
+                    p,
+                    q,
+                    u: if q > 0.0 {
+                        rng.gen_range(0.01f64..1.0)
+                    } else {
+                        0.0
+                    },
+                });
+            }
+            let WfOutcome::Solved(s) = wf.solve() else {
+                continue;
+            };
+            solved += 1;
+            let f = s.max_value;
+            assert!(f > 0.0);
+            assert!(!wf.reaches_level(f * (1.0 - 1e-9)), "reached below {f}");
+            assert!(wf.reaches_level(f * (1.0 + 1e-9)), "missed above {f}");
+        }
+        assert!(solved > 500, "only {solved} fast-path solves");
     }
 
     #[test]
