@@ -191,14 +191,14 @@ fn bench_dispatch(c: &mut Criterion) {
         .allocate(hetis_workload::RequestId(10_000), 0, 8, blocks, 80)
         .unwrap();
     let theta = HetisConfig::default().theta;
-    let balanced = |d: &Dispatcher, kv: &KvState| {
-        let verdict = d.stage_balance(&cluster, &model, kv, &stage, 0, theta);
+    let balanced = |kv: &KvState| {
+        let verdict = waterfill.stage_balance(&cluster, &model, kv, &stage, 0, theta);
         assert_eq!(verdict, StageBalance::Balanced);
     };
     c.bench_function("stage_balance_repeat", |b| {
-        balanced(&waterfill, &kv);
+        balanced(&kv);
         let before = waterfill.solver_counts();
-        b.iter(|| balanced(&waterfill, &kv));
+        b.iter(|| balanced(&kv));
         assert_eq!(
             waterfill.solver_counts(),
             before,
@@ -211,7 +211,7 @@ fn bench_dispatch(c: &mut Criterion) {
         let mut calls = 0u64;
         b.iter(|| {
             calls += 1;
-            balanced(&waterfill, states[calls as usize % 2]);
+            balanced(states[calls as usize % 2]);
         });
         let counts = waterfill.balance_counts();
         assert_eq!(

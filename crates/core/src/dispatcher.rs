@@ -546,9 +546,12 @@ impl Dispatcher {
             let mut guard = self.scratch.borrow_mut();
             let sc = &mut *guard;
             Self::balance_key(&mut sc.key, model, kv, stage, stage_idx, theta);
-            let hit = sc.memo.get(&slot_id).filter(|m| m.key == sc.key);
-            let verdict = hit.map(|m| m.verdict);
-            sc.balance.memo_hits += verdict.is_some() as u64;
+            let verdict = sc
+                .memo
+                .get(&slot_id)
+                .filter(|m| m.key == sc.key)
+                .map(|m| m.verdict);
+            sc.balance.memo_hits += u64::from(verdict.is_some());
             verdict
         };
         if let Some(verdict) = hit {

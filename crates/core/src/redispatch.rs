@@ -107,11 +107,12 @@ pub fn balance_computation(
             StageBalance::Imbalanced { bottleneck } => bottleneck,
             StageBalance::Unsolvable => return None,
         };
-        // Every request in the map is live, so this scan is O(live).
-        // When no victim is eligible (every candidate is in flight) or
-        // its replan fails, `?` ends the whole round, and the instance's
-        // later stages go unchecked until the next one. The memo keeps
-        // that: it stores `Imbalanced`, so the pick runs again next time.
+        // The request contributing most to the bottleneck device. When
+        // no victim is eligible (every candidate is in flight) or its
+        // replan fails, `?` ends the whole round, so the instance's later
+        // stages go unchecked until the next one (a known quirk, kept for
+        // the pinned digests). The verdict memo keeps it: it stores
+        // `Imbalanced`, so this pick runs again next round.
         let victim = ctx
             .requests
             .values()
