@@ -754,6 +754,51 @@ mod tests {
         assert!(solved > 500, "only {solved} fast-path solves");
     }
 
+    /// Outside the level search the test answers what `solve` decides
+    /// before searching: nothing is proven when only the LP can decide,
+    /// no level is reached without a device, and no demand sits at the
+    /// constant floor.
+    #[test]
+    fn level_test_outside_the_search() {
+        let mut wf = WaterFill::new();
+        wf.push_device(WfDevice {
+            alpha: 1.0,
+            beta: 1.0,
+            capacity: 0.0,
+            ..Default::default()
+        });
+        wf.push_demand(WfDemand {
+            amount: 1.0,
+            p: 1.0,
+            ..Default::default()
+        });
+        wf.push_demand(WfDemand {
+            amount: 1.0,
+            q: 1.0,
+            u: 1.0,
+            ..Default::default()
+        });
+        assert!(matches!(wf.solve(), WfOutcome::CapacityBound));
+        assert!(wf.reaches_level(f64::NEG_INFINITY));
+
+        let mut wf = WaterFill::new();
+        wf.push_demand(WfDemand {
+            amount: 1.0,
+            p: 1.0,
+            ..Default::default()
+        });
+        assert!(!wf.reaches_level(f64::INFINITY));
+
+        let mut wf = WaterFill::new();
+        wf.push_device(WfDevice {
+            constant: 0.25,
+            alpha: 1.0,
+            capacity: 1.0,
+            ..Default::default()
+        });
+        assert!(!wf.reaches_level(0.24) && wf.reaches_level(0.25));
+    }
+
     #[test]
     fn no_devices_is_infeasible() {
         let mut wf = WaterFill::new();
