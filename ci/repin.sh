@@ -3,12 +3,12 @@
 #
 # Usage: ci/repin.sh --reason "<one-line justification>" [gate-outdir]
 #
-# Reads every behavior-digest row the gate harvested into
-# <gate-outdir>/<bench>.<solver>.out (default target/scenario-gate — run
-# ci/scenario_gate.sh first; a failing digest diff still writes the
-# outputs), then rewrites ci/pinned_digests.tsv:
+# Reads every behavior-digest row the gate wrote to <gate-outdir>/*.out
+# (one <bench>.out per bench plus perfbench.out; default
+# target/scenario-gate — run ci/scenario_gate.sh first; a failing digest
+# diff still writes the outputs), then rewrites ci/pinned_digests.tsv:
 #
-#   * rows whose (solver, scenario, system) key was re-measured get the
+#   * rows whose (scenario, system) key was re-measured get the
 #     fresh digest in place (file order preserved),
 #   * never-pinned keys are appended as new rows (sorted),
 #   * untouched rows and the comment block survive verbatim, and
@@ -60,16 +60,13 @@ pins="ci/pinned_digests.tsv"
 }
 
 # ---- harvest fresh digest rows from the gate output -----------------------
-# Same extraction the gate itself uses: solver from the file name, then
-# (scenario, system, digest) from each behavior-digest TSV row.
+# Same extraction the gate itself uses: (scenario, system, digest) from
+# each behavior-digest TSV row.
 fresh="$outdir/repin.fresh.tsv"
 : > "$fresh"
-for solver in waterfill simplex; do
-  for f in "$outdir"/*."$solver".out; do
-    grep -h "behavior-digest" "$f" 2>/dev/null \
-      | awk -v s="$solver" -F'\t' '{ print s "\t" $1 "\t" $3 "\t" $4 }' \
-      >> "$fresh" || true
-  done
+for f in "$outdir"/*.out; do
+  grep -h "behavior-digest" "$f" \
+    | awk -F'\t' '{ print $1 "\t" $3 "\t" $4 }' >> "$fresh" || true
 done
 sort -u -o "$fresh" "$fresh"
 if [[ ! -s "$fresh" ]]; then
@@ -78,9 +75,9 @@ if [[ ! -s "$fresh" ]]; then
 fi
 # A key measured twice with different digests means a determinism break —
 # never pin that.
-if ! awk -F'\t' '{ k = $1 "\t" $2 "\t" $3 }
-    k in val && val[k] != $4 { print "conflict: " k; bad = 1 }
-    { val[k] = $4 }
+if ! awk -F'\t' '{ k = $1 "\t" $2 }
+    k in val && val[k] != $3 { print "conflict: " k; bad = 1 }
+    { val[k] = $3 }
     END { exit bad }' "$fresh"; then
   echo "error: conflicting digests for the same key in the gate output" >&2
   exit 1
@@ -92,17 +89,17 @@ awk -F'\t' -v OFS='\t' -v freshfile="$fresh" -v reason="$reason" '
   BEGIN {
     while ((getline line < freshfile) > 0) {
       split(line, a, "\t")
-      fresh[a[1] "\t" a[2] "\t" a[3]] = a[4]
+      fresh[a[1] "\t" a[2]] = a[3]
     }
   }
   /^#/ { print; next }
   !annotated { print "# - repin: " reason; annotated = 1 }
   {
-    k = $1 "\t" $2 "\t" $3
+    k = $1 "\t" $2
     existing[k] = 1
-    if (k in fresh && $4 != fresh[k]) {
-      print "updated: " k "  " $4 " -> " fresh[k] > "/dev/stderr"
-      $4 = fresh[k]
+    if (k in fresh && $3 != fresh[k]) {
+      print "updated: " k "  " $3 " -> " fresh[k] > "/dev/stderr"
+      $3 = fresh[k]
     }
     print
   }

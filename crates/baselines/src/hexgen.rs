@@ -65,11 +65,6 @@ impl HexgenPolicy {
         }
     }
 
-    /// HexGen conditioned on a specific workload profile.
-    pub fn with_profile(profile: HexgenProfile) -> Self {
-        HexgenPolicy { profile, rr: 0 }
-    }
-
     /// The static search: DP groupings × per-type TP×PP shapes × balanced
     /// asymmetric layer splits, scored by the full cost model. All GPUs
     /// participate.

@@ -9,7 +9,7 @@
 
 use hetis_cluster::cluster::paper_cluster;
 use hetis_cluster::{attn_decode_time, AttnWork, GpuType};
-use hetis_core::{Dispatcher, HetisConfig, Profiler};
+use hetis_core::{Dispatcher, Profiler};
 use hetis_engine::{KvState, StageTopo};
 use hetis_model::{llama_70b, KvFootprint};
 use hetis_parallel::StageConfig;
@@ -26,10 +26,7 @@ fn main() {
     });
     stage.attention_workers = cluster.devices_of_type(GpuType::P100);
     let devices = stage.attention_devices();
-    let dispatcher = Dispatcher::new(
-        Profiler::profile(&cluster, 8, 0.0, 9),
-        HetisConfig::default(),
-    );
+    let dispatcher = Dispatcher::new(Profiler::profile(&cluster, 8, 0.0, 9));
 
     // Background load on the primaries so the decision is non-trivial.
     let blocks = kv.blocks_for(2500);

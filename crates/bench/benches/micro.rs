@@ -1,16 +1,17 @@
-//! Criterion micro-benchmarks of the hot scheduling paths: the dispatch
-//! solvers (water-fill fast path vs the simplex oracle, at the paper's
-//! 6-device × 4-request shape and a 12×16 stress shape), the §5.3.1
-//! balance check (a memo hit, a certified miss and the relaxed-ideal
-//! solve), head rounding and fetch-index assembly.
+//! Criterion micro-benchmarks of the hot scheduling paths: the Eq. (7)
+//! solvers on the same instance (the water-fill vs the generic simplex,
+//! at the paper's 6-device × 4-request shape and a 12×16 stress shape),
+//! the dispatcher's water-fill dispatch, the §5.3.1 balance check (a memo
+//! hit, a certified miss and the relaxed-ideal solve), head rounding and
+//! fetch-index assembly.
 //!
 //! `BENCH_4.json` at the repository root records the old-vs-new numbers
-//! for the dispatch pairs.
+//! for the solver pairs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetis_cluster::cluster::paper_cluster;
 use hetis_cluster::GpuType;
-use hetis_core::{DispatchSolver, Dispatcher, HetisConfig, Profiler, StageBalance};
+use hetis_core::{Dispatcher, HetisConfig, Profiler, StageBalance};
 use hetis_engine::{KvState, StageTopo};
 use hetis_kvcache::index::build_headwise_index_serial;
 use hetis_kvcache::{build_fetch_index_parallel, BlockConfig, GroupId, HeadwiseAllocator, SeqId};
@@ -146,25 +147,8 @@ fn bench_dispatch(c: &mut Criterion) {
                 .unwrap();
         }
     }
-    let simplex_cfg = HetisConfig {
-        solver: DispatchSolver::Simplex,
-        ..HetisConfig::default()
-    };
-    let simplex = Dispatcher::new(Profiler::profile(&cluster, 8, 0.0, 3), simplex_cfg);
-    // HetisConfig::default() selects the water-fill fast path.
-    let waterfill = Dispatcher::new(
-        Profiler::profile(&cluster, 8, 0.0, 3),
-        HetisConfig::default(),
-    );
+    let waterfill = Dispatcher::new(Profiler::profile(&cluster, 8, 0.0, 3));
 
-    // Dispatcher-level old-vs-new on the identical stage and batch.
-    c.bench_function("dispatch_eq7_batch4", |b| {
-        b.iter(|| {
-            simplex
-                .dispatch(&cluster, &model, &kv, &stage, 0, &[512, 1024, 2048, 300])
-                .unwrap()
-        })
-    });
     c.bench_function("dispatch_waterfill_6dev_4req", |b| {
         b.iter(|| {
             waterfill
@@ -184,8 +168,8 @@ fn bench_dispatch(c: &mut Criterion) {
     // ran: `stage_balance_repeat` checks an unchanged balanced stage (a
     // memo hit), `stage_balance_certified` alternates two balanced states
     // (every call misses the memo and the level certificate settles it).
-    // The `_solve` rows time the relaxed-ideal solve itself, alternating
-    // the same two states, so that every call solves.
+    // `ideal_attention_time_solve` times the relaxed-ideal solve itself,
+    // alternating the same two states, so that every call solves.
     let mut kv_b = kv.clone();
     kv_b.device_mut(stage.primary.devices[0])
         .allocate(hetis_workload::RequestId(10_000), 0, 8, blocks, 80)
@@ -225,27 +209,23 @@ fn bench_dispatch(c: &mut Criterion) {
         let (current, _) = waterfill.current_attention_time(&cluster, &model, kv, &stage, 0);
         (kv, current)
     });
-    for (id, d) in [
-        ("ideal_attention_time_solve", &waterfill),
-        ("ideal_attention_time_simplex_solve", &simplex),
-    ] {
-        c.bench_function(id, |b| {
-            let (fast, slow) = d.solver_counts();
-            let mut calls = 0u64;
-            b.iter(|| {
-                calls += 1;
-                let (kv, current) = states[calls as usize % 2];
-                d.ideal_attention_time(&cluster, &model, kv, &stage, 0, current)
-                    .unwrap()
-            });
-            let (fast2, slow2) = d.solver_counts();
-            assert_eq!(
-                fast2 + slow2 - fast - slow,
-                calls,
-                "{id}: a call skipped its solve"
-            );
+    c.bench_function("ideal_attention_time_solve", |b| {
+        let (fast, slow) = waterfill.solver_counts();
+        let mut calls = 0u64;
+        b.iter(|| {
+            calls += 1;
+            let (kv, current) = states[calls as usize % 2];
+            waterfill
+                .ideal_attention_time(&cluster, &model, kv, &stage, 0, current)
+                .unwrap()
         });
-    }
+        let (fast2, slow2) = waterfill.solver_counts();
+        assert_eq!(
+            fast2 + slow2 - fast - slow,
+            calls,
+            "ideal_attention_time_solve: a call skipped its solve"
+        );
+    });
 }
 
 fn bench_kvcache(c: &mut Criterion) {

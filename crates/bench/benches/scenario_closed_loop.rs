@@ -19,9 +19,9 @@
 //! fused TPOT win, at least one action actually fired, and every digest
 //! reproduces bit-for-bit across a same-seed rerun.
 
-use hetis_bench::{bench_engine_config, bench_hetis_config, bench_profile_for, f, tsv_header};
+use hetis_bench::{bench_engine_config, bench_profile_for, f, tsv_header};
 use hetis_cluster::cluster::paper_cluster;
-use hetis_core::HetisPolicy;
+use hetis_core::{HetisConfig, HetisPolicy};
 use hetis_elastic::elastic_hetis;
 use hetis_engine::{run, AdmissionPolicy, ClosedLoopConfig, RunReport};
 use hetis_model::llama_13b;
@@ -58,7 +58,7 @@ fn main() {
                 // Plain policy, no bus: must reproduce the slo_mix
                 // chunked+priority pin.
                 return run(
-                    HetisPolicy::new(bench_hetis_config(), profile),
+                    HetisPolicy::new(HetisConfig::default(), profile),
                     &cluster,
                     &model,
                     cfg,
@@ -89,7 +89,7 @@ fn main() {
             _ => unreachable!(),
         }
         run(
-            elastic_hetis(bench_hetis_config(), profile),
+            elastic_hetis(HetisConfig::default(), profile),
             &cluster,
             &model,
             cfg,

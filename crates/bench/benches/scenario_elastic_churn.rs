@@ -10,11 +10,10 @@
 //! than the frozen baseline.
 
 use hetis_baselines::{HelixPolicy, HexgenPolicy, SplitwisePolicy};
-use hetis_bench::{
-    bench_engine_config, bench_hetis_config, bench_profile_for, f, tsv_header, Scale,
-};
+use hetis_bench::{bench_engine_config, bench_profile_for, f, tsv_header, Scale};
 use hetis_cluster::cluster::paper_cluster;
 use hetis_cluster::GpuType;
+use hetis_core::HetisConfig;
 use hetis_elastic::{elastic_hetis, frozen_hetis, ChurnScenario};
 use hetis_engine::RunReport;
 use hetis_model::llama_70b;
@@ -53,13 +52,13 @@ fn main() {
     let run_named = |which: &str| -> RunReport {
         match which {
             "hetis+elastic" => scenario.run(
-                elastic_hetis(bench_hetis_config(), profile),
+                elastic_hetis(HetisConfig::default(), profile),
                 &cluster,
                 &model,
                 cfg.clone(),
             ),
             "hetis+frozen" => scenario.run(
-                frozen_hetis(bench_hetis_config(), profile),
+                frozen_hetis(HetisConfig::default(), profile),
                 &cluster,
                 &model,
                 cfg.clone(),
@@ -108,8 +107,7 @@ fn main() {
             report.events_processed,
             f(report.events_processed as f64 / wall),
         );
-        // Behavior digest per system — the CI gate pins all of these
-        // under both HETIS_DISPATCH_SOLVER modes.
+        // Behavior digest per system — the CI gate pins all of these.
         println!(
             "elastic_storm\tbehavior-digest\t{which}\t{:016x}",
             report.digest()

@@ -17,15 +17,11 @@
 //!    at equal-or-better attainment.
 
 use hetis_baselines::HelixPolicy;
-use hetis_bench::{
-    bench_engine_config, bench_hetis_config, bench_profile_for, f, tsv_header, Scale,
-};
+use hetis_bench::{bench_engine_config, bench_profile_for, f, tsv_header, Scale};
 use hetis_cluster::cluster::paper_cluster;
 use hetis_cluster::GpuType;
 use hetis_core::HetisConfig;
-use hetis_elastic::{
-    AcquisitionPolicy, ChurnScenario, CostMeter, ElasticController, ElasticPolicy,
-};
+use hetis_elastic::{elastic_hetis, AcquisitionPolicy, ChurnScenario, CostMeter};
 use hetis_engine::RunReport;
 use hetis_model::llama_70b;
 use hetis_workload::{DatasetKind, PriceTrace};
@@ -65,39 +61,18 @@ fn main() {
     let prices = PriceTrace::seeded(7777, horizon, 10.0, 0.25, 0.95);
     let spot_aware = AcquisitionPolicy::SpotAware { threshold: 0.7 };
 
-    let elastic_with = |meter: Option<CostMeter>| -> ElasticPolicy<hetis_core::HetisPolicy> {
-        let hetis_cfg: HetisConfig = bench_hetis_config();
-        let mut controller = ElasticController::new(hetis_cfg.clone(), profile);
-        if let Some(m) = meter {
-            controller = controller.with_acquisition(m);
-        }
-        ElasticPolicy::with_controller(hetis_core::HetisPolicy::new(hetis_cfg, profile), controller)
-    };
+    let elastic = || elastic_hetis(HetisConfig::default(), profile);
 
     let run_named = |which: &str| -> RunReport {
+        let priced = |policy| {
+            let meter = CostMeter::new(prices.clone(), policy);
+            scenario.run_priced(elastic(), &cluster, &model, cfg.clone(), &meter)
+        };
         match which {
-            "hetis+elastic" => scenario.run(elastic_with(None), &cluster, &model, cfg.clone()),
+            "hetis+elastic" => scenario.run(elastic(), &cluster, &model, cfg.clone()),
             "helix" => scenario.run(HelixPolicy::new(), &cluster, &model, cfg.clone()),
-            "hetis+ondemand" => {
-                let meter = CostMeter::new(prices.clone(), AcquisitionPolicy::AlwaysOnDemand);
-                scenario.run_priced(
-                    elastic_with(Some(meter.clone())),
-                    &cluster,
-                    &model,
-                    cfg.clone(),
-                    &meter,
-                )
-            }
-            "hetis+spot" => {
-                let meter = CostMeter::new(prices.clone(), spot_aware);
-                scenario.run_priced(
-                    elastic_with(Some(meter.clone())),
-                    &cluster,
-                    &model,
-                    cfg.clone(),
-                    &meter,
-                )
-            }
+            "hetis+ondemand" => priced(AcquisitionPolicy::AlwaysOnDemand),
+            "hetis+spot" => priced(spot_aware),
             _ => unreachable!(),
         }
     };

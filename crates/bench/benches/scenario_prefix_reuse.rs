@@ -16,9 +16,9 @@
 //! keeps goodput at least equal — with bit-identical digests across
 //! same-seed reruns.
 
-use hetis_bench::{bench_engine_config, bench_hetis_config, bench_profile_for, f, tsv_header};
+use hetis_bench::{bench_engine_config, bench_profile_for, f, tsv_header};
 use hetis_cluster::cluster::paper_cluster;
-use hetis_core::HetisPolicy;
+use hetis_core::{HetisConfig, HetisPolicy};
 use hetis_engine::{run, AdmissionPolicy, RunReport};
 use hetis_model::llama_13b;
 use hetis_workload::{multi_turn_trace, DatasetKind, SessionWorkload, SloClass};
@@ -54,7 +54,7 @@ fn main() {
             _ => unreachable!(),
         }
         run(
-            HetisPolicy::new(bench_hetis_config(), profile),
+            HetisPolicy::new(HetisConfig::default(), profile),
             &cluster,
             &model,
             cfg,

@@ -22,9 +22,9 @@
 //! interactive TPOT vs the alternating loop — with bit-identical
 //! digests across same-seed reruns.
 
-use hetis_bench::{bench_engine_config, bench_hetis_config, bench_profile_for, f, tsv_header};
+use hetis_bench::{bench_engine_config, bench_profile_for, f, tsv_header};
 use hetis_cluster::cluster::paper_cluster;
-use hetis_core::HetisPolicy;
+use hetis_core::{HetisConfig, HetisPolicy};
 use hetis_engine::{run, AdmissionPolicy, RunReport};
 use hetis_model::llama_13b;
 use hetis_telemetry::TelemetryConfig;
@@ -70,7 +70,7 @@ fn main() {
             _ => unreachable!(),
         }
         run(
-            HetisPolicy::new(bench_hetis_config(), profile),
+            HetisPolicy::new(HetisConfig::default(), profile),
             &cluster,
             &model,
             cfg,
@@ -129,8 +129,7 @@ fn main() {
             report.fused_iterations,
             report.lost_tokens,
         );
-        // Behavior digest per system — the CI gate pins all of these
-        // under both HETIS_DISPATCH_SOLVER modes.
+        // Behavior digest per system — the CI gate pins all of these.
         println!(
             "slo_mix\tbehavior-digest\t{which}\t{:016x}",
             report.digest()
@@ -215,7 +214,7 @@ fn main() {
         cfg.admission = AdmissionPolicy::SloSlack;
         cfg.telemetry = Some(TelemetryConfig::full_run());
         run(
-            HetisPolicy::new(bench_hetis_config(), profile),
+            HetisPolicy::new(HetisConfig::default(), profile),
             &cluster,
             &model,
             cfg,

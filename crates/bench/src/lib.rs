@@ -79,26 +79,6 @@ pub fn bench_engine_config() -> EngineConfig {
     }
 }
 
-/// Default Hetis config for experiments, honoring
-/// `HETIS_DISPATCH_SOLVER` (`waterfill` — the default — or `simplex`).
-/// The override exists so scenario digests can be pinned against the
-/// simplex oracle: `HETIS_DISPATCH_SOLVER=simplex cargo bench --bench
-/// scenario_slo_mix` must reproduce the pre-fast-path digests
-/// bit-for-bit.
-pub fn bench_hetis_config() -> HetisConfig {
-    let mut cfg = HetisConfig::default();
-    if let Ok(v) = std::env::var("HETIS_DISPATCH_SOLVER") {
-        cfg.solver = match v.as_str() {
-            "simplex" => hetis_core::DispatchSolver::Simplex,
-            "waterfill" => hetis_core::DispatchSolver::WaterFill,
-            // A typo silently selecting the wrong solver would record
-            // bogus pinning digests — fail loudly instead.
-            other => panic!("unknown HETIS_DISPATCH_SOLVER value {other:?} (expected \"simplex\" or \"waterfill\")"),
-        };
-    }
-    cfg
-}
-
 /// Builds a trace for a dataset at a rate (fixed seed per dataset so the
 /// same requests arrive faster or slower across the rate sweep).
 pub fn bench_trace(dataset: DatasetKind, rate: f64, horizon: f64) -> Trace {
@@ -135,7 +115,7 @@ pub fn run_system(
     match system {
         System::Hetis => run(
             HetisPolicy::new(
-                bench_hetis_config(),
+                HetisConfig::default(),
                 bench_profile_for(dataset, cluster, model),
             ),
             cluster,

@@ -4,21 +4,24 @@ use hetis_model::ModelSpec;
 use hetis_parallel::{DecodeBatch, PrefillBatch};
 use hetis_workload::{Dataset, DatasetKind};
 
-/// Which solver the Dispatcher uses for the per-iteration Eq. (7)
-/// min–max dispatch and the §5.3.1 ideal-time relaxation.
+/// Profile grid resolution (paper: eight `h` × eight `g` values).
+pub(crate) const PROFILE_GRID: usize = 8;
+/// Measurement noise amplitude used while profiling (multiplicative; the
+/// real system sees run-to-run variance).
+pub(crate) const PROFILE_NOISE: f64 = 0.02;
+/// RNG seed for profiling noise.
+pub(crate) const PROFILE_SEED: u64 = 0x4E75;
+
+/// The Eq. (7) solver: the dispatcher always runs the structure-exploiting
+/// water-fill ([`hetis_lp::WaterFill`]), handing a solve to the simplex
+/// only when a capacity row binds at the optimum. The type has one
+/// variant and selects nothing; it is kept only so configurations that
+/// still name it compile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchSolver {
-    /// Structure-exploiting parametric water-fill
-    /// ([`hetis_lp::WaterFill`]): exact on the fast path, transparently
-    /// falling back to the simplex oracle when a capacity row binds at
-    /// the optimum. The default — dispatching runs every iteration, so
-    /// it must cost microseconds, not simplex pivots.
+    /// The water-fill with its simplex fallback.
     #[default]
     WaterFill,
-    /// Generic dense two-phase simplex on the epigraph LP (the pre-fast-
-    /// path behavior, bit-for-bit). Retained as the property-test oracle
-    /// and for pinning runs.
-    Simplex,
 }
 
 /// Tunables of the Hetis system, with the paper's defaults.
@@ -29,17 +32,9 @@ pub struct HetisConfig {
     pub delta: f64,
     /// Re-dispatch trigger threshold Θ (§5.3, default 0.5 = 50%).
     pub theta: f64,
-    /// Profile grid resolution (paper: eight `h` × eight `g` values).
-    pub profile_grid: usize,
-    /// Measurement noise amplitude used while profiling (multiplicative;
-    /// the real system sees run-to-run variance).
-    pub profile_noise: f64,
-    /// RNG seed for profiling noise.
-    pub profile_seed: u64,
-    /// Upper bound on re-dispatch operations triggered per scheduling
-    /// round (the paper re-dispatches "one request" at a time).
-    pub max_redispatch_per_round: usize,
-    /// Eq. (7) solver selection (default [`DispatchSolver::WaterFill`]).
+    /// Ignored: the dispatcher has one solver (see [`DispatchSolver`]).
+    /// The field is kept only so configurations that still set it
+    /// compile.
     pub solver: DispatchSolver,
 }
 
@@ -48,11 +43,7 @@ impl Default for HetisConfig {
         HetisConfig {
             delta: 0.05,
             theta: 0.5,
-            profile_grid: 8,
-            profile_noise: 0.02,
-            profile_seed: 0x4E75,
-            max_redispatch_per_round: 1,
-            solver: DispatchSolver::default(),
+            solver: DispatchSolver::WaterFill,
         }
     }
 }
@@ -132,8 +123,6 @@ mod tests {
         let c = HetisConfig::default();
         assert_eq!(c.delta, 0.05);
         assert_eq!(c.theta, 0.5);
-        assert_eq!(c.profile_grid, 8);
-        assert_eq!(c.solver, DispatchSolver::WaterFill);
     }
 
     #[test]

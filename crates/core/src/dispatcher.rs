@@ -16,7 +16,6 @@
 //! `h_i(t)`/`g_i(t)` enter as constants read from the KV state. The
 //! fractional solution is rounded to whole KV-head groups (Eq. 5).
 
-use crate::config::{DispatchSolver, HetisConfig};
 use crate::profiler::Profiler;
 use hetis_cluster::{Cluster, DeviceId};
 use hetis_engine::{KvState, StageTopo};
@@ -51,9 +50,8 @@ pub struct DispatchOutcome {
 ///
 /// The coefficient buffers `h_now` to `constants` are `dispatch_adjusted`'s
 /// staging: raw seconds-per-unit values, with the `MS`/`GB` scaling
-/// applied at row-build time (this exact operation order is what keeps
-/// `DispatchSolver::Simplex` bit-identical to the pre-fast-path
-/// dispatcher). The §5.3.1 relaxation stages its scaled per-device terms
+/// applied where the water-fill devices and the fallback simplex rows are
+/// built. The §5.3.1 relaxation stages its scaled per-device terms
 /// into `constants`, `a_eff`, `b_coef` and `free` instead (see
 /// `Dispatcher::pose_ideal`).
 #[derive(Debug, Clone, Default)]
@@ -90,7 +88,6 @@ struct BalanceSlot {
 struct SolveCounts {
     fast: u64,
     fallback: u64,
-    simplex: u64,
 }
 
 /// A stage's §5.3.1 verdict, from [`Dispatcher::stage_balance`].
@@ -132,31 +129,29 @@ const CERTIFICATE_MARGIN: f64 = 1e-6;
 #[derive(Debug, Clone)]
 pub struct Dispatcher {
     profiler: Profiler,
-    cfg: HetisConfig,
     scratch: RefCell<Scratch>,
 }
 
 impl Dispatcher {
     /// A dispatcher using `profiler`'s fitted models.
-    pub fn new(profiler: Profiler, cfg: HetisConfig) -> Self {
+    pub fn new(profiler: Profiler) -> Self {
         Dispatcher {
             profiler,
-            cfg,
             scratch: RefCell::new(Scratch::default()),
         }
     }
 
     /// Solver telemetry since construction: `(fast-path water-fill
-    /// solves, simplex solves)` — the latter counts both capacity-bound
-    /// fallbacks and [`DispatchSolver::Simplex`]-mode solves. A batch
-    /// rejected by the pooled-capacity bound
+    /// solves, simplex solves)`, the latter being the water-fill's
+    /// fallbacks when a capacity row binds ([`WfOutcome::CapacityBound`]).
+    /// A batch rejected by the pooled-capacity bound
     /// ([`Dispatcher::pooled_prefix`]) counts as neither, and so does a
     /// [`Dispatcher::stage_balance`] check that its memo or its level
     /// certificate settles (the debug-build oracle's solves are not
     /// counted either).
     pub fn solver_counts(&self) -> (u64, u64) {
         let c = self.scratch.borrow().counts;
-        (c.fast, c.fallback + c.simplex)
+        (c.fast, c.fallback)
     }
 
     /// How [`Dispatcher::stage_balance`] settled its checks since
@@ -187,7 +182,7 @@ impl Dispatcher {
     /// free bytes: the largest `k` with `Σ_{j<k} H·l_j·κ` within the summed
     /// per-layer free bytes of the stage's attention devices (relative
     /// slack 1e-9). [`Dispatcher::dispatch`] returns `None` for every
-    /// longer prefix, under either [`DispatchSolver`].
+    /// longer prefix.
     ///
     /// The bound is exact. Whatever the LP returns, rounding gives each
     /// request exactly `H` heads and caps request `j` on device `i` at
@@ -397,44 +392,36 @@ impl Dispatcher {
             );
         }
 
-        let sol = match self.cfg.solver {
-            DispatchSolver::WaterFill => {
-                // Structured fast path: one WfDevice per max term +
-                // capacity row, one WfDemand per head-integrity equality.
-                sc.wf.clear();
-                for i in 0..n {
-                    sc.wf.push_device(WfDevice {
-                        constant: sc.constants[i],
-                        alpha: sc.a_eff[i] * MS,
-                        beta: sc.b_coef[i] * MS,
-                        capacity: sc.free[i] * GB,
-                    });
-                }
-                for &l in new_reqs {
-                    let l_compute = (l as u64).min(compute_chunk.unwrap_or(u64::MAX)) as f64;
-                    sc.wf.push_demand(WfDemand {
-                        amount: h_total,
-                        p: 1.0,
-                        q: kappa * l_compute,
-                        u: l as f64 * kappa * GB,
-                    });
-                }
-                match sc.wf.solve() {
-                    WfOutcome::Solved(s) => {
-                        sc.counts.fast += 1;
-                        s
-                    }
-                    WfOutcome::CapacityBound => {
-                        sc.counts.fallback += 1;
-                        Self::solve_eq7_simplex(sc, n, new_reqs, kappa, compute_chunk, h_total)?
-                    }
-                    WfOutcome::Infeasible => return None,
-                }
+        // Structured fast path: one WfDevice per max term + capacity row,
+        // one WfDemand per head-integrity equality.
+        sc.wf.clear();
+        for i in 0..n {
+            sc.wf.push_device(WfDevice {
+                constant: sc.constants[i],
+                alpha: sc.a_eff[i] * MS,
+                beta: sc.b_coef[i] * MS,
+                capacity: sc.free[i] * GB,
+            });
+        }
+        for &l in new_reqs {
+            let l_compute = (l as u64).min(compute_chunk.unwrap_or(u64::MAX)) as f64;
+            sc.wf.push_demand(WfDemand {
+                amount: h_total,
+                p: 1.0,
+                q: kappa * l_compute,
+                u: l as f64 * kappa * GB,
+            });
+        }
+        let sol = match sc.wf.solve() {
+            WfOutcome::Solved(s) => {
+                sc.counts.fast += 1;
+                s
             }
-            DispatchSolver::Simplex => {
-                sc.counts.simplex += 1;
+            WfOutcome::CapacityBound => {
+                sc.counts.fallback += 1;
                 Self::solve_eq7_simplex(sc, n, new_reqs, kappa, compute_chunk, h_total)?
             }
+            WfOutcome::Infeasible => return None,
         };
 
         // Round per request, consuming per-device capacity as we go. The
@@ -463,8 +450,8 @@ impl Dispatcher {
     }
 
     /// Poses Eq. (7) as the epigraph LP over `x[j·n + i]` from the
-    /// coefficients staged in `sc` and solves it with the simplex oracle
-    /// (bit-identical to the pre-fast-path dispatcher).
+    /// coefficients staged in `sc` and solves it with the simplex: the
+    /// water-fill's fallback when a capacity row binds.
     fn solve_eq7_simplex(
         sc: &mut Scratch,
         n: usize,
@@ -575,7 +562,7 @@ impl Dispatcher {
                     (StageBalance::Balanced, true)
                 } else {
                     sc.balance.solved += 1;
-                    let ideal = Self::solve_ideal(self.cfg.solver, sc, totals);
+                    let ideal = Self::solve_ideal(sc, totals);
                     (Self::verdict(current, bottleneck, ideal, theta), false)
                 }
             }
@@ -711,7 +698,7 @@ impl Dispatcher {
         // express), so at very light loads the "ideal" can exceed the
         // status quo. Clamp: the current assignment is itself feasible,
         // hence an upper bound on the true optimum.
-        Self::solve_ideal(self.cfg.solver, sc, totals).map(|f| f.min(current))
+        Self::solve_ideal(sc, totals).map(|f| f.min(current))
     }
 
     /// Stages the §5.3.1 relaxation of `stage` into `sc` and poses it on
@@ -796,32 +783,26 @@ impl Dispatcher {
     }
 
     /// Solves the §5.3.1 relaxation `Dispatcher::pose_ideal` staged in
-    /// `sc` (with the stage's `totals` of heads and per-layer KV bytes)
-    /// under `solver`, counting the solve. Returns `f*` in seconds,
-    /// unclamped; `None` when the LP is infeasible.
-    fn solve_ideal(solver: DispatchSolver, sc: &mut Scratch, totals: (f64, f64)) -> Option<f64> {
-        let solved = match solver {
-            DispatchSolver::WaterFill => match sc.wf.solve() {
-                WfOutcome::Solved(s) => {
-                    sc.counts.fast += 1;
-                    Some(s)
-                }
-                WfOutcome::CapacityBound => {
-                    sc.counts.fallback += 1;
-                    Self::solve_ideal_simplex(sc, totals)
-                }
-                WfOutcome::Infeasible => None,
-            },
-            DispatchSolver::Simplex => {
-                sc.counts.simplex += 1;
+    /// `sc` (with the stage's `totals` of heads and per-layer KV bytes),
+    /// counting the solve. Returns `f*` in seconds, unclamped; `None` when
+    /// the LP is infeasible.
+    fn solve_ideal(sc: &mut Scratch, totals: (f64, f64)) -> Option<f64> {
+        let solved = match sc.wf.solve() {
+            WfOutcome::Solved(s) => {
+                sc.counts.fast += 1;
+                Some(s)
+            }
+            WfOutcome::CapacityBound => {
+                sc.counts.fallback += 1;
                 Self::solve_ideal_simplex(sc, totals)
             }
+            WfOutcome::Infeasible => None,
         };
         solved.map(|s| s.max_value / MS)
     }
 
-    /// The §5.3.1 relaxation as the epigraph LP (oracle / fallback path,
-    /// bit-identical to the pre-fast-path dispatcher).
+    /// The §5.3.1 relaxation as the epigraph LP: the water-fill's
+    /// fallback when a capacity row binds.
     fn solve_ideal_simplex(
         sc: &mut Scratch,
         (h_total, g_total): (f64, f64),
@@ -917,7 +898,7 @@ mod tests {
         });
         stage.attention_workers = cluster.devices_of_type(GpuType::P100)[..2].to_vec();
         let profiler = Profiler::profile(&cluster, 8, 0.0, 1);
-        let d = Dispatcher::new(profiler, HetisConfig::default());
+        let d = Dispatcher::new(profiler);
         (cluster, model, kv, stage, d)
     }
 

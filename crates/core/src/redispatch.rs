@@ -15,7 +15,8 @@
 
 use crate::dispatcher::{Dispatcher, StageBalance};
 use hetis_cluster::DeviceId;
-use hetis_engine::{HeadPlacement, Phase, PolicyCtx, RedispatchOp, StageTopo, VictimAction};
+use hetis_engine::policy::StaticPolicy;
+use hetis_engine::{HeadPlacement, PolicyCtx, RedispatchOp, StageTopo, VictimAction};
 use hetis_workload::RequestId;
 
 /// Computes the victim's per-device (heads, per-layer bytes) footprint on
@@ -107,35 +108,26 @@ pub fn balance_computation(
             StageBalance::Imbalanced { bottleneck } => bottleneck,
             StageBalance::Unsolvable => return None,
         };
-        // The request contributing most to the bottleneck device. When
-        // no victim is eligible (every candidate is in flight) or its
-        // replan fails, `?` ends the whole round, so the instance's later
-        // stages go unchecked until the next one (a known quirk, kept for
-        // the pinned digests). The verdict memo keeps it: it stores
-        // `Imbalanced`, so this pick runs again next round.
+        // The request contributing most to the bottleneck device, from
+        // that device's stage-`s` entries. When no victim is eligible
+        // (every candidate is in flight) or its replan fails, `?` ends the
+        // whole round, so the instance's later stages go unchecked until
+        // the next one (a known quirk, kept for the pinned digests). The
+        // verdict memo keeps it: it stores `Imbalanced`, so this pick runs
+        // again next round.
         let victim = ctx
-            .requests
-            .values()
-            .filter(|r| {
-                r.instance == instance
-                    && r.phase == Phase::Decoding
-                    && !r.in_flight
-                    && r.placement
-                        .as_ref()
-                        .map(|p| p.heads_on(s, bottleneck) > 0)
-                        .unwrap_or(false)
+            .kv
+            .device(bottleneck)
+            .entries()
+            .filter(|&((_, stage), _)| stage == s as u16)
+            .filter_map(|((rid, _), _)| ctx.requests.get(&rid))
+            .filter(|r| StaticPolicy::evictable(instance, r))
+            .filter_map(|r| {
+                let heads = r.placement.as_ref()?.heads_on(s, bottleneck);
+                (heads > 0).then(|| (heads as f64 * r.context_len() as f64, r.req.id))
             })
-            .max_by(|a, b| {
-                let key = |r: &&hetis_engine::RunningRequest| {
-                    let heads = r.placement.as_ref().unwrap().heads_on(s, bottleneck) as f64;
-                    heads * r.context_len() as f64
-                };
-                key(a)
-                    .partial_cmp(&key(b))
-                    .unwrap()
-                    .then(a.req.id.cmp(&b.req.id))
-            })
-            .map(|r| r.req.id)?;
+            .max_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)))
+            .map(|(_, id)| id)?;
         let new_placement = replan_request(dispatcher, ctx, instance, victim, None)?;
         let old = ctx.requests[&victim].placement.as_ref().unwrap();
         if &new_placement == old {
@@ -170,82 +162,43 @@ pub fn select_victim(
     device: DeviceId,
     mode: VictimMode,
 ) -> VictimAction {
-    let eligible = |r: &&hetis_engine::RunningRequest| {
-        r.instance == instance && r.phase == Phase::Decoding && !r.in_flight
+    let victim = match mode {
+        // Newest admission anywhere on the instance — may not even touch
+        // the exhausted device (the paper's criticism).
+        VictimMode::PlainLifo => StaticPolicy::lifo_victim_anywhere(instance, ctx),
+        VictimMode::LruOnDevice => StaticPolicy::victims_on_device(instance, device, ctx)
+            .min_by(StaticPolicy::by_admission)
+            .map(|r| r.req.id),
+        // Modified LIFO: newest admission *resident on the device*.
+        VictimMode::Hetis => StaticPolicy::lifo_victim_on_device(instance, device, ctx),
     };
-    match mode {
-        VictimMode::PlainLifo => {
-            // Newest admission anywhere on the instance — may not even
-            // touch the exhausted device (the paper's criticism).
-            let v = ctx.requests.values().filter(eligible).max_by(cmp_admitted);
-            match v {
-                Some(r) => VictimAction::Evict(r.req.id),
-                None => VictimAction::Stall,
-            }
-        }
-        VictimMode::LruOnDevice => {
-            let v = ctx
-                .requests
-                .values()
-                .filter(eligible)
-                .filter(|r| ctx.kv.device(device).request_bytes(r.req.id) > 0)
-                .min_by(cmp_admitted);
-            match v {
-                Some(r) => VictimAction::Evict(r.req.id),
-                None => VictimAction::Stall,
-            }
-        }
-        VictimMode::Hetis => {
-            // Modified LIFO: newest admission *resident on the device*.
-            let v = ctx
-                .requests
-                .values()
-                .filter(eligible)
-                .filter(|r| ctx.kv.device(device).request_bytes(r.req.id) > 0)
-                .max_by(cmp_admitted);
-            let Some(victim) = v.map(|r| r.req.id) else {
-                return VictimAction::Stall;
-            };
-            // Aggregate free memory check: Σ gᵢ < Σ capᵢ over the
-            // instance's attention devices (minus the exhausted one,
-            // which by definition has nothing to give).
-            let devices: Vec<DeviceId> = ctx.topology.instances[instance]
-                .stages
-                .iter()
-                .flat_map(|s| s.attention_devices())
-                .collect();
-            let free_elsewhere: u64 = devices
-                .iter()
-                .filter(|&&d| d != device)
-                .map(|&d| ctx.kv.device(d).free_bytes())
-                .sum();
-            let victim_bytes_on_dev = ctx.kv.device(device).request_bytes(victim);
-            if free_elsewhere > victim_bytes_on_dev {
-                // Exhausted devices are banned from re-receiving the
-                // heads their own pressure releases.
-                if let Some(p) = replan_request(dispatcher, ctx, instance, victim, Some(device)) {
-                    let old = ctx.requests[&victim].placement.as_ref().unwrap();
-                    if &p != old
-                        && p.heads_on_device_total(device) < old.heads_on_device_total(device)
-                    {
-                        return VictimAction::Redispatch(victim, p);
-                    }
+    let Some(victim) = victim else {
+        return VictimAction::Stall;
+    };
+    if mode == VictimMode::Hetis {
+        // Aggregate free memory check: Σ gᵢ < Σ capᵢ over the instance's
+        // attention devices (minus the exhausted one, which by definition
+        // has nothing to give).
+        let free_elsewhere: u64 = ctx.topology.instances[instance]
+            .stages
+            .iter()
+            .flat_map(|s| s.primary.devices.iter().chain(&s.attention_workers))
+            .filter(|&&d| d != device)
+            .map(|&d| ctx.kv.device(d).free_bytes())
+            .sum();
+        if free_elsewhere > ctx.kv.device(device).request_bytes(victim) {
+            // Exhausted devices are banned from re-receiving the heads
+            // their own pressure releases.
+            if let Some(p) = replan_request(dispatcher, ctx, instance, victim, Some(device)) {
+                let old = ctx.requests[&victim].placement.as_ref().unwrap();
+                if &p != old && p.heads_on_device_total(device) < old.heads_on_device_total(device)
+                {
+                    return VictimAction::Redispatch(victim, p);
                 }
             }
-            VictimAction::Evict(victim)
         }
     }
-}
-
-fn cmp_admitted(
-    a: &&hetis_engine::RunningRequest,
-    b: &&hetis_engine::RunningRequest,
-) -> std::cmp::Ordering {
-    a.admitted_at
-        .unwrap_or(0.0)
-        .partial_cmp(&b.admitted_at.unwrap_or(0.0))
-        .unwrap()
-        .then(a.req.id.cmp(&b.req.id))
+    VictimAction::Evict(victim)
 }
 
 /// Extension helpers for placements used by the victim logic.

@@ -1,6 +1,6 @@
 //! [`HetisPolicy`]: the complete Hetis system as an engine policy.
 
-use crate::config::{HetisConfig, WorkloadProfile};
+use crate::config::{HetisConfig, WorkloadProfile, PROFILE_GRID, PROFILE_NOISE, PROFILE_SEED};
 use crate::dispatcher::Dispatcher;
 use crate::parallelizer::{search_topology, SearchOutcome};
 use crate::profiler::{Coefficient, Profiler};
@@ -19,7 +19,6 @@ pub struct HetisPolicy {
     dispatcher: Option<Dispatcher>,
     fixed_topology: Option<Topology>,
     perturbations: Vec<(Coefficient, f64)>,
-    redispatch_enabled: bool,
     victim_mode: VictimMode,
     search_outcome: Option<SearchOutcome>,
     rr: usize,
@@ -34,7 +33,6 @@ impl HetisPolicy {
             dispatcher: None,
             fixed_topology: None,
             perturbations: Vec::new(),
-            redispatch_enabled: true,
             victim_mode: VictimMode::Hetis,
             search_outcome: None,
             rr: 0,
@@ -51,12 +49,6 @@ impl HetisPolicy {
     /// Applies a profiling-error perturbation after fitting (Fig. 16b).
     pub fn with_perturbation(mut self, which: Coefficient, frac: f64) -> Self {
         self.perturbations.push((which, frac));
-        self
-    }
-
-    /// Disables §5.3 re-dispatching (Fig. 15a / Fig. 16a ablations).
-    pub fn with_redispatch(mut self, enabled: bool) -> Self {
-        self.redispatch_enabled = enabled;
         self
     }
 
@@ -95,16 +87,11 @@ impl Policy for HetisPolicy {
     }
 
     fn topology(&mut self, cluster: &Cluster, model: &ModelSpec, _cfg: &EngineConfig) -> Topology {
-        let mut profiler = Profiler::profile(
-            cluster,
-            self.cfg.profile_grid,
-            self.cfg.profile_noise,
-            self.cfg.profile_seed,
-        );
+        let mut profiler = Profiler::profile(cluster, PROFILE_GRID, PROFILE_NOISE, PROFILE_SEED);
         for &(which, frac) in &self.perturbations {
             profiler.perturb(which, frac);
         }
-        self.dispatcher = Some(Dispatcher::new(profiler, self.cfg.clone()));
+        self.dispatcher = Some(Dispatcher::new(profiler));
         if let Some(t) = &self.fixed_topology {
             return t.clone();
         }
@@ -202,17 +189,10 @@ impl Policy for HetisPolicy {
     }
 
     fn before_decode(&mut self, instance: usize, ctx: &PolicyCtx<'_>) -> Vec<RedispatchOp> {
-        if !self.redispatch_enabled {
-            return Vec::new();
-        }
-        let mut ops = Vec::new();
-        for _ in 0..self.cfg.max_redispatch_per_round {
-            match balance_computation(self.dispatcher_ref(), ctx, instance, self.cfg.theta) {
-                Some(op) => ops.push(op),
-                None => break,
-            }
-        }
-        ops
+        // The paper re-dispatches one request per round.
+        balance_computation(self.dispatcher_ref(), ctx, instance, self.cfg.theta)
+            .into_iter()
+            .collect()
     }
 
     fn select_victim(

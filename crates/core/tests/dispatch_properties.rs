@@ -7,7 +7,7 @@
 use hetis_cluster::cluster::paper_cluster;
 use hetis_cluster::{DeviceId, GpuType};
 use hetis_core::profiler::Coefficient;
-use hetis_core::{DispatchSolver, Dispatcher, HetisConfig, Profiler, StageBalance};
+use hetis_core::{Dispatcher, Profiler, StageBalance};
 use hetis_engine::{KvState, StageTopo};
 use hetis_model::llama_70b;
 use hetis_parallel::StageConfig;
@@ -46,13 +46,7 @@ fn setup(
         );
     }
     let profiler = Profiler::profile(&cluster, 8, 0.0, 17);
-    (
-        cluster,
-        model,
-        kv,
-        stage,
-        Dispatcher::new(profiler, HetisConfig::default()),
-    )
+    (cluster, model, kv, stage, Dispatcher::new(profiler))
 }
 
 proptest! {
@@ -111,68 +105,64 @@ proptest! {
     }
 }
 
-/// `Dispatcher::pooled_prefix` is exact under both solvers: `dispatch`
-/// rejects every prefix longer than the bound, so the longest prefix it
-/// accepts is never longer. Resident loads and prompts are sized so that
-/// the bound cuts some batches and `dispatch` places the whole bounded
-/// prefix of others.
+/// `Dispatcher::pooled_prefix` is exact: `dispatch` rejects every prefix
+/// longer than the bound, so the longest prefix it accepts is never
+/// longer. Resident loads and prompts are sized so that the bound cuts
+/// some batches and `dispatch` places the whole bounded prefix of others,
+/// and so that some solves bind a capacity row and fall back to the
+/// simplex.
 #[test]
 fn pooled_prefix_bounds_every_accepted_prefix() {
     let mut rng = SplitMix64::new(0x5eed);
-    for solver in [DispatchSolver::WaterFill, DispatchSolver::Simplex] {
-        let (mut cut, mut attained) = (0, 0);
-        for _ in 0..40 {
-            let resident: Vec<(usize, u32, u32)> = (0..rng.next_below(30))
-                .map(|_| {
-                    (
-                        rng.next_below(6) as usize,
-                        1 + rng.next_below(8) as u32,
-                        16 + rng.next_below(120_000) as u32,
-                    )
-                })
-                .collect();
-            let lens: Vec<u32> = (0..1 + rng.next_below(8))
-                .map(|_| 16 + rng.next_below(300_000) as u32)
-                .collect();
-            let (cluster, model, kv, stage, d) = setup(&resident);
-            let cfg = HetisConfig {
-                solver,
-                ..HetisConfig::default()
-            };
-            let d = Dispatcher::new(d.profiler().clone(), cfg);
-            let bound = Dispatcher::pooled_prefix(&model, &kv, &stage, &lens);
-            let mut longest = 0;
-            for k in 1..=lens.len() {
-                let placed = d
-                    .dispatch(&cluster, &model, &kv, &stage, 0, &lens[..k])
-                    .is_some();
-                assert!(
-                    !(placed && k > bound),
-                    "{solver:?}: prefix {k} placed beyond bound {bound}"
-                );
-                if placed {
-                    longest = k;
-                }
+    let (mut cut, mut attained, mut fallbacks) = (0, 0, 0);
+    for _ in 0..40 {
+        let resident: Vec<(usize, u32, u32)> = (0..rng.next_below(30))
+            .map(|_| {
+                (
+                    rng.next_below(6) as usize,
+                    1 + rng.next_below(8) as u32,
+                    16 + rng.next_below(120_000) as u32,
+                )
+            })
+            .collect();
+        let lens: Vec<u32> = (0..1 + rng.next_below(8))
+            .map(|_| 16 + rng.next_below(300_000) as u32)
+            .collect();
+        let (cluster, model, kv, stage, d) = setup(&resident);
+        let bound = Dispatcher::pooled_prefix(&model, &kv, &stage, &lens);
+        let mut longest = 0;
+        for k in 1..=lens.len() {
+            let placed = d
+                .dispatch(&cluster, &model, &kv, &stage, 0, &lens[..k])
+                .is_some();
+            assert!(
+                !(placed && k > bound),
+                "prefix {k} placed beyond bound {bound}"
+            );
+            if placed {
+                longest = k;
             }
-            assert!(longest <= bound, "{solver:?}: {longest} > {bound}");
-            if bound < lens.len() {
-                // The bound is the longest prefix whose need fits the
-                // pool, not a shorter one.
-                let pooled: f64 = stage
-                    .attention_devices()
-                    .iter()
-                    .map(|&dev| kv.device(dev).free_bytes() as f64 / 80.0)
-                    .sum();
-                let per_token = model.num_heads as f64 * Dispatcher::head_token_bytes(&model);
-                let need: f64 = lens[..=bound].iter().map(|&l| per_token * l as f64).sum();
-                assert!(need > pooled, "{solver:?}: prefix {} fits", bound + 1);
-            }
-            cut += usize::from(bound < lens.len());
-            attained += usize::from(bound > 0 && longest == bound);
         }
-        assert!(cut > 0, "{solver:?}: the bound never cut a batch");
-        assert!(attained > 0, "{solver:?}: no bounded prefix was placed");
+        assert!(longest <= bound, "{longest} > {bound}");
+        if bound < lens.len() {
+            // The bound is the longest prefix whose need fits the pool,
+            // not a shorter one.
+            let pooled: f64 = stage
+                .attention_devices()
+                .iter()
+                .map(|&dev| kv.device(dev).free_bytes() as f64 / 80.0)
+                .sum();
+            let per_token = model.num_heads as f64 * Dispatcher::head_token_bytes(&model);
+            let need: f64 = lens[..=bound].iter().map(|&l| per_token * l as f64).sum();
+            assert!(need > pooled, "prefix {} fits", bound + 1);
+        }
+        cut += usize::from(bound < lens.len());
+        attained += usize::from(bound > 0 && longest == bound);
+        fallbacks += d.solver_counts().1;
     }
+    assert!(cut > 0, "the bound never cut a batch");
+    assert!(attained > 0, "no bounded prefix was placed");
+    assert!(fallbacks > 0, "no dispatch reached the simplex fallback");
 }
 
 /// One KV state of [`stage_balance_matches_reference`]: its residency as
@@ -193,12 +183,12 @@ struct MemoCase {
 /// revisits of earlier ones, and copies of the last one that change only
 /// a stage's worker list, only one device's pool, only Θ or only the
 /// profiler's cost coefficients. Every verdict must equal the reference
-/// a fresh dispatcher computes, under both solvers, and checking again
-/// must solve nothing. Memo hits, certificates, full solves and both
+/// a fresh dispatcher computes, and checking again must solve nothing.
+/// Memo hits, certificates, full solves, simplex fallbacks and both
 /// verdict kinds must all occur.
 #[test]
 fn stage_balance_matches_reference() {
-    let (cluster, model, _, stage0, d) = setup(&[]);
+    let (cluster, model, _, stage0, mut memo) = setup(&[]);
     let a100 = cluster.devices_of_type(GpuType::A100);
     let r3090 = cluster.devices_of_type(GpuType::Rtx3090);
     let p100 = cluster.devices_of_type(GpuType::P100);
@@ -249,129 +239,120 @@ fn stage_balance_matches_reference() {
     };
 
     let mut rng = SplitMix64::new(0x3e30);
-    for solver in [DispatchSolver::WaterFill, DispatchSolver::Simplex] {
-        let cfg = HetisConfig {
-            solver,
-            ..HetisConfig::default()
-        };
-        let mut memo = Dispatcher::new(d.profiler().clone(), cfg.clone());
-        let mut cases: Vec<MemoCase> = Vec::new();
-        let (mut hits, mut balanced, mut imbalanced) = (0, 0, 0);
-        for _ in 0..120 {
-            let case = match (cases.last(), rng.next_below(7)) {
-                (Some(_), 0) => cases[rng.next_below(cases.len() as u64) as usize].clone(),
-                (Some(last), 1) => {
-                    let mut case = last.clone();
-                    let s = rng.next_below(2) as usize;
-                    let lists = &worker_lists[s];
-                    case.workers[s] = lists[rng.next_below(lists.len() as u64) as usize].clone();
-                    case
-                }
-                (Some(last), 2) => {
-                    let mut case = last.clone();
-                    let devices: Vec<DeviceId> = stage0
-                        .primary
-                        .devices
-                        .iter()
-                        .chain(&stage1.primary.devices)
-                        .chain(&p100)
-                        .chain(&r3090)
-                        .copied()
-                        .collect();
-                    case.cut_pool = Some(devices[rng.next_below(devices.len() as u64) as usize]);
-                    case
-                }
-                (Some(last), 3) => {
-                    // Same state, new cost coefficients.
-                    let which = [
-                        Coefficient::A,
-                        Coefficient::B,
-                        Coefficient::C,
-                        Coefficient::Gamma,
-                        Coefficient::Beta,
-                    ][rng.next_below(5) as usize];
-                    let frac = [-0.05, 0.05][rng.next_below(2) as usize];
-                    memo.profiler_mut().perturb(which, frac);
-                    last.clone()
-                }
-                (Some(last), 4) => MemoCase {
-                    theta: [0.3, 0.5][rng.next_below(2) as usize],
-                    ..last.clone()
-                },
-                (_, pick) => {
-                    // Odd picks pile each stage's load onto one device,
-                    // so that imbalanced verdicts occur.
-                    let piled = [0, 1].map(|s| {
-                        let on = &holders[s];
-                        (pick % 2 == 1).then(|| on[rng.next_below(on.len() as u64) as usize])
-                    });
-                    MemoCase {
-                        resident: (0..rng.next_below(12))
-                            .map(|_| {
-                                let s = rng.next_below(2) as u16;
-                                let on = &holders[s as usize];
-                                let dev = piled[s as usize].unwrap_or_else(|| {
-                                    on[rng.next_below(on.len() as u64) as usize]
-                                });
-                                (
-                                    s,
-                                    dev,
-                                    1 + rng.next_below(8) as u32,
-                                    16 + rng.next_below(2000) as u32,
-                                )
-                            })
-                            .collect(),
-                        cut_pool: None,
-                        workers: [worker_lists[0][0].clone(), worker_lists[1][0].clone()],
-                        theta: 0.5,
-                    }
-                }
-            };
-            let (kv, stages) = build(&case);
-            cases.push(case.clone());
-            // Both stages in a random order, so a stage's slot must
-            // survive checks of the other.
-            let first = rng.next_below(2) as usize;
-            for s in [first, 1 - first] {
-                let stage = &stages[s];
-                let check = |d: &Dispatcher| {
-                    d.stage_balance(&cluster, &model, &kv, stage, s as u16, case.theta)
-                };
-                let before = memo.balance_counts();
-                let got = check(&memo);
-                hits += memo.balance_counts().memo_hits - before.memo_hits;
-                let fresh = Dispatcher::new(memo.profiler().clone(), cfg.clone());
-                let reference = fresh
-                    .stage_balance_reference(&cluster, &model, &kv, stage, s as u16, case.theta);
-                assert_eq!(
-                    got, reference,
-                    "{solver:?}, stage {s}: checked {got:?}, the reference {reference:?}"
-                );
-                match got {
-                    StageBalance::Balanced => balanced += 1,
-                    StageBalance::Imbalanced { .. } => imbalanced += 1,
-                    StageBalance::Unsolvable => panic!("resident load is always solvable"),
-                }
-                let counts = memo.solver_counts();
-                let before = memo.balance_counts();
-                assert_eq!(check(&memo), got);
-                assert_eq!(
-                    memo.solver_counts(),
-                    counts,
-                    "{solver:?}: a repeated check solved"
-                );
-                assert_eq!(
-                    memo.balance_counts().memo_hits,
-                    before.memo_hits + 1,
-                    "{solver:?}: a repeated check missed the memo"
-                );
+    let mut cases: Vec<MemoCase> = Vec::new();
+    let (mut hits, mut balanced, mut imbalanced) = (0, 0, 0);
+    for _ in 0..120 {
+        let case = match (cases.last(), rng.next_below(7)) {
+            (Some(_), 0) => cases[rng.next_below(cases.len() as u64) as usize].clone(),
+            (Some(last), 1) => {
+                let mut case = last.clone();
+                let s = rng.next_below(2) as usize;
+                let lists = &worker_lists[s];
+                case.workers[s] = lists[rng.next_below(lists.len() as u64) as usize].clone();
+                case
             }
+            (Some(last), 2) => {
+                let mut case = last.clone();
+                let devices: Vec<DeviceId> = stage0
+                    .primary
+                    .devices
+                    .iter()
+                    .chain(&stage1.primary.devices)
+                    .chain(&p100)
+                    .chain(&r3090)
+                    .copied()
+                    .collect();
+                case.cut_pool = Some(devices[rng.next_below(devices.len() as u64) as usize]);
+                case
+            }
+            (Some(last), 3) => {
+                // Same state, new cost coefficients.
+                let which = [
+                    Coefficient::A,
+                    Coefficient::B,
+                    Coefficient::C,
+                    Coefficient::Gamma,
+                    Coefficient::Beta,
+                ][rng.next_below(5) as usize];
+                let frac = [-0.05, 0.05][rng.next_below(2) as usize];
+                memo.profiler_mut().perturb(which, frac);
+                last.clone()
+            }
+            (Some(last), 4) => MemoCase {
+                theta: [0.3, 0.5][rng.next_below(2) as usize],
+                ..last.clone()
+            },
+            (_, pick) => {
+                // Odd picks pile each stage's load onto one device,
+                // so that imbalanced verdicts occur.
+                let piled = [0, 1].map(|s| {
+                    let on = &holders[s];
+                    (pick % 2 == 1).then(|| on[rng.next_below(on.len() as u64) as usize])
+                });
+                MemoCase {
+                    resident: (0..rng.next_below(12))
+                        .map(|_| {
+                            let s = rng.next_below(2) as u16;
+                            let on = &holders[s as usize];
+                            let dev = piled[s as usize]
+                                .unwrap_or_else(|| on[rng.next_below(on.len() as u64) as usize]);
+                            (
+                                s,
+                                dev,
+                                1 + rng.next_below(8) as u32,
+                                16 + rng.next_below(2000) as u32,
+                            )
+                        })
+                        .collect(),
+                    cut_pool: None,
+                    workers: [worker_lists[0][0].clone(), worker_lists[1][0].clone()],
+                    theta: 0.5,
+                }
+            }
+        };
+        let (kv, stages) = build(&case);
+        cases.push(case.clone());
+        // Both stages in a random order, so a stage's slot must
+        // survive checks of the other.
+        let first = rng.next_below(2) as usize;
+        for s in [first, 1 - first] {
+            let stage = &stages[s];
+            let check = |d: &Dispatcher| {
+                d.stage_balance(&cluster, &model, &kv, stage, s as u16, case.theta)
+            };
+            let before = memo.balance_counts();
+            let got = check(&memo);
+            hits += memo.balance_counts().memo_hits - before.memo_hits;
+            let fresh = Dispatcher::new(memo.profiler().clone());
+            let reference =
+                fresh.stage_balance_reference(&cluster, &model, &kv, stage, s as u16, case.theta);
+            assert_eq!(
+                got, reference,
+                "stage {s}: checked {got:?}, the reference {reference:?}"
+            );
+            match got {
+                StageBalance::Balanced => balanced += 1,
+                StageBalance::Imbalanced { .. } => imbalanced += 1,
+                StageBalance::Unsolvable => panic!("resident load is always solvable"),
+            }
+            let counts = memo.solver_counts();
+            let before = memo.balance_counts();
+            assert_eq!(check(&memo), got);
+            assert_eq!(memo.solver_counts(), counts, "a repeated check solved");
+            assert_eq!(
+                memo.balance_counts().memo_hits,
+                before.memo_hits + 1,
+                "a repeated check missed the memo"
+            );
         }
-        let c = memo.balance_counts();
-        assert!(
-            hits > 0 && c.certified > 0 && c.solved > 0 && balanced > 0 && imbalanced > 0,
-            "{solver:?}: {hits} first-check hits, {c:?}, {balanced} balanced, \
-             {imbalanced} imbalanced"
-        );
     }
+    let c = memo.balance_counts();
+    assert!(
+        hits > 0 && c.certified > 0 && c.solved > 0 && balanced > 0 && imbalanced > 0,
+        "{hits} first-check hits, {c:?}, {balanced} balanced, {imbalanced} imbalanced"
+    );
+    assert!(
+        memo.solver_counts().1 > 0,
+        "no balance check reached the simplex fallback"
+    );
 }

@@ -17,7 +17,6 @@
 //!   candidates the search evaluated (the engine stalls pipelines for
 //!   this long, charging the cost the paper reports in §7.4).
 
-use crate::cost::{AcquisitionRecord, CostMeter};
 use hetis_cluster::{Cluster, ClusterBuilder, DeviceId};
 use hetis_core::{search_topology, HetisConfig, WorkloadProfile};
 use hetis_engine::{
@@ -154,12 +153,6 @@ pub struct ElasticController {
     /// Telemetry snapshots fed in via [`Self::observe`]: a bounded ring
     /// (capacity [`ElasticConfig::observation_capacity`]), newest last.
     observations: ObservationRing,
-    /// Cost-aware acquisition: when set, every capacity re-acquisition
-    /// (a `Join` replacing revoked hardware) is priced against the
-    /// meter's spot trace and classed spot vs on-demand by its policy.
-    /// `None` keeps the controller economics-blind (the pre-PR-10
-    /// behavior, bit-identical digests).
-    acquisition: Option<CostMeter>,
 }
 
 impl ElasticController {
@@ -171,7 +164,6 @@ impl ElasticController {
             profile,
             observations: ObservationRing::new(cfg.observation_capacity),
             cfg,
-            acquisition: None,
         }
     }
 
@@ -181,40 +173,6 @@ impl ElasticController {
         self.observations = ObservationRing::new(cfg.observation_capacity);
         self.cfg = cfg;
         self
-    }
-
-    /// Enables cost-aware acquisition (builder style): `Join` events are
-    /// priced against the meter's spot trace and the replacement slot is
-    /// classed spot vs on-demand by its policy. The *same* meter should
-    /// bill the run afterwards ([`CostMeter::attach`]) — decision and
-    /// billing share one `decide()` on one trace, so they cannot drift.
-    pub fn with_acquisition(mut self, meter: CostMeter) -> Self {
-        self.acquisition = Some(meter);
-        self
-    }
-
-    /// The acquisition meter, when cost-aware acquisition is enabled.
-    pub fn acquisition(&self) -> Option<&CostMeter> {
-        self.acquisition.as_ref()
-    }
-
-    /// The spot-vs-on-demand call for one cluster event: `Some` exactly
-    /// when a meter is configured and the event (re-)acquires capacity
-    /// (a `Join`). Pure — same event, same trace, same answer — which is
-    /// what lets [`CostMeter::bill`] replay the run's decisions after
-    /// the fact without a decision log.
-    pub fn acquisition_decision(&self, event: &ClusterEvent) -> Option<AcquisitionRecord> {
-        let meter = self.acquisition.as_ref()?;
-        if !matches!(event.kind, ClusterEventKind::Join) {
-            return None;
-        }
-        let multiplier = meter.prices.at(event.time);
-        Some(AcquisitionRecord {
-            device: event.device,
-            time: event.time,
-            multiplier,
-            class: meter.policy.decide(multiplier),
-        })
     }
 
     /// Feeds a live telemetry snapshot (queue depths, streaming

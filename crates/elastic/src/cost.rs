@@ -19,11 +19,6 @@
 //! pins: the cost-aware policy must undercut always-on-demand at
 //! equal-or-better attainment, and the digest (which folds the attached
 //! `CostReport`) freezes the acquisition decisions themselves.
-//!
-//! The same decision function is shared with [`crate::ElasticController`]
-//! (see `ElasticController::acquisition_decision`), so "what the
-//! controller chose during the run" and "what the meter billed after it"
-//! cannot drift apart.
 
 use hetis_cluster::{Cluster, DeviceId, GpuType};
 use hetis_engine::{ClusterEvent, ClusterEventKind, CostReport, RunReport};

@@ -16,7 +16,6 @@
 
 use crate::closed_loop::ClosedLoopController;
 use crate::controller::ElasticController;
-use crate::cost::AcquisitionRecord;
 use hetis_cluster::{Cluster, DeviceId};
 use hetis_core::{HetisConfig, HetisPolicy, WorkloadProfile};
 use hetis_engine::{
@@ -39,9 +38,6 @@ pub struct ElasticPolicy<P: Policy> {
     replans_seen: Vec<(String, usize)>,
     /// Drain re-dispatches planned across the run.
     drains_planned: usize,
-    /// Spot-vs-on-demand calls made on `Join` events (empty unless the
-    /// controller has an acquisition meter), for diagnostics.
-    acquisitions: Vec<AcquisitionRecord>,
     /// Closed-loop automaton, constructed lazily from the engine's
     /// `ClosedLoopConfig` on the first telemetry tick (stays `None` with
     /// an open loop).
@@ -63,7 +59,6 @@ impl<P: Policy> ElasticPolicy<P> {
             health: None,
             replans_seen: Vec::new(),
             drains_planned: 0,
-            acquisitions: Vec::new(),
             closed_loop: None,
             scaled_out_workers: 0,
         }
@@ -77,7 +72,6 @@ impl<P: Policy> ElasticPolicy<P> {
             health: None,
             replans_seen: Vec::new(),
             drains_planned: 0,
-            acquisitions: Vec::new(),
             closed_loop: None,
             scaled_out_workers: 0,
         }
@@ -101,13 +95,6 @@ impl<P: Policy> ElasticPolicy<P> {
     /// Drain re-dispatches planned across the run.
     pub fn drains_planned(&self) -> usize {
         self.drains_planned
-    }
-
-    /// Spot-vs-on-demand acquisition calls made on `Join` events, in
-    /// event order (empty unless the controller carries a
-    /// [`crate::CostMeter`]).
-    pub fn acquisitions_decided(&self) -> &[AcquisitionRecord] {
-        &self.acquisitions
     }
 
     /// The closed-loop automaton, once the first telemetry tick has
@@ -200,11 +187,6 @@ impl<P: Policy> Policy for ElasticPolicy<P> {
         let plan = controller.replan(event, health, ctx);
         self.replans_seen
             .push((event.label(), plan.searched_candidates));
-        // Price the replacement when the event re-acquires capacity and
-        // the controller is cost-aware (Join + meter configured).
-        if let Some(decision) = controller.acquisition_decision(event) {
-            self.acquisitions.push(decision);
-        }
         ReplanResponse {
             new_topology: Some(plan.topology),
             migrations: plan.migrations,

@@ -7,7 +7,7 @@
 //! time series (Fig. 14).
 
 use hetis_cluster::{DeviceId, GpuType};
-use hetis_sim::{percentile, Summary};
+use hetis_sim::percentile;
 use hetis_workload::{RequestId, SloClass, TenantId};
 
 /// Metrics of one completed request.
@@ -576,11 +576,6 @@ impl RunReport {
         }
         let tokens: u64 = self.completed.iter().map(|c| c.output_len as u64).sum();
         tokens as f64 / self.duration
-    }
-
-    /// Summary of normalized latency.
-    pub fn latency_summary(&self) -> Summary {
-        Summary::of(&self.normalized_latencies())
     }
 
     /// Fraction of issued requests that completed.

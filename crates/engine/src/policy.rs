@@ -172,28 +172,49 @@ impl StaticPolicy {
         }
     }
 
-    /// LIFO victim on an instance: the most recently admitted request that
-    /// is decoding, not in flight, and actually resident on `device`.
+    /// The eviction candidates of `instance` resident on `device`: its
+    /// requests that are decoding, not in flight and hold a KV block
+    /// there. Read from the device's own ledger entries, so a request
+    /// resident for several stages appears once per stage.
+    pub fn victims_on_device<'c>(
+        instance: usize,
+        device: DeviceId,
+        ctx: &'c PolicyCtx<'_>,
+    ) -> impl Iterator<Item = &'c RunningRequest> + 'c {
+        ctx.kv
+            .device(device)
+            .entries()
+            .filter(|(_, e)| e.blocks > 0)
+            .filter_map(|((rid, _), _)| ctx.requests.get(&rid))
+            .filter(move |r| Self::evictable(instance, r))
+    }
+
+    /// Whether `r` belongs to `instance`, is decoding and is not in
+    /// flight: the requests a victim or re-dispatch pick may take.
+    pub fn evictable(instance: usize, r: &RunningRequest) -> bool {
+        r.instance == instance && !r.in_flight && r.phase == crate::request::Phase::Decoding
+    }
+
+    /// Admission order, ties broken by request id: a total order on live
+    /// requests, so a LIFO or LRU pick does not depend on the order the
+    /// candidates come in.
+    pub fn by_admission(a: &&RunningRequest, b: &&RunningRequest) -> std::cmp::Ordering {
+        a.admitted_at
+            .unwrap_or(0.0)
+            .partial_cmp(&b.admitted_at.unwrap_or(0.0))
+            .unwrap()
+            .then(a.req.id.cmp(&b.req.id))
+    }
+
+    /// LIFO victim on an instance: the most recently admitted of
+    /// [`StaticPolicy::victims_on_device`].
     pub fn lifo_victim_on_device(
         instance: usize,
         device: DeviceId,
         ctx: &PolicyCtx<'_>,
     ) -> Option<RequestId> {
-        ctx.requests
-            .values()
-            .filter(|r| {
-                r.instance == instance
-                    && !r.in_flight
-                    && matches!(r.phase, crate::request::Phase::Decoding)
-                    && ctx.kv.device(device).request_bytes(r.req.id) > 0
-            })
-            .max_by(|a, b| {
-                a.admitted_at
-                    .unwrap_or(0.0)
-                    .partial_cmp(&b.admitted_at.unwrap_or(0.0))
-                    .unwrap()
-                    .then(a.req.id.cmp(&b.req.id))
-            })
+        Self::victims_on_device(instance, device, ctx)
+            .max_by(Self::by_admission)
             .map(|r| r.req.id)
     }
 
@@ -203,18 +224,8 @@ impl StaticPolicy {
     pub fn lifo_victim_anywhere(instance: usize, ctx: &PolicyCtx<'_>) -> Option<RequestId> {
         ctx.requests
             .values()
-            .filter(|r| {
-                r.instance == instance
-                    && !r.in_flight
-                    && matches!(r.phase, crate::request::Phase::Decoding)
-            })
-            .max_by(|a, b| {
-                a.admitted_at
-                    .unwrap_or(0.0)
-                    .partial_cmp(&b.admitted_at.unwrap_or(0.0))
-                    .unwrap()
-                    .then(a.req.id.cmp(&b.req.id))
-            })
+            .filter(|r| Self::evictable(instance, r))
+            .max_by(Self::by_admission)
             .map(|r| r.req.id)
     }
 }

@@ -55,11 +55,6 @@ impl PrefixEntry {
     pub fn devices(&self) -> impl Iterator<Item = DeviceId> + '_ {
         self.bytes.iter().map(|&(d, _)| d)
     }
-
-    /// Total cached bytes across devices.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes.iter().map(|&(_, b)| b).sum()
-    }
 }
 
 /// Session-keyed prefix cache: `(session, turn) → PrefixEntry`, with

@@ -3,7 +3,7 @@
 //! 1. **Digest neutrality** — enabling telemetry (any ring size, any
 //!    window) must not perturb the simulation: behavior digests are
 //!    bit-identical with the bus on and off. The scenario gate pins the
-//!    same property across both `HETIS_DISPATCH_SOLVER` modes.
+//!    same property on the scenario benches.
 //! 2. **Flow-record completeness** — one JSONL flow record per completed
 //!    request, every line valid JSON, snapshot completion counts equal to
 //!    the report's.

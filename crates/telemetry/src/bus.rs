@@ -245,12 +245,6 @@ impl TelemetryBus {
         })
     }
 
-    /// Attaches another sink (builder style).
-    pub fn with_sink(mut self, sink: Box<dyn TelemetrySink + Send>) -> Self {
-        self.sinks.push(sink);
-        self
-    }
-
     /// Publishes one event: rings it and folds it into the aggregators.
     /// O(1), allocation-free except for per-request flow-table inserts.
     pub fn publish(&mut self, ev: FlowEvent) {
