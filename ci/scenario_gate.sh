@@ -16,8 +16,10 @@
 #   2. any sim-throughput row falls below the generous floors of
 #      ci/sim_throughput_floors.tsv — gross perf regressions fail the
 #      build instead of only being visible in BENCH files,
-#   3. the telemetry-enabled live_telemetry example smoke fails, or
-#   4. the history_scaling guard fails.
+#   3. the telemetry-enabled live_telemetry example smoke fails,
+#   4. the history_scaling guard fails, or
+#   5. a debug build of perfbench trips a debug assertion on he150_hexgen
+#      or he150_hetis, or prints digests other than their pinned rows.
 #
 # Every bench run's wall-clock seconds land in $outdir/elapsed.tsv
 # (bench <TAB> seconds).
@@ -45,17 +47,19 @@ benches=(scenario_slo_mix scenario_elastic_churn scenario_closed_loop
          scenario_prefix_reuse scenario_helix_race
          fig8_e2e_llama13b fig9_e2e_opt30b fig10_e2e_llama70b)
 
-# Runs a command with stdout to <outfile> and records its elapsed seconds.
+# Runs a command with stdout to <outfile>, records its elapsed seconds and
+# returns the command's exit status.
 #   timed <name> <outfile> <command...>
 timed() {
   local name="$1" outfile="$2"
   shift 2
-  local t0 t1
+  local t0 t1 status=0
   t0=$(date +%s.%N)
-  "$@" > "$outfile"
+  "$@" > "$outfile" || status=$?
   t1=$(date +%s.%N)
   awk -v b="$name" -v a="$t0" -v z="$t1" \
     'BEGIN { printf "%s\t%.2f\n", b, z - a }' >> "$elapsed"
+  return $status
 }
 
 for bench in "${benches[@]}"; do
@@ -182,6 +186,37 @@ else
   cat "$outdir/history_scaling.log" >&2
   fail=1
 fi
+
+# ---- 5. debug oracles on the benchmark workloads ---------------------------
+# A debug build keeps every debug assertion of the engine: the end-of-run
+# KV ledger audit, the load-table rebuild on every decode formation, the
+# running and registered-member counters and the stage-balance reference
+# verdicts. Running it on the HumanEval workloads checks them on the
+# benchmark's own traffic, whose digests must still equal the pinned
+# release rows. chat_storm takes minutes in debug, so it stays out. The
+# build has its own target directory, and the lock is restored on exit
+# as above.
+for workload in he150_hexgen he150_hetis; do
+  echo "== perfbench (debug) --workload $workload"
+  log="$outdir/perfbench-debug-$workload.log"
+  if ! timed "perfbench-debug-$workload" "$log" \
+    cargo run --offline --manifest-path perfbench/Cargo.toml \
+    --target-dir "$outdir/perfbench-debug" -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0; then
+    echo "FAIL: debug perfbench $workload exited non-zero" >&2
+    fail=1
+    continue
+  fi
+  got=$(awk -F'\t' '$1 == "digests" { print $2 }' "$log")
+  want=$(awk -F'\t' -v w="$workload" \
+    '$1 == "perfbench" && $2 == w { print $3 }' ci/pinned_digests.tsv)
+  if [[ -z "$got" || "$got" != "$want" ]]; then
+    echo "FAIL: debug perfbench $workload digests '$got' != pinned '$want'" >&2
+    fail=1
+  else
+    echo "debug oracles: perfbench $workload digests match the pin"
+  fi
+done
 
 echo "elapsed seconds per bench (also in $elapsed):"
 cat "$elapsed"

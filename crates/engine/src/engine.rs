@@ -105,6 +105,10 @@ struct Cohort {
     /// O(batch × stages × placement-entries) rebuild in the decode hot
     /// loop.
     load: Vec<FxHashMap<DeviceId, (u64, u64)>>,
+    /// Members registered in `load`: kept by `load_table_add` and
+    /// `load_table_remove`, and checked against a scan of `members` in
+    /// debug builds.
+    registered: usize,
 }
 
 /// Admission-ordering key of one waiting request under
@@ -896,12 +900,15 @@ impl<'a, P: Policy> Engine<'a, P> {
             .take()
             .expect("completion without in-flight microbatch");
         let mut evicted_any = false;
+        // Without a dead device or a downed instance no participant can
+        // have lost its KV, so the per-participant check is skipped.
+        let churned = self.churn_struck();
         // Prefill participants first (chunk bookkeeping, prefill→decode
         // transitions), then decode participants — within one fused
         // iteration the order is immaterial (both sets are disjoint and
         // complete at the same simulated instant).
         for (rid, chunk) in ub.reqs.into_iter().zip(ub.chunks) {
-            let invalidated = self.churn_invalidated(rid);
+            let invalidated = churned && self.churn_invalidated(rid);
             let r = self.requests.get_mut(&rid).expect("live request");
             r.in_flight = false;
             if invalidated {
@@ -928,9 +935,9 @@ impl<'a, P: Policy> Engine<'a, P> {
                 continue;
             }
             let r = self.requests.get_mut(&rid).expect("live request");
+            let first_token = r.first_token_at.is_none();
             r.push_token(now);
             let complete = r.is_complete();
-            let first_token = r.token_times.len() == 1;
             self.remove_cohort_member(inst, rid);
             if first_token {
                 self.tap(FlowEventKind::FirstToken {
@@ -953,11 +960,16 @@ impl<'a, P: Policy> Engine<'a, P> {
         // any removal reads it. A churn-invalidated participant loses its
         // token, so its heads leave the totals and it leaves the table
         // below at the context the table still holds for it.
-        let invalidated: Vec<bool> = ub
-            .decode_reqs
-            .iter()
-            .map(|&rid| self.churn_invalidated(rid))
-            .collect();
+        // Empty unless churn struck: participant `k` is invalidated when
+        // `invalidated[k]` is true.
+        let invalidated: Vec<bool> = if churned {
+            ub.decode_reqs
+                .iter()
+                .map(|&rid| self.churn_invalidated(rid))
+                .collect()
+        } else {
+            Vec::new()
+        };
         let mut heads = ub.decode_heads;
         for (rid, _) in ub.decode_reqs.iter().zip(&invalidated).filter(|(_, &i)| i) {
             let placement = self.requests[rid].placement.as_ref().expect("placed");
@@ -972,10 +984,10 @@ impl<'a, P: Policy> Engine<'a, P> {
             }
         }
         self.load_table_advance(inst, cohort, &heads);
-        for (rid, invalidated) in ub.decode_reqs.into_iter().zip(invalidated) {
+        for (k, rid) in ub.decode_reqs.into_iter().enumerate() {
             let r = self.requests.get_mut(&rid).expect("live request");
             r.in_flight = false;
-            if invalidated {
+            if invalidated.get(k) == Some(&true) {
                 self.churn_evict(rid);
                 evicted_any = true;
                 continue;
@@ -1254,6 +1266,17 @@ impl<'a, P: Policy> Engine<'a, P> {
         }
     }
 
+    /// True when some device is dead or some instance is down: the only
+    /// states in which [`Self::churn_invalidated`] can hold for anyone.
+    fn churn_struck(&self) -> bool {
+        self.health.iter().any(|h| !h.is_serving())
+            || self
+                .topo
+                .instances
+                .iter()
+                .any(|i| i.role == InstanceRole::Down)
+    }
+
     /// True when `rid` can no longer keep its KV/placement: its instance
     /// went Down or a device of its placement died.
     fn churn_invalidated(&self, rid: RequestId) -> bool {
@@ -1261,14 +1284,12 @@ impl<'a, P: Policy> Engine<'a, P> {
         if self.topo.instances[r.instance].role == InstanceRole::Down {
             return true;
         }
-        r.placement
-            .as_ref()
-            .map(|p| {
-                p.devices()
-                    .iter()
-                    .any(|&d| !self.health[d.index()].is_serving())
-            })
-            .unwrap_or(false)
+        r.placement.as_ref().is_some_and(|p| {
+            p.per_stage
+                .iter()
+                .flatten()
+                .any(|&(d, _)| !self.health[d.index()].is_serving())
+        })
     }
 
     /// Installs a policy-supplied replan topology. Primary stages of every
@@ -1814,27 +1835,28 @@ impl<'a, P: Policy> Engine<'a, P> {
         if self.topo.instances[inst].role == InstanceRole::PrefillOnly {
             return None;
         }
-        let ready: Vec<RequestId> = self.instances[inst].cohorts[cohort]
-            .members
-            .iter()
-            .copied()
-            .filter(|rid| self.requests[rid].phase == Phase::Decoding)
-            .collect();
-        if ready.is_empty() {
-            return None;
-        }
+        let members = self.instances[inst].cohorts[cohort].members.clone();
+        // Evictions and re-dispatches so far: a victim move is the only
+        // way a member leaves `Decoding` during the appends below (no
+        // member enters it there).
+        let moves = self.preemptions + self.migrations;
 
         // Allocate the next token's KV (policy handles exhaustion).
-        let mut batch: Vec<RequestId> = Vec::new();
-        for rid in ready {
-            // The request may have been evicted/migrated by a victim
-            // decision taken for an earlier member.
+        let mut batch: Vec<RequestId> = Vec::with_capacity(members.len());
+        let mut any_decoding = false;
+        for rid in members {
+            // A member whose KV is moving sits out, as does one that a
+            // victim decision for an earlier member evicted or migrated.
             if self.requests[&rid].phase != Phase::Decoding {
                 continue;
             }
+            any_decoding = true;
             if self.try_append_token(inst, rid) {
                 batch.push(rid);
             }
+        }
+        if !any_decoding {
+            return None;
         }
         // One peak observation for the whole batch's appends (each append
         // is tiny; sweeping the cluster ledger per token would tax the
@@ -1843,7 +1865,9 @@ impl<'a, P: Policy> Engine<'a, P> {
         // A victim decision taken for a *later* member can evict or
         // migrate a request that already joined the batch — drop it (its
         // KV, including the appended token, was released by the eviction).
-        batch.retain(|rid| self.requests[rid].phase == Phase::Decoding);
+        if self.preemptions + self.migrations != moves {
+            batch.retain(|rid| self.requests[rid].phase == Phase::Decoding);
+        }
         if batch.is_empty() {
             return None;
         }
@@ -1869,14 +1893,17 @@ impl<'a, P: Policy> Engine<'a, P> {
         let gqa = self.model.gqa_ratio() as u64;
         let unit = 2 * self.model.head_dim * self.model.dtype.bytes();
         let co = &self.instances[inst].cohorts[cohort];
-        let registered = co
-            .members
-            .iter()
-            .filter(|rid| self.requests[rid].in_load_table)
-            .count();
+        debug_assert_eq!(
+            co.registered,
+            co.members
+                .iter()
+                .filter(|rid| self.requests[rid].in_load_table)
+                .count(),
+            "registered-member counter drifted for cohort {cohort} of instance {inst}"
+        );
         let adjusted: Vec<FxHashMap<DeviceId, (u64, u64)>>;
         let mut per_stage = &co.load;
-        if registered != batch.len() {
+        if co.registered != batch.len() {
             // Some registered members sit this iteration out (stalled on
             // memory, racing a victim decision): take them off the totals.
             let mut copy = co.load.clone();
@@ -2231,19 +2258,24 @@ impl<'a, P: Policy> Engine<'a, P> {
 
     /// Grows every entry of `rid` to `blocks` blocks when each device of
     /// its placement has the room, and returns `None`; otherwise returns
-    /// the first device (in id order) that lacks it, and changes nothing.
+    /// the lowest-id device that lacks it, and changes nothing. Reads the
+    /// placement in place: a device serving several stages is checked and
+    /// grown once per stage, and every visit after the first finds its
+    /// entries already at `blocks`.
     fn grow_or_blocked(&mut self, rid: RequestId, blocks: u32) -> Option<DeviceId> {
-        let devices = self.requests[&rid]
+        let placement = self.requests[&rid]
             .placement
             .as_ref()
-            .expect("growing request placed")
-            .devices();
-        let blocked = devices.iter().copied().find(|&d| {
-            let kv = self.kv.device(d);
-            kv.grow_cost(rid, blocks) > kv.free_bytes()
-        });
+            .expect("growing request placed");
+        let devices = || placement.per_stage.iter().flatten().map(|&(d, _)| d);
+        let blocked = devices()
+            .filter(|&d| {
+                let kv = self.kv.device(d);
+                kv.grow_cost(rid, blocks) > kv.free_bytes()
+            })
+            .min();
         if blocked.is_none() {
-            for &d in &devices {
+            for d in devices() {
                 self.kv
                     .device_mut(d)
                     .grow_blocks(rid, blocks)
@@ -2640,8 +2672,8 @@ impl<'a, P: Policy> Engine<'a, P> {
         let rec = CompletedRequest {
             id: rid,
             arrival: r.req.arrival,
-            first_token: *r.token_times.first().expect("finished with tokens"),
-            completion: *r.token_times.last().expect("finished with tokens"),
+            first_token: r.first_token_at.expect("finished with tokens"),
+            completion: r.last_token_at.expect("finished with tokens"),
             input_len: r.req.input_len,
             output_len: r.req.output_len,
             preemptions: r.preemptions,
@@ -2720,6 +2752,7 @@ impl<'a, P: Policy> Engine<'a, P> {
                     e.1 += heads as u64 / gqa * ctx * unit;
                 }
             }
+            cohort.registered += 1;
         }
         self.requests.get_mut(&rid).expect("live").in_load_table = true;
     }
@@ -2752,6 +2785,7 @@ impl<'a, P: Policy> Engine<'a, P> {
                     }
                 }
             }
+            cohort.registered -= 1;
         }
         self.requests.get_mut(&rid).expect("live").in_load_table = false;
     }
@@ -2883,4 +2917,83 @@ fn old_instance_of(placement: &HeadPlacement, topo: &Topology) -> Option<usize> 
             .iter()
             .any(|s| s.attention_devices().contains(&first_dev))
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::policy::StaticPolicy;
+    use crate::topology::{InstanceTopo, StageTopo};
+    use hetis_cluster::cluster::paper_cluster;
+    use hetis_cluster::GpuType;
+    use hetis_parallel::StageConfig;
+    use hetis_telemetry::TelemetryConfig;
+    use hetis_workload::{DatasetKind, Request, SloClass, TenantId};
+
+    /// A request preempted after its first token taps `FirstToken` once,
+    /// and its completion keeps that token's time: a recompute re-prefill
+    /// emits no new first token.
+    #[test]
+    fn first_token_fires_once_across_a_recompute_preemption() {
+        // OPT-2.7B on one P100: the small KV pool cannot hold every
+        // context as the decodes grow, so decoding requests are preempted.
+        let cluster = paper_cluster();
+        let model = hetis_model::opt_2_7b();
+        let topo = Topology {
+            instances: vec![InstanceTopo {
+                stages: vec![StageTopo::plain(StageConfig {
+                    devices: vec![cluster.devices_of_type(GpuType::P100)[0]],
+                    layers: 32,
+                })],
+                role: InstanceRole::Both,
+            }],
+        };
+        let requests = (0..24)
+            .map(|i| Request {
+                id: RequestId(i),
+                arrival: 0.01 * i as f64,
+                input_len: 512,
+                output_len: 1024,
+                class: SloClass::Batch,
+                tenant: TenantId(0),
+                session: None,
+            })
+            .collect();
+        let trace = Trace::from_requests(requests, DatasetKind::ShareGpt);
+        let cfg = EngineConfig {
+            telemetry: Some(TelemetryConfig {
+                sample_period: 0.0,
+                ..TelemetryConfig::full_run()
+            }),
+            drain_timeout: 3000.0,
+            ..EngineConfig::default()
+        };
+        let policy = StaticPolicy::new("vllm-p100", topo.clone());
+        let mut engine = Engine::new(policy, &cluster, &model, cfg, topo, &trace);
+        engine.run_to_completion();
+        let bus = engine.telemetry.as_ref().expect("telemetry enabled");
+        assert_eq!(bus.dropped(), 0, "the ring must hold every event");
+        let mut first_tokens: FxHashMap<RequestId, Vec<f64>> = FxHashMap::default();
+        let mut preempted_after_first = 0;
+        for ev in bus.events().iter() {
+            match ev.kind {
+                FlowEventKind::FirstToken { req, .. } => {
+                    first_tokens.entry(req).or_default().push(ev.time);
+                }
+                FlowEventKind::Preemption { req, .. } if first_tokens.contains_key(&req) => {
+                    preempted_after_first += 1;
+                }
+                _ => {}
+            }
+        }
+        let report = engine.into_report();
+        assert_eq!(report.unfinished, 0);
+        assert!(
+            preempted_after_first > 0,
+            "no request was preempted after its first token"
+        );
+        for c in &report.completed {
+            assert_eq!(first_tokens[&c.id], vec![c.first_token], "{}", c.id);
+        }
+    }
 }

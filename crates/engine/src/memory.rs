@@ -141,14 +141,6 @@ impl DeviceKv {
         self.entries.iter().map(|(&k, &e)| (k, e))
     }
 
-    /// Requests with any residency here.
-    pub fn resident_requests(&self) -> Vec<RequestId> {
-        let mut v: Vec<RequestId> = self.entries.keys().map(|&(r, _)| r).collect();
-        v.sort();
-        v.dedup();
-        v
-    }
-
     /// Registers an entry of `blocks` blocks, allocating its bytes. Fails
     /// without side effects when the pool is short.
     pub fn allocate(
@@ -414,11 +406,6 @@ impl KvState {
     /// Total KV pool across a device subset.
     pub fn total_pool(&self, subset: &[DeviceId]) -> u64 {
         subset.iter().map(|&d| self.device(d).pool_bytes()).sum()
-    }
-
-    /// Total used KV across a device subset.
-    pub fn total_used(&self, subset: &[DeviceId]) -> u64 {
-        subset.iter().map(|&d| self.device(d).used_bytes()).sum()
     }
 }
 
@@ -718,14 +705,19 @@ mod tests {
         s.device_mut(d).allocate(RequestId(1), 0, 2, 4, 40).unwrap();
         s.device_mut(d).allocate(RequestId(2), 0, 4, 2, 40).unwrap();
         s.device_mut(d).allocate(RequestId(1), 1, 1, 4, 40).unwrap();
+        let keys = |s: &KvState| {
+            let mut k: Vec<(RequestId, u16)> = s.device(d).entries().map(|(k, _)| k).collect();
+            k.sort();
+            k
+        };
         assert_eq!(
-            s.device(d).resident_requests(),
-            vec![RequestId(1), RequestId(2)]
+            keys(&s),
+            vec![(RequestId(1), 0), (RequestId(1), 1), (RequestId(2), 0)]
         );
         assert_eq!(s.device(d).resident_query_heads(8), (2 + 4 + 1) * 8);
         assert!(s.device(d).request_bytes(RequestId(1)) > 0);
         let _ = s.device_mut(d).free_request(RequestId(1));
-        assert_eq!(s.device(d).resident_requests(), vec![RequestId(2)]);
+        assert_eq!(keys(&s), vec![(RequestId(2), 0)]);
     }
 
     /// The per-request filter scans the stage lookups replaced.
@@ -970,6 +962,8 @@ mod tests {
         // No weights: pools = memory minus activation reserve.
         let total = s.total_pool(&all);
         assert!(total > 400_000_000_000);
-        assert_eq!(s.total_used(&all), 0);
+        for &d in &all {
+            assert_eq!(s.device(d).used_bytes(), 0);
+        }
     }
 }

@@ -58,8 +58,11 @@ pub struct RunningRequest {
     /// its cohort's incremental per-device load table (engine-internal;
     /// see the engine's `load_table_add`).
     pub in_load_table: bool,
-    /// Absolute times of produced tokens.
-    pub token_times: Vec<f64>,
+    /// Time of the first produced token (`None` before it). A recompute
+    /// preemption keeps it: an emitted token stays emitted.
+    pub first_token_at: Option<f64>,
+    /// Time of the latest produced token (`None` before the first).
+    pub last_token_at: Option<f64>,
     /// Time the request was admitted to a prefill batch (for queueing
     /// analysis).
     pub admitted_at: Option<f64>,
@@ -101,7 +104,8 @@ impl RunningRequest {
             instance,
             cohort: 0,
             generated: 0,
-            token_times: Vec::new(),
+            first_token_at: None,
+            last_token_at: None,
             admitted_at: None,
             placement: None,
             in_flight: false,
@@ -149,7 +153,8 @@ impl RunningRequest {
     /// Records a produced token at `now`.
     pub fn push_token(&mut self, now: f64) {
         self.generated += 1;
-        self.token_times.push(now);
+        self.first_token_at.get_or_insert(now);
+        self.last_token_at = Some(now);
     }
 
     /// Applies recompute preemption: KV dropped, generated tokens become
@@ -197,7 +202,8 @@ mod tests {
             r.push_token(2.0 + i as f64);
         }
         assert!(r.is_complete());
-        assert_eq!(r.token_times.len(), 10);
+        assert_eq!(r.first_token_at, Some(1.0));
+        assert_eq!(r.last_token_at, Some(9.0));
     }
 
     #[test]
@@ -212,5 +218,11 @@ mod tests {
         assert_eq!(r.generated, 2); // emitted tokens stay emitted
         assert_eq!(r.preemptions, 1);
         assert!(r.placement.is_none());
+        // The first token stays first; the next token moves only the last.
+        assert_eq!(r.first_token_at, Some(1.0));
+        assert_eq!(r.last_token_at, Some(2.0));
+        r.push_token(5.0);
+        assert_eq!(r.first_token_at, Some(1.0));
+        assert_eq!(r.last_token_at, Some(5.0));
     }
 }

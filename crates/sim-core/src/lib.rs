@@ -29,4 +29,4 @@ pub use events::{EventQueue, ScheduledEvent};
 pub use hash::FxHashMap;
 pub use queue::FifoQueue;
 pub use rng::SplitMix64;
-pub use stats::{percentile, OnlineStats, Summary};
+pub use stats::{percentile, percentile_sorted, sort_samples, OnlineStats, Summary};

@@ -8,12 +8,24 @@
 /// interpolation between closest ranks (the same definition as numpy's
 /// default). Returns `None` on an empty slice.
 pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
-    if values.is_empty() {
+    let mut sorted: Vec<f64> = values.to_vec();
+    sort_samples(&mut sorted);
+    percentile_sorted(&sorted, p)
+}
+
+/// Sorts `values` ascending: the order [`percentile_sorted`] reads.
+/// Panics on a NaN.
+pub fn sort_samples(values: &mut [f64]) {
+    values.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
+}
+
+/// [`percentile`] of a slice already in ascending order: one sort can
+/// serve several percentiles. Returns `None` on an empty slice.
+pub fn percentile_sorted(sorted: &[f64], p: f64) -> Option<f64> {
+    if sorted.is_empty() {
         return None;
     }
     assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
     let n = sorted.len();
     if n == 1 {
         return Some(sorted[0]);

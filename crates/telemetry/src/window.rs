@@ -4,12 +4,13 @@
 //! seconds each. Pushing a sample is O(1) amortized: the target bucket is
 //! `epoch(time) mod B`, and a bucket left over from an expired epoch is
 //! cleared (its allocation reused) the first time the new epoch touches
-//! it. `summary(now)` merges the live buckets and computes percentiles
-//! with [`hetis_sim::percentile`] — the *same* definition `RunReport`
-//! uses — so a full-run window (`W = ∞`) reproduces the end-of-run
-//! percentiles exactly, bit for bit.
+//! it. `summary(now)` merges the live buckets, sorts them once and
+//! reads every percentile with [`hetis_sim::percentile_sorted`] — the
+//! *same* definition `RunReport`'s [`hetis_sim::percentile`] uses — so a
+//! full-run window (`W = ∞`) reproduces the end-of-run percentiles
+//! exactly, bit for bit.
 
-use hetis_sim::percentile;
+use hetis_sim::{percentile_sorted, sort_samples};
 
 /// Percentile summary of the samples currently inside a window.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -107,19 +108,21 @@ impl SlidingWindow {
         out
     }
 
-    /// Percentile summary of the window ending at `now`.
+    /// Percentile summary of the window ending at `now`. The mean sums
+    /// in bucket order, before the one sort the percentiles share.
     pub fn summary(&self, now: f64) -> WindowSummary {
-        let samples = self.samples(now);
+        let mut samples = self.samples(now);
         let mean = if samples.is_empty() {
             0.0
         } else {
             samples.iter().sum::<f64>() / samples.len() as f64
         };
+        sort_samples(&mut samples);
         WindowSummary {
             count: samples.len(),
-            p50: percentile(&samples, 50.0).unwrap_or(0.0),
-            p95: percentile(&samples, 95.0).unwrap_or(0.0),
-            p99: percentile(&samples, 99.0).unwrap_or(0.0),
+            p50: percentile_sorted(&samples, 50.0).unwrap_or(0.0),
+            p95: percentile_sorted(&samples, 95.0).unwrap_or(0.0),
+            p99: percentile_sorted(&samples, 99.0).unwrap_or(0.0),
             mean,
         }
     }
@@ -128,6 +131,7 @@ impl SlidingWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetis_sim::percentile;
 
     #[test]
     fn full_run_window_keeps_everything() {
