@@ -518,9 +518,9 @@ impl Policy for HelixPolicy {
                 .map(|w| w.max(1) as i128)
                 .unwrap_or(1)
         };
-        let total: i128 = entries.iter().map(|&i| weight(i)).sum();
-        let mut pick = entries[0];
-        for &i in &entries {
+        let total: i128 = entries.clone().map(weight).sum();
+        let mut pick = entries.clone().next().expect("an entry instance");
+        for i in entries {
             self.credits[i] += weight(i);
             if self.credits[i] > self.credits[pick] {
                 pick = i;
@@ -670,7 +670,6 @@ mod tests {
             return; // single-instance plan: nothing to down
         }
         topo.instances[0].role = InstanceRole::Down;
-        let entries = topo.entry_instances();
-        assert!(!entries.contains(&0));
+        assert!(topo.entry_instances().all(|i| i != 0));
     }
 }

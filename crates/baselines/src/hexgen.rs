@@ -218,8 +218,9 @@ impl Policy for HexgenPolicy {
     }
 
     fn route(&mut self, _req: &Request, ctx: &PolicyCtx<'_>) -> usize {
-        let entries = ctx.topology.entry_instances();
-        let pick = entries[self.rr % entries.len()];
+        let mut entries = ctx.topology.entry_instances();
+        let k = self.rr % entries.clone().count();
+        let pick = entries.nth(k).expect("an entry instance");
         self.rr += 1;
         pick
     }

@@ -25,7 +25,7 @@ fn main() {
         layers: 80,
     });
     stage.attention_workers = cluster.devices_of_type(GpuType::P100);
-    let devices = stage.attention_devices();
+    let devices: Vec<_> = stage.attention_devices().collect();
     let dispatcher = Dispatcher::new(Profiler::profile(&cluster, 8, 0.0, 9));
 
     // Background load on the primaries so the decision is non-trivial.

@@ -1,16 +1,19 @@
 //! Criterion micro-benchmarks of the hot scheduling paths: the Eq. (7)
 //! solvers on the same instance (the water-fill vs the generic simplex,
 //! at the paper's 6-device × 4-request shape and a 12×16 stress shape),
-//! the dispatcher's water-fill dispatch, the §5.3.1 balance check (a memo
-//! hit, a certified miss and the relaxed-ideal solve), head rounding and
-//! fetch-index assembly.
+//! the dispatcher's water-fill dispatch, the two capacity-bound dispatch
+//! shapes of a saturated Hetis run (one request, settled by the
+//! water-fill's closed form, and eight requests on two devices, the
+//! simplex fallback), the §5.3.1 balance check (a memo hit, a certified
+//! miss and the relaxed-ideal solve), head rounding and fetch-index
+//! assembly.
 //!
 //! `BENCH_4.json` at the repository root records the old-vs-new numbers
 //! for the solver pairs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetis_cluster::cluster::paper_cluster;
-use hetis_cluster::GpuType;
+use hetis_cluster::{Cluster, GpuType};
 use hetis_core::{Dispatcher, HetisConfig, Profiler, StageBalance};
 use hetis_engine::{KvState, StageTopo};
 use hetis_kvcache::index::build_headwise_index_serial;
@@ -19,7 +22,7 @@ use hetis_lp::{
     round_to_groups, AffineExpr, ConstraintOp, MinMaxBuilder, WaterFill, WfDemand, WfDevice,
     WfOutcome,
 };
-use hetis_model::llama_70b;
+use hetis_model::{llama_70b, ModelSpec};
 use hetis_parallel::StageConfig;
 use std::collections::HashMap;
 
@@ -164,6 +167,8 @@ fn bench_dispatch(c: &mut Criterion) {
         );
     });
 
+    bench_capacity_bound_dispatch(c, &cluster, &model, &waterfill);
+
     // The §5.3.1 balance check, with CI quick-mode asserts that no solve
     // ran: `stage_balance_repeat` checks an unchanged balanced stage (a
     // memo hit), `stage_balance_certified` alternates two balanced states
@@ -224,6 +229,129 @@ fn bench_dispatch(c: &mut Criterion) {
             fast2 + slow2 - fast - slow,
             calls,
             "ideal_attention_time_solve: a call skipped its solve"
+        );
+    });
+}
+
+/// Eq. (7) for one request of `len` tokens on stage 0 `stage`, posed
+/// from the profiler's models and solved by the simplex, in seconds: the
+/// oracle the water-fill's one-request closed form must match. It
+/// restates the dispatcher's cost and capacity rows (milliseconds and
+/// per-layer gigabytes, as the dispatcher poses them).
+fn eq7_simplex_one_request(
+    d: &Dispatcher,
+    cluster: &Cluster,
+    model: &ModelSpec,
+    kv: &KvState,
+    stage: &StageTopo,
+    len: u32,
+) -> f64 {
+    let r = model.gqa_ratio();
+    let kappa = Dispatcher::head_token_bytes(model);
+    let per_head_bytes =
+        (2.0 + 2.0 / r as f64) * model.head_dim as f64 * model.dtype.bytes() as f64;
+    let layers = stage.primary.layers as f64;
+    let n = stage.attention_devices().count();
+    let mut b = MinMaxBuilder::new(n);
+    for (i, dev) in stage.attention_devices().enumerate() {
+        let m = d.profiler().attn_model(dev);
+        let (gamma, beta) = if stage.primary.devices.contains(&dev) {
+            (0.0, 0.0)
+        } else {
+            let lm = d
+                .profiler()
+                .link_model(cluster, stage.primary.devices[0], dev);
+            (lm.gamma, lm.beta)
+        };
+        let a_eff = m.a + gamma * per_head_bytes;
+        let on = kv.device(dev);
+        let (h, g) = (
+            on.stage_query_heads(0, r) as f64,
+            on.stage_kv_bytes_per_layer(0),
+        );
+        b.push_max_term((a_eff * h + m.b * g + m.c + beta) * 1e3)[i] =
+            (a_eff + m.b * kappa * len as f64) * 1e3;
+        b.push_constraint(ConstraintOp::Le, on.free_bytes() as f64 / layers * 1e-9)[i] =
+            len as f64 * kappa * 1e-9;
+    }
+    b.push_constraint(ConstraintOp::Eq, model.num_heads as f64)
+        .fill(1.0);
+    b.solve().expect("the one-request LP is feasible").max_value / 1e3
+}
+
+/// The two capacity-bound dispatch shapes of a saturated Hetis run, on a
+/// two-device stage (one A100 primary, one P100 attention worker) whose
+/// A100 pool is cut to a few hundred megabytes, so that its capacity row
+/// binds. `dispatch_1req_capacity_bound` asserts that the water-fill's
+/// closed form settles the one-request replan shape (no fallback), that
+/// capacity does bind (the uncut stage predicts less) and that the
+/// prediction equals the simplex optimum within 1e-9.
+/// `dispatch_8req_2dev_fallback` asserts that every eight-request batch
+/// still falls back to the simplex, the one shape left to it.
+fn bench_capacity_bound_dispatch(
+    c: &mut Criterion,
+    cluster: &Cluster,
+    model: &ModelSpec,
+    d: &Dispatcher,
+) {
+    let a100 = cluster.devices_of_type(GpuType::A100)[0];
+    let mut stage = StageTopo::plain(StageConfig {
+        devices: vec![a100],
+        layers: 80,
+    });
+    stage.attention_workers = vec![cluster.devices_of_type(GpuType::P100)[0]];
+    let loose = KvState::new(cluster, model, 16, &HashMap::new()).unwrap();
+    let cut = loose.device(a100).free_bytes() - 300_000_000;
+    let mut kv = KvState::new(cluster, model, 16, &HashMap::from([(a100, cut)])).unwrap();
+    // Resident load on both devices, so that the constants differ.
+    for (k, dev) in stage.attention_devices().enumerate() {
+        kv.device_mut(dev)
+            .allocate(hetis_workload::RequestId(20_000 + k as u64), 0, 4, 8, 80)
+            .unwrap();
+    }
+    let len = 2000;
+    let predicted = |kv: &KvState| {
+        d.dispatch(cluster, model, kv, &stage, 0, &[len])
+            .expect("the request fits the stage")
+            .predicted_max
+    };
+    let bound = predicted(&kv);
+    assert!(
+        bound > predicted(&loose) * (1.0 + 1e-6),
+        "dispatch_1req_capacity_bound: the A100 capacity row does not bind"
+    );
+    let reference = eq7_simplex_one_request(d, cluster, model, &kv, &stage, len);
+    assert!(
+        (bound - reference).abs() <= 1e-9 * reference,
+        "dispatch_1req_capacity_bound: closed form {bound} vs the simplex {reference}"
+    );
+    c.bench_function("dispatch_1req_capacity_bound", |b| {
+        let (fast, slow) = d.solver_counts();
+        let mut calls = 0u64;
+        b.iter(|| {
+            calls += 1;
+            predicted(&kv)
+        });
+        assert_eq!(
+            d.solver_counts(),
+            (fast + calls, slow),
+            "dispatch_1req_capacity_bound: a one-request solve fell back"
+        );
+    });
+
+    let lens = [300, 700, 1200, 1800, 2500, 3100, 900, 1500];
+    c.bench_function("dispatch_8req_2dev_fallback", |b| {
+        let (fast, slow) = d.solver_counts();
+        let mut calls = 0u64;
+        b.iter(|| {
+            calls += 1;
+            d.dispatch(cluster, model, &kv, &stage, 0, &lens)
+                .expect("the batch fits the stage")
+        });
+        assert_eq!(
+            d.solver_counts(),
+            (fast, slow + calls),
+            "dispatch_8req_2dev_fallback: the batch did not reach the simplex"
         );
     });
 }

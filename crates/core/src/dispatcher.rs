@@ -143,11 +143,13 @@ impl Dispatcher {
 
     /// Solver telemetry since construction: `(fast-path water-fill
     /// solves, simplex solves)`, the latter being the water-fill's
-    /// fallbacks when a capacity row binds ([`WfOutcome::CapacityBound`]).
-    /// A batch rejected by the pooled-capacity bound
+    /// fallbacks when a capacity row binds ([`WfOutcome::CapacityBound`]),
+    /// which happens only for a batch of several requests (or the §5.3.1
+    /// relaxation's two pseudo-demands): a one-request dispatch is always
+    /// a fast-path solve. A batch rejected by the pooled-capacity bound
     /// ([`Dispatcher::pooled_prefix`]) counts as neither, and so does a
     /// [`Dispatcher::stage_balance`] check that its memo or its level
-    /// certificate settles (the debug-build oracle's solves are not
+    /// certificate settles (the debug-build oracles' solves are not
     /// counted either).
     pub fn solver_counts(&self) -> (u64, u64) {
         let c = self.scratch.borrow().counts;
@@ -203,8 +205,7 @@ impl Dispatcher {
         let layers = stage.primary.layers as f64;
         let pooled = stage
             .attention_devices()
-            .iter()
-            .map(|&d| kv.device(d).free_bytes() as f64 / layers)
+            .map(|d| kv.device(d).free_bytes() as f64 / layers)
             .sum();
         Self::fitting_prefix(model, lens, pooled)
     }
@@ -318,7 +319,7 @@ impl Dispatcher {
             });
         }
         let devices = stage.attention_devices();
-        let n = devices.len();
+        let n = devices.clone().count();
         let j = new_reqs.len();
         let h_total = model.num_heads as f64;
         let r = model.gqa_ratio();
@@ -331,33 +332,24 @@ impl Dispatcher {
 
         // Current loads and capacities, minus any explicit removals.
         sc.h_now.clear();
-        sc.h_now.extend(
-            devices
-                .iter()
-                .map(|&d| kv.device(d).stage_query_heads(stage_idx, r) as f64),
-        );
         sc.g_now.clear();
-        sc.g_now.extend(
-            devices
-                .iter()
-                .map(|&d| kv.device(d).stage_kv_bytes_per_layer(stage_idx)),
-        );
         // Free bytes in per-layer units (entries are layers-deep).
         sc.free.clear();
-        sc.free.extend(
-            devices
-                .iter()
-                .map(|&d| kv.device(d).free_bytes() as f64 / layers),
-        );
+        for d in devices.clone() {
+            let kv = kv.device(d);
+            sc.h_now.push(kv.stage_query_heads(stage_idx, r) as f64);
+            sc.g_now.push(kv.stage_kv_bytes_per_layer(stage_idx));
+            sc.free.push(kv.free_bytes() as f64 / layers);
+        }
         for &(dev, dh, dg) in removed {
-            if let Some(i) = devices.iter().position(|&d| d == dev) {
+            if let Some(i) = devices.clone().position(|d| d == dev) {
                 sc.h_now[i] = (sc.h_now[i] - dh).max(0.0);
                 sc.g_now[i] = (sc.g_now[i] - dg).max(0.0);
                 sc.free[i] += dg;
             }
         }
         if let Some(dev) = banned {
-            if let Some(i) = devices.iter().position(|&d| d == dev) {
+            if let Some(i) = devices.clone().position(|d| d == dev) {
                 sc.free[i] = 0.0;
             }
         }
@@ -374,7 +366,7 @@ impl Dispatcher {
         sc.a_eff.clear();
         sc.b_coef.clear();
         sc.constants.clear();
-        for (i, &dev) in devices.iter().enumerate() {
+        for (i, dev) in devices.enumerate() {
             let m = self.profiler.attn_model(dev);
             let remote = !stage.primary.devices.contains(&dev);
             let (gamma, beta) = if remote {
@@ -412,17 +404,39 @@ impl Dispatcher {
                 u: l as f64 * kappa * GB,
             });
         }
+        // The water-fill settles every one-request instance (its closed
+        // form includes the capacity rows) and every batch whose
+        // uncapacitated optimum fits. A batch of several requests whose
+        // capacity binds still goes to the simplex: there the LP wants a
+        // capacity-bound fast device to host the *shortest* requests,
+        // since each unit of its capacity saves time `t/u`, which falls
+        // as `1/l` (the fractional-knapsack ratio), while the Monge order
+        // puts the longest requests on it first. A capacity-respecting
+        // Monge greedy therefore misses the optimum on such batches.
         let sol = match sc.wf.solve() {
             WfOutcome::Solved(s) => {
                 sc.counts.fast += 1;
-                s
+                Some(s)
             }
             WfOutcome::CapacityBound => {
                 sc.counts.fallback += 1;
-                Self::solve_eq7_simplex(sc, n, new_reqs, kappa, compute_chunk, h_total)?
+                Self::solve_eq7_simplex(sc, n, new_reqs, kappa, compute_chunk, h_total)
             }
-            WfOutcome::Infeasible => return None,
+            WfOutcome::Infeasible => None,
         };
+        #[cfg(debug_assertions)]
+        if j == 1 {
+            Self::assert_single_request_optimum(
+                sc,
+                n,
+                new_reqs,
+                kappa,
+                compute_chunk,
+                h_total,
+                &sol,
+            );
+        }
+        let sol = sol?;
 
         // Round per request, consuming per-device capacity as we go. The
         // caps carry a 2% safety margin: the engine allocates in whole
@@ -447,6 +461,43 @@ impl Dispatcher {
             heads,
             predicted_max: sol.max_value / MS,
         })
+    }
+
+    /// Debug oracle of the water-fill's one-request closed form: the
+    /// simplex re-solves the instance staged in `sc`, and its objective
+    /// must equal `sol`'s within 1e-9 relative. The oracle's solve is not
+    /// the dispatcher's, so the solver counts are restored after it. A
+    /// closed form that finds no level while the simplex solves is
+    /// accepted: the simplex's phase 1 admits an infeasibility of 1e-7,
+    /// and the pooled-capacity check before the solve already rejects
+    /// any request that misses the pooled capacity by more than 1e-9.
+    #[cfg(debug_assertions)]
+    #[allow(clippy::too_many_arguments)]
+    fn assert_single_request_optimum(
+        sc: &mut Scratch,
+        n: usize,
+        new_reqs: &[u32],
+        kappa: f64,
+        compute_chunk: Option<u64>,
+        h_total: f64,
+        sol: &Option<MinMaxSolution>,
+    ) {
+        let counts = sc.counts;
+        let reference = Self::solve_eq7_simplex(sc, n, new_reqs, kappa, compute_chunk, h_total);
+        sc.counts = counts;
+        match (sol, reference) {
+            (Some(got), Some(want)) => assert!(
+                (got.max_value - want.max_value).abs() <= 1e-9 * want.max_value.abs(),
+                "one-request dispatch of {new_reqs:?}: {} vs the simplex {}",
+                got.max_value,
+                want.max_value
+            ),
+            (Some(got), None) => panic!(
+                "one-request dispatch of {new_reqs:?}: {} where the simplex finds no solution",
+                got.max_value
+            ),
+            (None, _) => {}
+        }
     }
 
     /// Poses Eq. (7) as the epigraph LP over `x[j·n + i]` from the
@@ -663,7 +714,7 @@ impl Dispatcher {
         key.extend(stage.primary.devices.iter().map(|d| d.0 as u64));
         key.push(stage.attention_workers.len() as u64);
         key.extend(stage.attention_workers.iter().map(|d| d.0 as u64));
-        for &dev in stage.primary.devices.iter().chain(&stage.attention_workers) {
+        for dev in stage.attention_devices() {
             let d = kv.device(dev);
             key.push(d.stage_query_heads(stage_idx, r));
             key.push(d.stage_kv_bytes_per_layer(stage_idx).to_bits());
@@ -719,12 +770,13 @@ impl Dispatcher {
         let r = model.gqa_ratio();
         let layers = stage.primary.layers as f64;
         let anchor = stage.primary.devices[0];
-        let devices = || stage.primary.devices.iter().chain(&stage.attention_workers);
-        let h_total: f64 = devices()
-            .map(|&d| kv.device(d).stage_query_heads(stage_idx, r) as f64)
+        let h_total: f64 = stage
+            .attention_devices()
+            .map(|d| kv.device(d).stage_query_heads(stage_idx, r) as f64)
             .sum();
-        let g_total: f64 = devices()
-            .map(|&d| kv.device(d).stage_kv_bytes_per_layer(stage_idx))
+        let g_total: f64 = stage
+            .attention_devices()
+            .map(|d| kv.device(d).stage_kv_bytes_per_layer(stage_idx))
             .sum();
         if h_total == 0.0 {
             return None;
@@ -738,7 +790,7 @@ impl Dispatcher {
         sc.a_eff.clear();
         sc.b_coef.clear();
         sc.free.clear();
-        for &dev in devices() {
+        for dev in stage.attention_devices() {
             let m = self.profiler.attn_model(dev);
             let remote = !stage.primary.devices.contains(&dev);
             let (gamma, beta) = if remote {
@@ -851,7 +903,7 @@ impl Dispatcher {
         let per_head_bytes =
             (2.0 + 2.0 / r as f64) * model.head_dim as f64 * model.dtype.bytes() as f64;
         let mut worst = (0.0, None);
-        for &dev in stage.primary.devices.iter().chain(&stage.attention_workers) {
+        for dev in stage.attention_devices() {
             let h = kv.device(dev).stage_query_heads(stage_idx, r) as f64;
             let g = kv.device(dev).stage_kv_bytes_per_layer(stage_idx);
             if h == 0.0 && g == 0.0 {

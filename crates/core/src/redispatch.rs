@@ -73,12 +73,11 @@ pub fn replan_request(
             banned,
             None,
         )?;
-        let devices = stage.attention_devices();
-        let entry: Vec<(DeviceId, u32)> = devices
-            .iter()
+        let entry: Vec<(DeviceId, u32)> = stage
+            .attention_devices()
             .zip(&out.heads[0])
             .filter(|&(_, &h)| h > 0)
-            .map(|(&d, &h)| (d, h))
+            .map(|(d, &h)| (d, h))
             .collect();
         per_stage.push(entry);
     }
@@ -182,9 +181,9 @@ pub fn select_victim(
         let free_elsewhere: u64 = ctx.topology.instances[instance]
             .stages
             .iter()
-            .flat_map(|s| s.primary.devices.iter().chain(&s.attention_workers))
-            .filter(|&&d| d != device)
-            .map(|&d| ctx.kv.device(d).free_bytes())
+            .flat_map(|s| s.attention_devices())
+            .filter(|&d| d != device)
+            .map(|d| ctx.kv.device(d).free_bytes())
             .sum();
         if free_elsewhere > ctx.kv.device(device).request_bytes(victim) {
             // Exhausted devices are banned from re-receiving the heads

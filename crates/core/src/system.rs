@@ -102,20 +102,14 @@ impl Policy for HetisPolicy {
     }
 
     fn route(&mut self, _req: &Request, ctx: &PolicyCtx<'_>) -> usize {
-        // Least-loaded entry instance; round-robin tie-break. One pass
-        // over the request map, which holds live requests only.
-        let mut loads = vec![0usize; ctx.topology.instances.len()];
-        for r in ctx.requests.values() {
-            loads[r.instance] += 1;
-        }
+        // Least-loaded entry instance by live requests (the engine's
+        // counts); round-robin tie-break among the least loaded.
+        let loads = ctx.live_requests;
         let entries = ctx.topology.entry_instances();
-        let min_load = entries.iter().map(|&i| loads[i]).min().unwrap_or(0);
-        let candidates: Vec<usize> = entries
-            .iter()
-            .copied()
-            .filter(|&i| loads[i] == min_load)
-            .collect();
-        let pick = candidates[self.rr % candidates.len()];
+        let min_load = entries.clone().map(|i| loads[i]).min().unwrap_or(0);
+        let mut candidates = entries.filter(|&i| loads[i] == min_load);
+        let k = self.rr % candidates.clone().count();
+        let pick = candidates.nth(k).expect("a least-loaded entry instance");
         self.rr += 1;
         pick
     }
@@ -171,10 +165,9 @@ impl Policy for HetisPolicy {
                         .map(|(s, stage)| {
                             stage
                                 .attention_devices()
-                                .iter()
                                 .zip(&per_stage_heads[s][j])
                                 .filter(|&(_, &h)| h > 0)
-                                .map(|(&d, &h)| (d, h))
+                                .map(|(d, &h)| (d, h))
                                 .collect::<Vec<(DeviceId, u32)>>()
                         })
                         .collect();

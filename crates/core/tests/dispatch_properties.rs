@@ -33,7 +33,7 @@ fn setup(
         layers: 80,
     });
     stage.attention_workers = cluster.devices_of_type(GpuType::P100)[..2].to_vec();
-    let devices = stage.attention_devices();
+    let devices: Vec<DeviceId> = stage.attention_devices().collect();
     for (k, &(dev_idx, groups, tokens)) in resident.iter().enumerate() {
         let dev = devices[dev_idx % devices.len()];
         let blocks = kv.blocks_for(tokens.max(16));
@@ -58,7 +58,7 @@ proptest! {
         lens in proptest::collection::vec(16u32..4000, 1..5),
     ) {
         let (cluster, model, kv, stage, dispatcher) = setup(&resident);
-        let devices = stage.attention_devices();
+        let devices: Vec<DeviceId> = stage.attention_devices().collect();
         let Some(out) = dispatcher.dispatch(&cluster, &model, &kv, &stage, 0, &lens) else {
             // Infeasible is a legal outcome under heavy residency.
             return Ok(());
@@ -149,8 +149,7 @@ fn pooled_prefix_bounds_every_accepted_prefix() {
             // not a shorter one.
             let pooled: f64 = stage
                 .attention_devices()
-                .iter()
-                .map(|&dev| kv.device(dev).free_bytes() as f64 / 80.0)
+                .map(|dev| kv.device(dev).free_bytes() as f64 / 80.0)
                 .sum();
             let per_token = model.num_heads as f64 * Dispatcher::head_token_bytes(&model);
             let need: f64 = lens[..=bound].iter().map(|&l| per_token * l as f64).sum();

@@ -540,7 +540,6 @@ fn plan_drain(
             let stage = &topo.instances[inst].stages[s];
             let mut candidates: Vec<DeviceId> = stage
                 .attention_devices()
-                .into_iter()
                 .filter(|&d| d != draining && matches!(health.of(d), DeviceHealth::Alive { .. }))
                 .collect();
             candidates.sort();
@@ -713,6 +712,7 @@ mod tests {
             now: 0.0,
             kv: &kv,
             requests: &requests,
+            live_requests: &[0, 0],
             topology: &topo,
             prefill_chunk_tokens: None,
         };
@@ -834,6 +834,7 @@ mod tests {
             now: 0.0,
             kv: &kv,
             requests: &requests,
+            live_requests: &[0, 0],
             topology: &topo,
             prefill_chunk_tokens: None,
         };

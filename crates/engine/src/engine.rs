@@ -251,6 +251,7 @@ macro_rules! ctx {
             now: $self.clock.now().as_secs(),
             kv: &$self.kv,
             requests: &$self.requests,
+            live_requests: &$self.live,
             topology: &$self.topo,
             prefill_chunk_tokens: $self.cfg.prefill_chunk_tokens,
         }
@@ -267,6 +268,11 @@ pub struct Engine<'a, P: Policy> {
     topo: Topology,
     kv: KvState,
     requests: FxHashMap<RequestId, RunningRequest>,
+    /// Live requests per instance (`requests` entries whose `instance`
+    /// is it), kept at the insert in `on_arrival`, every instance move
+    /// (`set_instance`) and the removal in `finish`; policies read it as
+    /// `PolicyCtx::live_requests`.
+    live: Vec<usize>,
     instances: Vec<InstanceState>,
     events: EventQueue<Event>,
     clock: Clock,
@@ -416,7 +422,7 @@ impl<'a, P: Policy> Engine<'a, P> {
         let kv = KvState::new(cluster, model, BLOCK_SIZE, &weights)
             .expect("weights must fit the topology");
 
-        let instances = topo
+        let instances: Vec<InstanceState> = topo
             .instances
             .iter()
             .map(|i| InstanceState {
@@ -484,6 +490,7 @@ impl<'a, P: Policy> Engine<'a, P> {
             topo,
             kv,
             requests: FxHashMap::default(),
+            live: vec![0; instances.len()],
             instances,
             events,
             clock: Clock::new(),
@@ -851,6 +858,7 @@ impl<'a, P: Policy> Engine<'a, P> {
             None => self.route_surviving(req, 0),
         };
         self.requests.insert(req.id, RunningRequest::new(req, inst));
+        self.live[inst] += 1;
         self.instances[inst].waiting.enqueue(slack_key(&req));
         self.tap(FlowEventKind::Arrival {
             req: req.id,
@@ -881,10 +889,10 @@ impl<'a, P: Policy> Engine<'a, P> {
     /// instance can accept work at all, the request parks on `park` —
     /// policies are never asked to route into a fully-down cluster.
     fn route_surviving(&mut self, req: hetis_workload::Request, park: usize) -> usize {
-        let entries = self.topo.entry_instances();
-        let Some(&fallback) = entries.first() else {
+        let Some(fallback) = self.topo.entry_instances().next() else {
             return park;
         };
+        debug_assert_eq!(self.live, self.scan_live(), "live-request counts drifted");
         let inst = self.policy.route(&req, &ctx!(self));
         assert!(inst < self.instances.len(), "routed to unknown instance");
         if self.topo.instances[inst].role != InstanceRole::Down {
@@ -1203,7 +1211,7 @@ impl<'a, P: Policy> Engine<'a, P> {
                     self.instances[i].waiting.enqueue(slack_key(&req));
                     continue;
                 }
-                self.requests.get_mut(&rid).expect("live").instance = inst;
+                self.set_instance(rid, inst);
                 self.instances[inst].waiting.enqueue(slack_key(&req));
             }
             // Hand-offs blocked on this instance lose their transfer.
@@ -1244,7 +1252,7 @@ impl<'a, P: Policy> Engine<'a, P> {
         self.lost_tokens += lost;
         let req = self.requests[&rid].req;
         let inst = self.route_surviving(req, old_inst);
-        self.requests.get_mut(&rid).expect("live").instance = inst;
+        self.set_instance(rid, inst);
         self.instances[inst].waiting.enqueue(slack_key(&req));
     }
 
@@ -1467,6 +1475,25 @@ impl<'a, P: Policy> Engine<'a, P> {
                     )
             })
             .count()
+    }
+
+    /// Moves live request `rid` to instance `to`, keeping the per-instance
+    /// live counts in step.
+    fn set_instance(&mut self, rid: RequestId, to: usize) {
+        let r = self.requests.get_mut(&rid).expect("live");
+        self.live[r.instance] -= 1;
+        self.live[to] += 1;
+        r.instance = to;
+    }
+
+    /// The O(live) definition of the per-instance live counts, kept as
+    /// the debug-build oracle they are checked against.
+    fn scan_live(&self) -> Vec<usize> {
+        let mut live = vec![0; self.live.len()];
+        for r in self.requests.values() {
+            live[r.instance] += 1;
+        }
+        live
     }
 
     /// Marks one request of `inst` as entering a running phase.
@@ -2306,7 +2333,7 @@ impl<'a, P: Policy> Engine<'a, P> {
             inst
         };
         if target != inst {
-            self.requests.get_mut(&rid).expect("live").instance = target;
+            self.set_instance(rid, target);
             if !self.rehomed.contains(&target) {
                 self.rehomed.push(target);
             }
@@ -2535,7 +2562,7 @@ impl<'a, P: Policy> Engine<'a, P> {
             self.running_dec(prev_inst);
             self.running_inc(target);
         }
-        self.requests.get_mut(&rid).expect("live").instance = target;
+        self.set_instance(rid, target);
         if !self.try_alloc_prompt(rid, placement, ctx_tokens) {
             // Roll back ownership.
             let rollback = old_instance_of(&old_placement, &self.topo).unwrap_or(target);
@@ -2543,9 +2570,8 @@ impl<'a, P: Policy> Engine<'a, P> {
                 self.running_dec(target);
                 self.running_inc(rollback);
             }
-            let r = self.requests.get_mut(&rid).expect("live");
-            r.instance = rollback;
-            r.placement = Some(old_placement);
+            self.set_instance(rid, rollback);
+            self.requests.get_mut(&rid).expect("live").placement = Some(old_placement);
             return false;
         }
         // try_alloc_prompt overwrote the placement — free the old source
@@ -2669,6 +2695,7 @@ impl<'a, P: Policy> Engine<'a, P> {
         // Retire the request: the map holds live requests only, so no
         // per-event scan pays for the history of the run.
         let r = self.requests.remove(&rid).expect("live");
+        self.live[inst] -= 1;
         let rec = CompletedRequest {
             id: rid,
             arrival: r.req.arrival,
@@ -2915,7 +2942,7 @@ fn old_instance_of(placement: &HeadPlacement, topo: &Topology) -> Option<usize> 
     topo.instances.iter().position(|i| {
         i.stages
             .iter()
-            .any(|s| s.attention_devices().contains(&first_dev))
+            .any(|s| s.attention_devices().any(|d| d == first_dev))
     })
 }
 

@@ -30,6 +30,10 @@ pub struct PolicyCtx<'a> {
     /// recorded, so a scan of this map costs O(live requests), however
     /// many the run has already served.
     pub requests: &'a FxHashMap<RequestId, RunningRequest>,
+    /// Live requests per instance: `live_requests[i]` counts the entries
+    /// of `requests` whose `instance` is `i`. The engine keeps it as
+    /// requests arrive, move and finish, so reading it costs no scan.
+    pub live_requests: &'a [usize],
     /// The serving topology.
     pub topology: &'a Topology,
     /// The engine's chunked-prefill cap (`None` = atomic prefill).
@@ -240,8 +244,9 @@ impl Policy for StaticPolicy {
     }
 
     fn route(&mut self, _req: &Request, ctx: &PolicyCtx<'_>) -> usize {
-        let entries = ctx.topology.entry_instances();
-        let pick = entries[self.next_inst % entries.len()];
+        let mut entries = ctx.topology.entry_instances();
+        let k = self.next_inst % entries.clone().count();
+        let pick = entries.nth(k).expect("an entry instance");
         self.next_inst += 1;
         pick
     }
@@ -311,6 +316,7 @@ mod tests {
             now: 0.0,
             kv: &kv,
             requests: &requests,
+            live_requests: &[0, 0],
             topology: &topo,
             prefill_chunk_tokens: None,
         };

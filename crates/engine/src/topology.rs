@@ -42,11 +42,14 @@ impl StageTopo {
     }
 
     /// All devices that can hold this stage's KV or compute its attention:
-    /// primary TP group first, then attention workers.
-    pub fn attention_devices(&self) -> Vec<DeviceId> {
-        let mut v = self.primary.devices.clone();
-        v.extend(self.attention_workers.iter().copied());
-        v
+    /// primary TP group first, then attention workers. Borrows the two
+    /// public lists, which stay the only record of the stage's devices.
+    pub fn attention_devices(&self) -> impl Iterator<Item = DeviceId> + Clone + '_ {
+        self.primary
+            .devices
+            .iter()
+            .chain(&self.attention_workers)
+            .copied()
     }
 }
 
@@ -74,16 +77,14 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Indices of instances that accept new requests (route targets).
-    pub fn entry_instances(&self) -> Vec<usize> {
-        let prefill: Vec<usize> = self
-            .instances
+    /// Indices of instances that accept new requests (route targets), in
+    /// index order.
+    pub fn entry_instances(&self) -> impl Iterator<Item = usize> + Clone + '_ {
+        self.instances
             .iter()
             .enumerate()
             .filter(|(_, i)| i.role != InstanceRole::DecodeOnly && i.role != InstanceRole::Down)
             .map(|(k, _)| k)
-            .collect();
-        prefill
     }
 }
 
@@ -297,7 +298,7 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(topo.entry_instances(), vec![0]);
+        assert_eq!(topo.entry_instances().collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]
@@ -305,7 +306,7 @@ mod tests {
         let mut s = stage(&[0, 1], 40);
         s.attention_workers = vec![DeviceId(5), DeviceId(6)];
         assert_eq!(
-            s.attention_devices(),
+            s.attention_devices().collect::<Vec<_>>(),
             vec![DeviceId(0), DeviceId(1), DeviceId(5), DeviceId(6)]
         );
     }

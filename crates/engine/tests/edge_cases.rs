@@ -132,7 +132,10 @@ fn prefill_only_instance_never_decodes() {
             self.inner.topology(c, m, e)
         }
         fn route(&mut self, _r: &Request, ctx: &PolicyCtx<'_>) -> usize {
-            ctx.topology.entry_instances()[0]
+            ctx.topology
+                .entry_instances()
+                .next()
+                .expect("an entry instance")
         }
         fn place_batch(
             &mut self,

@@ -11,12 +11,14 @@
 //!   (one affine max term per device, one capacity row per device, one
 //!   equality per request, rank-2 costs) reduces to parametric
 //!   water-filling with a Monge-greedy feasibility oracle — no tableau,
-//!   no pivots. Falls back to simplex when capacity genuinely binds.
+//!   no pivots. One request is solved in closed form, capacity included;
+//!   a batch of several falls back to simplex when capacity genuinely
+//!   binds.
 //! * [`simplex`] — a dense two-phase primal simplex with Bland's rule on
 //!   a single flat row-major tableau (these LPs have a handful of
-//!   variables per request × device, so dense is the right choice);
-//!   retained as the exact oracle the fast path is property-tested
-//!   against,
+//!   variables per request × device, so dense is the right choice),
+//!   pricing from an in-basis bitmap; the water-fill's fallback and the
+//!   exact oracle the fast path is property-tested against,
 //! * [`minmax`] — the epigraph transformation `min t s.t. fᵢ(x) ≤ t`,
 //!   with flat row storage so a long-lived builder solves without
 //!   per-row allocation,

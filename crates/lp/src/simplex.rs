@@ -143,6 +143,12 @@ pub(crate) struct Tableau {
     a: Vec<f64>,
     rhs: Vec<f64>,
     basis: Vec<usize>,
+    /// `in_basis[j]` is whether column `j` is basic; [`Tableau::pivot`]
+    /// keeps it equal to `basis.contains(&j)` without the scan.
+    in_basis: Vec<bool>,
+    /// The basis rows whose basic cost is nonzero, in row order, with
+    /// that cost: scratch of [`Tableau::optimize`]'s pricing.
+    costed: Vec<(usize, f64)>,
     /// Live row count (rows can be dropped after phase 1).
     m: usize,
     n_struct: usize,
@@ -225,10 +231,16 @@ impl Tableau {
             }
         }
 
+        let mut in_basis = vec![false; n_total];
+        for &col in &basis {
+            in_basis[col] = true;
+        }
         Tableau {
             a,
             rhs,
             basis,
+            in_basis,
+            costed: Vec::with_capacity(m),
             m,
             n_struct,
             n_total,
@@ -281,8 +293,7 @@ impl Tableau {
         let max_iters = 200 * (m + self.n_total) + 1000;
 
         for _ in 0..max_iters {
-            // Reduced costs: c_j − c_B · B⁻¹A_j. The tableau is kept in
-            // canonical form, so this is a direct row combination.
+            // Reduced costs: c_j − c_B · B⁻¹A_j (see `reduced_cost`).
             // Pivot selection is pure Bland's rule (first improving
             // column, min-ratio row with lowest basis index): slower per
             // iteration count than Dantzig but immune to cycling and to
@@ -293,23 +304,19 @@ impl Tableau {
             } else {
                 self.n_total
             };
-            let mut entering = None;
-            for j in 0..limit {
-                if self.basis.contains(&j) {
-                    continue;
-                }
-                let mut red = cost[j];
-                for (row, &bcol) in self.basis.iter().enumerate() {
-                    let cb = cost[bcol];
-                    if cb != 0.0 {
-                        red -= cb * self.a[row * nt + j];
-                    }
-                }
-                if red < -EPS {
-                    entering = Some(j);
-                    break;
-                }
-            }
+            self.costed.clear();
+            self.costed.extend(
+                self.basis
+                    .iter()
+                    .enumerate()
+                    .map(|(row, &bcol)| (row, cost[bcol]))
+                    .filter(|&(_, cb)| cb != 0.0),
+            );
+            let entering = (0..limit)
+                .filter(|&j| !self.in_basis[j])
+                .find(|&j| self.reduced_cost(cost, j) < -EPS);
+            #[cfg(test)]
+            self.assert_full_scan_pricing(cost, limit, entering);
 
             let Some(e) = entering else {
                 // Optimal.
@@ -346,6 +353,20 @@ impl Tableau {
             self.pivot(l, e);
         }
         Err(LpError::Malformed("simplex iteration cap exceeded".into()))
+    }
+
+    /// The reduced cost `c_j − c_B · B⁻¹A_j` of column `j`. The tableau
+    /// is kept in canonical form, so this is a direct row combination
+    /// over `costed`, the basis rows with a nonzero cost, summed in row
+    /// order. Rows with a zero cost add nothing, so skipping them keeps
+    /// every sum bit-identical to a scan of all basis rows.
+    fn reduced_cost(&self, cost: &[f64], j: usize) -> f64 {
+        let nt = self.n_total;
+        let mut red = cost[j];
+        for &(row, cb) in &self.costed {
+            red -= cb * self.a[row * nt + j];
+        }
+        red
     }
 
     /// Gauss pivot on (row, col), in place: the pivot row and each target
@@ -387,6 +408,8 @@ impl Tableau {
                 self.rhs[r] = 0.0;
             }
         }
+        self.in_basis[self.basis[row]] = false;
+        self.in_basis[col] = true;
         self.basis[row] = col;
     }
 
@@ -399,7 +422,7 @@ impl Tableau {
             if self.basis[row] >= self.artificial_start {
                 // Find a non-artificial column with nonzero coefficient.
                 let col = (0..self.artificial_start)
-                    .find(|&j| self.a[row * nt + j].abs() > EPS && !self.basis.contains(&j));
+                    .find(|&j| self.a[row * nt + j].abs() > EPS && !self.in_basis[j]);
                 match col {
                     Some(j) => self.pivot(row, j),
                     None => drop_rows.push(row),
@@ -410,6 +433,7 @@ impl Tableau {
         for &row in drop_rows.iter().rev() {
             self.a.drain(row * nt..(row + 1) * nt);
             self.rhs.remove(row);
+            self.in_basis[self.basis[row]] = false;
             self.basis.remove(row);
             self.m -= 1;
         }
@@ -537,6 +561,117 @@ mod tests {
         let s = lp.solve().unwrap();
         assert_close(s.objective, 4.0); // all weight on x
         assert_close(s.x[0], 4.0);
+    }
+
+    impl Tableau {
+        /// The pricing loop before the in-basis bitmap, run beside every
+        /// pricing step of this crate's tests: every non-basic column below
+        /// `limit` rescans all basis rows, and basis membership is a
+        /// `basis.contains` scan. Each reduced cost must equal
+        /// `reduced_cost`'s bit for bit, the bitmap must equal the scan,
+        /// and the first improving column must be `entering`.
+        pub(super) fn assert_full_scan_pricing(
+            &self,
+            cost: &[f64],
+            limit: usize,
+            entering: Option<usize>,
+        ) {
+            let nt = self.n_total;
+            let mut first = None;
+            for j in 0..self.n_total {
+                assert_eq!(self.in_basis[j], self.basis.contains(&j), "column {j}");
+                if j >= limit || self.basis.contains(&j) {
+                    continue;
+                }
+                let mut red = cost[j];
+                for (row, &bcol) in self.basis.iter().enumerate() {
+                    let cb = cost[bcol];
+                    if cb != 0.0 {
+                        red -= cb * self.a[row * nt + j];
+                    }
+                }
+                assert_eq!(
+                    self.reduced_cost(cost, j).to_bits(),
+                    red.to_bits(),
+                    "column {j}"
+                );
+                if first.is_none() && red < -EPS {
+                    first = Some(j);
+                }
+            }
+            assert_eq!(entering, first);
+        }
+    }
+
+    /// The bitmap pricing prices every column bit for bit like the full
+    /// scan (`Tableau::assert_full_scan_pricing` checks each step) on
+    /// seeded random programs: mixed operators and signs, sparse rows,
+    /// degenerate (zero-rhs) rows, and redundant rows (scaled copies of
+    /// earlier ones, which phase 1 leaves with an artificial to evict or
+    /// drop).
+    #[test]
+    fn pricing_is_bit_identical_to_the_full_scan() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x9e1c);
+        let (mut optimal, mut degenerate, mut redundant) = (0, 0, 0);
+        for _ in 0..3000 {
+            let n = rng.gen_range(1usize..=8);
+            let mut lp = LinearProgram::new(n);
+            for c in lp.objective.iter_mut() {
+                *c = rng.gen_range(-3i32..=5) as f64 * rng.gen_range(0.5f64..1.5);
+            }
+            for _ in 0..rng.gen_range(1usize..=9) {
+                let copy = !lp.constraints.is_empty() && rng.gen_range(0u32..6) == 0;
+                if copy {
+                    let k = rng.gen_range(0..lp.constraints.len());
+                    let scale = [1.0, 2.0, -1.0, 0.5][rng.gen_range(0usize..4)];
+                    let src = &lp.constraints[k];
+                    let op = match (src.op, scale < 0.0) {
+                        (ConstraintOp::Le, true) => ConstraintOp::Ge,
+                        (ConstraintOp::Ge, true) => ConstraintOp::Le,
+                        (op, _) => op,
+                    };
+                    let coeffs = src.coeffs.iter().map(|v| v * scale).collect();
+                    let rhs = src.rhs * scale;
+                    lp.add_constraint(coeffs, op, rhs);
+                    redundant += 1;
+                    continue;
+                }
+                let coeffs = (0..n)
+                    .map(|_| match rng.gen_range(0u32..3) {
+                        0 => 0.0,
+                        _ => rng.gen_range(-4i32..=6) as f64,
+                    })
+                    .collect();
+                let op = [
+                    ConstraintOp::Le,
+                    ConstraintOp::Le,
+                    ConstraintOp::Ge,
+                    ConstraintOp::Eq,
+                ][rng.gen_range(0usize..4)];
+                let rhs = match rng.gen_range(0u32..4) {
+                    0 => {
+                        degenerate += 1;
+                        0.0
+                    }
+                    _ => rng.gen_range(-5i32..=20) as f64,
+                };
+                lp.add_constraint(coeffs, op, rhs);
+            }
+            // A box keeps most programs bounded.
+            if rng.gen_range(0u32..4) != 0 {
+                lp.add_constraint(vec![1.0; n], ConstraintOp::Le, rng.gen_range(1.0f64..50.0));
+            }
+            match lp.solve() {
+                Ok(_) => optimal += 1,
+                Err(LpError::Malformed(e)) => panic!("{e}: {lp:?}"),
+                Err(_) => {}
+            }
+        }
+        assert!(
+            optimal > 1000 && degenerate > 500 && redundant > 500,
+            "{optimal} optimal, {degenerate} degenerate rows, {redundant} redundant rows"
+        );
     }
 
     #[test]

@@ -33,6 +33,24 @@
 //! on the fast path: their variables are forced to zero by Eq. (7b)
 //! itself, so dropping them is exact, while their constants still floor
 //! the objective.
+//!
+//! **One demand whose capacity binds is solved in closed form.** With a
+//! single positive demand `H`, device `i`'s time row and capacity row
+//! collapse into one cap on its heads at level τ:
+//! `hᵢ(τ) = min((τ − cᵢ)/tᵢ, capᵢ/u)`. No level below the constant floor
+//! `max cᵢ` is reachable, and from the floor on every time budget is
+//! nonnegative, so the sum `S(τ)` is continuous, nondecreasing and
+//! piecewise linear there, with a breakpoint only where a device
+//! saturates (`τ = cᵢ + tᵢ·capᵢ/u`). The optimum is the least
+//! `τ ≥ max cᵢ` with `S(τ) ≥ H`: walk the at most `n` sorted breakpoints
+//! to the segment where `S` crosses `H` and interpolate linearly inside
+//! it. Each device then holds exactly `hᵢ(τ*)` (or, when `S` already
+//! covers `H` at the floor, the greedy's share of it), which is the LP
+//! optimum, so one-demand instances never fall back. Every re-dispatch
+//! replan and every one-request admission batch has this shape. An
+//! instance the certified bisection already settles keeps that answer:
+//! it differs from the closed form's in the last digits, and group
+//! rounding can turn such a difference into a different placement.
 
 use crate::minmax::MinMaxSolution;
 
@@ -71,6 +89,7 @@ pub enum WfOutcome {
     Solved(MinMaxSolution),
     /// A capacity row binds at the uncapacitated optimum (or exclusions
     /// are non-uniform): the caller must fall back to the generic LP.
+    /// Never reported for an instance with one positive demand.
     CapacityBound,
     /// No device can host the demand at all.
     Infeasible,
@@ -89,6 +108,8 @@ pub struct WaterFill {
     remaining: Vec<f64>,
     cap_left: Vec<f64>,
     x: Vec<f64>,
+    /// The one-demand breakpoints (see the module docs).
+    breaks: Vec<f64>,
 }
 
 /// How [`WaterFill`]'s shared prologue left the posed instance.
@@ -99,7 +120,7 @@ enum Posed {
     /// Positive demand and no device.
     Infeasible,
     /// Zero-capacity exclusions that are not uniform, or no device left
-    /// after them: only the LP can decide.
+    /// after them with several demands: only the LP can decide.
     CapacityBound,
     /// The Monge orders of the kept devices and positive demands are
     /// built; the level search may run.
@@ -200,10 +221,109 @@ impl WaterFill {
         // Final capacity-respecting greedy at the converged level. If it
         // places everything, the solution matches the uncapacitated
         // lower bound and is therefore optimal for the capacitated
-        // problem; otherwise capacity binds and the LP must decide.
-        if !self.fill_solution(hi) {
-            return WfOutcome::CapacityBound;
+        // problem; otherwise capacity binds: the closed form settles one
+        // demand, and the LP must decide several.
+        if self.fill_solution(hi) {
+            return self.solved();
         }
+        match self.dem_order[..] {
+            [k] => self.solve_single(k, floor),
+            _ => WfOutcome::CapacityBound,
+        }
+    }
+
+    /// The one-demand closed form (see the module docs), for an instance
+    /// whose capacity binds: the level from the breakpoint walk, then the
+    /// capacity-respecting greedy at that level. The greedy gives each
+    /// device `min(rest, hᵢ(τ*))`, the exact optimum when `τ*` is above
+    /// the constant floor (every cap is then tight) and one of the optima
+    /// when `S` already covers the demand at the floor.
+    fn solve_single(&mut self, k: usize, floor: f64) -> WfOutcome {
+        let Some(tau) = self.single_level(k, floor) else {
+            return WfOutcome::Infeasible;
+        };
+        if !self.fill_solution(tau) {
+            // The interpolated level covers the demand up to a few ulps;
+            // the last device that took heads takes that residue too.
+            let rest = self.remaining[k];
+            debug_assert!(
+                rest <= 1e-9 * self.demands[k].amount,
+                "level {tau} leaves {rest}"
+            );
+            let n = self.devices.len();
+            let x = &mut self.x[k * n..(k + 1) * n];
+            let last = self
+                .dev_order
+                .iter()
+                .rev()
+                .find(|&&i| x[i] > 0.0)
+                .expect("a level above the floor places heads");
+            x[*last] += rest;
+        }
+        self.solved()
+    }
+
+    /// The one-demand optimum level: the least `τ ≥ floor` whose capped
+    /// head sum `S(τ)` covers demand `k`, or `None` when no level does
+    /// (the capacity rows cannot hold it).
+    fn single_level(&mut self, k: usize, floor: f64) -> Option<f64> {
+        let demand = self.demands[k];
+        let need = demand.amount;
+        let mut lo = floor;
+        let mut s_lo = self.capped_sum(&demand, lo);
+        if s_lo >= need {
+            return Some(lo);
+        }
+        // Every device's budget is already growing at the floor, so the
+        // breakpoints above it are saturations only.
+        self.breaks.clear();
+        let mut slope = 0.0; // of S past the last breakpoint
+        for &i in &self.dev_order {
+            let d = &self.devices[i];
+            let t = d.alpha * demand.p + d.beta * demand.q;
+            if t <= 0.0 {
+                continue; // a constant cap
+            }
+            let saturates = if demand.u > 0.0 {
+                d.constant + t * (d.capacity / demand.u)
+            } else {
+                f64::INFINITY
+            };
+            if saturates.is_finite() {
+                if saturates > floor {
+                    self.breaks.push(saturates);
+                }
+            } else {
+                slope += 1.0 / t;
+            }
+        }
+        self.breaks.sort_unstable_by(f64::total_cmp);
+        for idx in 0..self.breaks.len() {
+            let b = self.breaks[idx];
+            let s_b = self.capped_sum(&demand, b);
+            if s_b >= need {
+                // S is linear on [lo, b] and crosses the demand there.
+                return Some(lo + (need - s_lo) * ((b - lo) / (s_b - s_lo)));
+            }
+            (lo, s_lo) = (b, s_b);
+        }
+        // Past the last breakpoint only the devices without a capacity
+        // cap still grow.
+        (slope > 0.0).then(|| lo + (need - s_lo) / slope)
+    }
+
+    /// `S(τ)`: the heads the kept devices can take of `demand` at level
+    /// `tau`.
+    fn capped_sum(&self, demand: &WfDemand, tau: f64) -> f64 {
+        self.dev_order
+            .iter()
+            .map(|&i| head_cap(&self.devices[i], demand, tau))
+            .sum()
+    }
+
+    /// Evaluates the objective at `x` and wraps the solution.
+    fn solved(&self) -> WfOutcome {
+        let n = self.devices.len();
         let mut max_value = f64::NEG_INFINITY;
         for (i, d) in self.devices.iter().enumerate() {
             let mut f = d.constant;
@@ -233,6 +353,10 @@ impl WaterFill {
     /// also the answer when `solve` would report
     /// [`WfOutcome::CapacityBound`] before any search.
     ///
+    /// With one positive demand the test is exact, capacity included: it
+    /// compares the capped head sum `S(tau)` of the closed form (module
+    /// docs) with the demand.
+    ///
     /// A caller comparing a solver's answer against `tau` should test a
     /// level slightly above the bound it needs: the solvers stop at a
     /// relative tolerance (1e-11 for the bisection, more after simplex
@@ -244,7 +368,13 @@ impl WaterFill {
             Posed::Empty => tau >= if self.devices.is_empty() { 0.0 } else { floor },
             Posed::Infeasible => false,
             Posed::CapacityBound => true,
-            Posed::Ordered => tau >= floor && self.level_feasible(tau),
+            Posed::Ordered => {
+                tau >= floor
+                    && match self.dem_order[..] {
+                        [k] => self.capped_sum(&self.demands[k], tau) >= self.demands[k].amount,
+                        _ => self.level_feasible(tau),
+                    }
+            }
         }
     }
 
@@ -284,7 +414,13 @@ impl WaterFill {
             self.dev_order.push(i);
         }
         if self.dev_order.is_empty() {
-            return Posed::CapacityBound;
+            // Every device is banned. A lone demand then has nowhere to
+            // go; with several, only the LP decides.
+            return if self.demands.iter().filter(|d| d.amount > 0.0).count() == 1 {
+                Posed::Infeasible
+            } else {
+                Posed::CapacityBound
+            };
         }
 
         // Monge order: devices by β/α ascending, demands by q/p
@@ -422,6 +558,23 @@ impl WaterFill {
     }
 }
 
+/// Device `d`'s cap on the heads of `demand` at level `tau`: the time
+/// budget `(tau − c)⁺/t` (unbounded on a cost-free cell), clipped to the
+/// capacity row when the demand consumes capacity.
+fn head_cap(d: &WfDevice, demand: &WfDemand, tau: f64) -> f64 {
+    let t = d.alpha * demand.p + d.beta * demand.q;
+    let time = if t > 0.0 {
+        ((tau - d.constant) / t).max(0.0)
+    } else {
+        f64::INFINITY
+    };
+    if demand.u > 0.0 {
+        time.min(d.capacity / demand.u)
+    } else {
+        time
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,10 +694,10 @@ mod tests {
         assert!((s.max_value - 16.0).abs() < 1e-6);
     }
 
-    #[test]
-    fn binding_capacity_reports_fallback() {
-        // Fast device capped at 4 units: the uncapacitated optimum loads
-        // it beyond that, so the solver must hand over to the LP.
+    /// The fast device is capped at 4 units and the uncapacitated optimum
+    /// loads it beyond that (`minmax::tests::capacity_forces_spill` poses
+    /// the same instance to the simplex).
+    fn capped_pair(amounts: &[f64]) -> WaterFill {
         let mut wf = WaterFill::new();
         wf.push_device(WfDevice {
             alpha: 1.0,
@@ -556,13 +709,55 @@ mod tests {
             capacity: 100.0,
             ..Default::default()
         });
+        for &amount in amounts {
+            wf.push_demand(WfDemand {
+                amount,
+                p: 1.0,
+                u: 1.0,
+                ..Default::default()
+            });
+        }
+        wf
+    }
+
+    #[test]
+    fn binding_capacity_settles_one_demand() {
+        // One demand: the closed form fills the fast device to its
+        // capacity and spills the rest, as the simplex does.
+        let s = solved(&mut capped_pair(&[10.0]));
+        assert!((s.x[0] - 4.0).abs() < 1e-9, "{:?}", s.x);
+        assert!((s.x[1] - 6.0).abs() < 1e-9, "{:?}", s.x);
+        assert!((s.max_value - 30.0).abs() < 1e-9, "{}", s.max_value);
+    }
+
+    #[test]
+    fn binding_capacity_reports_fallback() {
+        // The same ten units as two demands: the solver must hand over
+        // to the LP.
+        assert!(matches!(
+            capped_pair(&[5.0, 5.0]).solve(),
+            WfOutcome::CapacityBound
+        ));
+    }
+
+    #[test]
+    fn one_demand_beyond_capacity_is_infeasible() {
+        let mut wf = capped_pair(&[200.0]);
+        assert!(matches!(wf.solve(), WfOutcome::Infeasible));
+        assert!(!wf.reaches_level(f64::MAX));
+        // Every device banned leaves a lone demand nowhere to go.
+        let mut wf = WaterFill::new();
+        wf.push_device(WfDevice {
+            alpha: 1.0,
+            ..Default::default()
+        });
         wf.push_demand(WfDemand {
-            amount: 10.0,
+            amount: 1.0,
             p: 1.0,
             u: 1.0,
             ..Default::default()
         });
-        assert!(matches!(wf.solve(), WfOutcome::CapacityBound));
+        assert!(matches!(wf.solve(), WfOutcome::Infeasible));
     }
 
     #[test]

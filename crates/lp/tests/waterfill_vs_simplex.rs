@@ -8,7 +8,9 @@
 //! capacity regimes (the §5.3.2 redispatch path) and asserts, whenever
 //! the water-fill takes its fast path, that its objective matches the
 //! simplex optimum to 1e-6, that feasibility is exact, and that both
-//! solutions survive `round_to_groups`.
+//! solutions survive `round_to_groups`. One-demand instances never fall
+//! back: the closed form settles them, capacity included, within 1e-9 of
+//! the simplex.
 
 use hetis_lp::{
     round_to_groups, ConstraintOp, LpError, MinMaxBuilder, WaterFill, WfDemand, WfDevice, WfOutcome,
@@ -113,6 +115,15 @@ impl Instance {
         b.solve()
     }
 
+    /// The instance's only demand when it has one positive demand.
+    fn lone_demand(&self) -> Option<WfDemand> {
+        let mut positive = self.demands.iter().filter(|d| d.amount > 0.0);
+        match (positive.next(), positive.next()) {
+            (Some(&d), None) => Some(d),
+            _ => None,
+        }
+    }
+
     fn waterfill(&self) -> WfOutcome {
         let mut wf = WaterFill::new();
         for &d in &self.devices {
@@ -170,6 +181,20 @@ impl Instance {
                 d.capacity
             );
         }
+    }
+
+    /// A `WfOutcome::Infeasible` answer: the instance has one positive
+    /// demand and the simplex finds no solution either.
+    fn assert_lone_infeasible(&self, label: &str) {
+        assert!(
+            self.lone_demand().is_some(),
+            "{label}: several demands reported infeasible"
+        );
+        assert_eq!(
+            self.simplex().map(|s| s.max_value),
+            Err(LpError::Infeasible),
+            "{label}"
+        );
     }
 
     /// Both solvers' fractional answers must survive group rounding.
@@ -235,6 +260,10 @@ fn waterfill_matches_simplex_on_seeded_instances() {
             }
             WfOutcome::CapacityBound => {
                 fallback += 1;
+                assert!(
+                    inst.lone_demand().is_none(),
+                    "seed {seed}: a one-demand instance fell back"
+                );
                 // The oracle is authoritative here; it must terminate
                 // cleanly either way.
                 match inst.simplex() {
@@ -243,7 +272,9 @@ fn waterfill_matches_simplex_on_seeded_instances() {
                     Err(e) => panic!("seed {seed}: unexpected simplex error {e}"),
                 }
             }
-            WfOutcome::Infeasible => panic!("seed {seed}: generator never empties the cluster"),
+            // The generator never empties the cluster, so only a lone
+            // demand the capacity rows cannot hold is infeasible.
+            WfOutcome::Infeasible => inst.assert_lone_infeasible(&format!("seed {seed}")),
         }
     }
     // The suite must actually exercise both paths, and the fast path must
@@ -281,13 +312,102 @@ fn capacity_tight_instances_stay_consistent() {
                     );
                     inst.assert_feasible(&wf.x, &format!("seed {seed} scale {scale}"));
                 }
-                WfOutcome::CapacityBound => match inst.simplex() {
-                    Ok(s) => inst.assert_feasible(&s.x, &format!("seed {seed} scale {scale}")),
-                    Err(LpError::Infeasible) => {}
-                    Err(e) => panic!("seed {seed} scale {scale}: {e}"),
-                },
-                WfOutcome::Infeasible => unreachable!(),
+                WfOutcome::CapacityBound => {
+                    assert!(inst.lone_demand().is_none(), "seed {seed} scale {scale}");
+                    match inst.simplex() {
+                        Ok(s) => inst.assert_feasible(&s.x, &format!("seed {seed} scale {scale}")),
+                        Err(LpError::Infeasible) => {}
+                        Err(e) => panic!("seed {seed} scale {scale}: {e}"),
+                    }
+                }
+                WfOutcome::Infeasible => {
+                    inst.assert_lone_infeasible(&format!("seed {seed} scale {scale}"))
+                }
             }
         }
     }
+}
+
+/// One-demand instances settle in closed form, capacity included: none
+/// reports `CapacityBound`, each solved one matches the simplex within
+/// 1e-9 and places exactly its demand, and each infeasible one is
+/// infeasible for the simplex too. The capacity sweep makes capacity
+/// bind (the capacitated optimum above the uncapacitated one) on many
+/// of them, and the suite requires that it does.
+#[test]
+fn one_demand_instances_settle_exactly() {
+    let (mut binding, mut solved, mut infeasible) = (0usize, 0usize, 0usize);
+    for seed in 0..400u64 {
+        let mut inst = Instance::random(seed);
+        inst.demands.truncate(1);
+        let demand = inst.demands[0];
+        let need = demand.amount * demand.u;
+        let n = inst.devices.len();
+        for scale in [4.0, 1.5, 1.01, 0.9, 0.4] {
+            for (i, d) in inst.devices.iter_mut().enumerate() {
+                if d.capacity > 0.0 {
+                    // Uneven shares, so fast and slow devices saturate
+                    // at different levels.
+                    d.capacity = need * scale / n as f64 * (0.5 + (i % 3) as f64 * 0.5);
+                }
+            }
+            let label = format!("seed {seed} scale {scale}");
+            match inst.waterfill() {
+                WfOutcome::Solved(wf) => {
+                    solved += 1;
+                    let sx = inst
+                        .simplex()
+                        .unwrap_or_else(|e| panic!("{label}: simplex failed: {e}"));
+                    let tol = 1e-9 * sx.max_value.abs().max(1.0);
+                    assert!(
+                        (wf.max_value - sx.max_value).abs() <= tol,
+                        "{label}: closed form {} vs simplex {}",
+                        wf.max_value,
+                        sx.max_value
+                    );
+                    let placed: f64 = wf.x.iter().sum();
+                    assert!(
+                        (placed - demand.amount).abs() <= 1e-9 * demand.amount,
+                        "{label}: placed {placed} of {} heads",
+                        demand.amount
+                    );
+                    inst.assert_feasible(&wf.x, &label);
+                    let eval = inst.objective_at(&wf.x);
+                    assert!((eval - wf.max_value).abs() <= 1e-9 * eval.abs().max(1.0));
+                    // Binding: lifting every positive capacity lowers the
+                    // optimum.
+                    let loose = Instance {
+                        devices: inst
+                            .devices
+                            .iter()
+                            .map(|&d| WfDevice {
+                                capacity: if d.capacity > 0.0 {
+                                    f64::INFINITY
+                                } else {
+                                    d.capacity
+                                },
+                                ..d
+                            })
+                            .collect(),
+                        demands: inst.demands.clone(),
+                    };
+                    let WfOutcome::Solved(free) = loose.waterfill() else {
+                        panic!("{label}: the uncapacitated instance is solvable");
+                    };
+                    if wf.max_value > free.max_value + tol {
+                        binding += 1;
+                    }
+                }
+                WfOutcome::CapacityBound => panic!("{label}: a one-demand instance fell back"),
+                WfOutcome::Infeasible => {
+                    infeasible += 1;
+                    inst.assert_lone_infeasible(&label);
+                }
+            }
+        }
+    }
+    assert!(
+        binding > 300 && solved > binding && infeasible > 0,
+        "{binding} binding of {solved} solved, {infeasible} infeasible"
+    );
 }
