@@ -44,13 +44,12 @@
 //! saturates (`τ = cᵢ + tᵢ·capᵢ/u`). The optimum is the least
 //! `τ ≥ max cᵢ` with `S(τ) ≥ H`: walk the at most `n` sorted breakpoints
 //! to the segment where `S` crosses `H` and interpolate linearly inside
-//! it. Each device then holds exactly `hᵢ(τ*)` (or, when `S` already
-//! covers `H` at the floor, the greedy's share of it), which is the LP
-//! optimum, so one-demand instances never fall back. Every re-dispatch
-//! replan and every one-request admission batch has this shape. An
-//! instance the certified bisection already settles keeps that answer:
-//! it differs from the closed form's in the last digits, and group
-//! rounding can turn such a difference into a different placement.
+//! it. Each device then holds exactly `hᵢ(τ*)`, which is the LP optimum,
+//! so one-demand instances never fall back. Every re-dispatch replan and
+//! every one-request admission batch has this shape. An instance the
+//! certified bisection already settles keeps that answer: it differs
+//! from the closed form's in the last digits, and group rounding can
+//! turn such a difference into a different placement.
 
 use crate::minmax::MinMaxSolution;
 
@@ -234,10 +233,8 @@ impl WaterFill {
 
     /// The one-demand closed form (see the module docs), for an instance
     /// whose capacity binds: the level from the breakpoint walk, then the
-    /// capacity-respecting greedy at that level. The greedy gives each
-    /// device `min(rest, hᵢ(τ*))`, the exact optimum when `τ*` is above
-    /// the constant floor (every cap is then tight) and one of the optima
-    /// when `S` already covers the demand at the floor.
+    /// capacity-respecting greedy at that level, which gives each device
+    /// `min(rest, hᵢ(τ*))`.
     fn solve_single(&mut self, k: usize, floor: f64) -> WfOutcome {
         let Some(tau) = self.single_level(k, floor) else {
             return WfOutcome::Infeasible;
