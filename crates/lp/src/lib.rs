@@ -11,9 +11,9 @@
 //!   (one affine max term per device, one capacity row per device, one
 //!   equality per request, rank-2 costs) reduces to parametric
 //!   water-filling with a Monge-greedy feasibility oracle — no tableau,
-//!   no pivots. One request is solved in closed form, capacity included;
-//!   a batch of several falls back to simplex when capacity genuinely
-//!   binds.
+//!   no pivots. One request whose capacity binds is solved in closed
+//!   form; a batch of several falls back to simplex when capacity
+//!   genuinely binds.
 //! * [`simplex`] — a dense two-phase primal simplex with Bland's rule on
 //!   a single flat row-major tableau (these LPs have a handful of
 //!   variables per request × device, so dense is the right choice),
