@@ -1,12 +1,13 @@
 //! Criterion micro-benchmarks of the hot scheduling paths: the Eq. (7)
 //! solvers on the same instance (the water-fill vs the generic simplex,
 //! at the paper's 6-device × 4-request shape and a 12×16 stress shape),
-//! the dispatcher's water-fill dispatch, the two capacity-bound dispatch
+//! the dispatcher's water-fill dispatch, the capacity-bound dispatch
 //! shapes of a saturated Hetis run (one request, settled by the
-//! water-fill's closed form, and eight requests on two devices, the
-//! simplex fallback), the §5.3.1 balance check (a memo hit, a certified
-//! miss and the relaxed-ideal solve), head rounding and fetch-index
-//! assembly.
+//! water-fill's closed form; eight requests of distinct lengths on two
+//! devices, settled by its bottleneck certificate; eight equal lengths,
+//! the simplex fallback), the §5.3.1 balance check (a memo hit, a
+//! certified miss and the relaxed-ideal solve), head rounding and
+//! fetch-index assembly.
 //!
 //! `BENCH_4.json` at the repository root records the old-vs-new numbers
 //! for the solver pairs.
@@ -233,18 +234,19 @@ fn bench_dispatch(c: &mut Criterion) {
     });
 }
 
-/// Eq. (7) for one request of `len` tokens on stage 0 `stage`, posed
+/// Eq. (7) for the requests of `lens` tokens on stage 0 `stage`, posed
 /// from the profiler's models and solved by the simplex, in seconds: the
-/// oracle the water-fill's one-request closed form must match. It
-/// restates the dispatcher's cost and capacity rows (milliseconds and
-/// per-layer gigabytes, as the dispatcher poses them).
-fn eq7_simplex_one_request(
+/// oracle the water-fill's one-request closed form and its bottleneck
+/// certificate must match. It restates the dispatcher's cost and
+/// capacity rows (milliseconds and per-layer gigabytes, as the
+/// dispatcher poses them).
+fn eq7_simplex(
     d: &Dispatcher,
     cluster: &Cluster,
     model: &ModelSpec,
     kv: &KvState,
     stage: &StageTopo,
-    len: u32,
+    lens: &[u32],
 ) -> f64 {
     let r = model.gqa_ratio();
     let kappa = Dispatcher::head_token_bytes(model);
@@ -252,7 +254,7 @@ fn eq7_simplex_one_request(
         (2.0 + 2.0 / r as f64) * model.head_dim as f64 * model.dtype.bytes() as f64;
     let layers = stage.primary.layers as f64;
     let n = stage.attention_devices().count();
-    let mut b = MinMaxBuilder::new(n);
+    let mut b = MinMaxBuilder::new(n * lens.len());
     for (i, dev) in stage.attention_devices().enumerate() {
         let m = d.profiler().attn_model(dev);
         let (gamma, beta) = if stage.primary.devices.contains(&dev) {
@@ -269,25 +271,32 @@ fn eq7_simplex_one_request(
             on.stage_query_heads(0, r) as f64,
             on.stage_kv_bytes_per_layer(0),
         );
-        b.push_max_term((a_eff * h + m.b * g + m.c + beta) * 1e3)[i] =
-            (a_eff + m.b * kappa * len as f64) * 1e3;
-        b.push_constraint(ConstraintOp::Le, on.free_bytes() as f64 / layers * 1e-9)[i] =
-            len as f64 * kappa * 1e-9;
+        let row = b.push_max_term((a_eff * h + m.b * g + m.c + beta) * 1e3);
+        for (j, &len) in lens.iter().enumerate() {
+            row[j * n + i] = (a_eff + m.b * kappa * len as f64) * 1e3;
+        }
+        let cap = b.push_constraint(ConstraintOp::Le, on.free_bytes() as f64 / layers * 1e-9);
+        for (j, &len) in lens.iter().enumerate() {
+            cap[j * n + i] = len as f64 * kappa * 1e-9;
+        }
     }
-    b.push_constraint(ConstraintOp::Eq, model.num_heads as f64)
-        .fill(1.0);
-    b.solve().expect("the one-request LP is feasible").max_value / 1e3
+    for j in 0..lens.len() {
+        b.push_constraint(ConstraintOp::Eq, model.num_heads as f64)[j * n..(j + 1) * n].fill(1.0);
+    }
+    b.solve().expect("the batch's LP is feasible").max_value / 1e3
 }
 
-/// The two capacity-bound dispatch shapes of a saturated Hetis run, on a
+/// The capacity-bound dispatch shapes of a saturated Hetis run, on a
 /// two-device stage (one A100 primary, one P100 attention worker) whose
 /// A100 pool is cut to a few hundred megabytes, so that its capacity row
-/// binds. `dispatch_1req_capacity_bound` asserts that the water-fill's
-/// closed form settles the one-request replan shape (no fallback), that
-/// capacity does bind (the uncut stage predicts less) and that the
-/// prediction equals the simplex optimum within 1e-9.
-/// `dispatch_8req_2dev_fallback` asserts that every eight-request batch
-/// still falls back to the simplex, the one shape left to it.
+/// binds. `dispatch_1req_capacity_bound` and `dispatch_8req_2dev_pair`
+/// assert that the water-fill settles the one-request replan shape (the
+/// closed form) and an eight-request batch of distinct lengths (the
+/// bottleneck certificate) without a fallback, that capacity does bind
+/// (the uncut stage predicts less) and that the prediction equals the
+/// simplex optimum within 1e-9. `dispatch_8req_2dev_tie` asserts that
+/// every batch of eight equal lengths, whose knapsack ratios tie, still
+/// falls back to the simplex.
 fn bench_capacity_bound_dispatch(
     c: &mut Criterion,
     cluster: &Cluster,
@@ -309,38 +318,44 @@ fn bench_capacity_bound_dispatch(
             .allocate(hetis_workload::RequestId(20_000 + k as u64), 0, 4, 8, 80)
             .unwrap();
     }
-    let len = 2000;
-    let predicted = |kv: &KvState| {
-        d.dispatch(cluster, model, kv, &stage, 0, &[len])
-            .expect("the request fits the stage")
-            .predicted_max
-    };
-    let bound = predicted(&kv);
-    assert!(
-        bound > predicted(&loose) * (1.0 + 1e-6),
-        "dispatch_1req_capacity_bound: the A100 capacity row does not bind"
-    );
-    let reference = eq7_simplex_one_request(d, cluster, model, &kv, &stage, len);
-    assert!(
-        (bound - reference).abs() <= 1e-9 * reference,
-        "dispatch_1req_capacity_bound: closed form {bound} vs the simplex {reference}"
-    );
-    c.bench_function("dispatch_1req_capacity_bound", |b| {
-        let (fast, slow) = d.solver_counts();
-        let mut calls = 0u64;
-        b.iter(|| {
-            calls += 1;
-            predicted(&kv)
-        });
-        assert_eq!(
-            d.solver_counts(),
-            (fast + calls, slow),
-            "dispatch_1req_capacity_bound: a one-request solve fell back"
+    let mut settled = |name: &str, lens: &[u32]| {
+        let predicted = |kv: &KvState| {
+            d.dispatch(cluster, model, kv, &stage, 0, lens)
+                .expect("the batch fits the stage")
+                .predicted_max
+        };
+        let bound = predicted(&kv);
+        assert!(
+            bound > predicted(&loose) * (1.0 + 1e-6),
+            "{name}: the A100 capacity row does not bind"
         );
-    });
+        let reference = eq7_simplex(d, cluster, model, &kv, &stage, lens);
+        assert!(
+            (bound - reference).abs() <= 1e-9 * reference,
+            "{name}: the water-fill's {bound} vs the simplex {reference}"
+        );
+        c.bench_function(name, |b| {
+            let (fast, slow) = d.solver_counts();
+            let mut calls = 0u64;
+            b.iter(|| {
+                calls += 1;
+                predicted(&kv)
+            });
+            assert_eq!(
+                d.solver_counts(),
+                (fast + calls, slow),
+                "{name}: a solve fell back"
+            );
+        });
+    };
+    settled("dispatch_1req_capacity_bound", &[2000]);
+    settled(
+        "dispatch_8req_2dev_pair",
+        &[300, 700, 1200, 1800, 2500, 3100, 900, 1500],
+    );
 
-    let lens = [300, 700, 1200, 1800, 2500, 3100, 900, 1500];
-    c.bench_function("dispatch_8req_2dev_fallback", |b| {
+    let lens = [1500; 8];
+    c.bench_function("dispatch_8req_2dev_tie", |b| {
         let (fast, slow) = d.solver_counts();
         let mut calls = 0u64;
         b.iter(|| {
@@ -351,7 +366,7 @@ fn bench_capacity_bound_dispatch(
         assert_eq!(
             d.solver_counts(),
             (fast, slow + calls),
-            "dispatch_8req_2dev_fallback: the batch did not reach the simplex"
+            "dispatch_8req_2dev_tie: the batch did not reach the simplex"
         );
     });
 }

@@ -14,9 +14,10 @@ pub(crate) const PROFILE_SEED: u64 = 0x4E75;
 
 /// The Eq. (7) solver: the dispatcher always runs the structure-exploiting
 /// water-fill ([`hetis_lp::WaterFill`]), handing a solve to the simplex
-/// only when a capacity row binds at the optimum. The type has one
-/// variant and selects nothing; it is kept only so configurations that
-/// still name it compile.
+/// only when a capacity row binds at the optimum and neither its
+/// one-request closed form nor its two-device bottleneck certificate
+/// settles the batch. The type has one variant and selects nothing; it
+/// is kept only so configurations that still name it compile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchSolver {
     /// The water-fill with its simplex fallback.

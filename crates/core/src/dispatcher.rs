@@ -90,6 +90,67 @@ struct SolveCounts {
     fallback: u64,
 }
 
+/// One Eq. (7) batch as the simplex restatement, the rounding and the
+/// debug oracle read it, beside the coefficients staged in [`Scratch`].
+#[derive(Debug, Clone, Copy)]
+struct Batch<'a> {
+    /// The requests' context lengths `l_j`.
+    lens: &'a [u32],
+    /// The stage's attention devices.
+    n: usize,
+    /// Bytes per query-head-token, κ.
+    kappa: f64,
+    /// The objective's per-request length cap (see
+    /// [`Dispatcher::dispatch_chunked`]).
+    compute_chunk: Option<u64>,
+    /// Query heads per request, H.
+    heads: u32,
+    /// The GQA group ratio r.
+    r: u32,
+}
+
+impl Batch<'_> {
+    /// Request length `l` as the objective prices it.
+    fn compute_len(&self, l: u32) -> f64 {
+        (l as u64).min(self.compute_chunk.unwrap_or(u64::MAX)) as f64
+    }
+
+    /// Whether some entry of `x` lies within 1e-9 of half a KV-head
+    /// group, where rounding breaks the tie by device index.
+    fn rounds_a_half_group(&self, x: &[f64]) -> bool {
+        x.iter()
+            .any(|&v| ((v / self.r as f64).fract() - 0.5).abs() <= 1e-9)
+    }
+
+    /// Rounds the fractional `x` to whole KV-head groups request by
+    /// request, consuming `free` (per-layer bytes per device) as it goes.
+    /// The caps carry a 2% safety margin: the engine allocates in whole
+    /// blocks, so exact-byte feasibility can fall just short at the
+    /// allocator. `None` when some request cannot be rounded.
+    fn round_heads(
+        &self,
+        x: &[f64],
+        free: &mut [f64],
+        caps: &mut Vec<u32>,
+    ) -> Option<Vec<Vec<u32>>> {
+        let n = self.n;
+        let mut heads = Vec::with_capacity(self.lens.len());
+        for (jj, &l) in self.lens.iter().enumerate() {
+            caps.clear();
+            caps.extend(free.iter().map(|&free| {
+                let per_head = l as f64 * self.kappa;
+                ((free * 0.98 / per_head).floor() as u32).min(self.heads)
+            }));
+            let rounded = round_to_groups(&x[jj * n..(jj + 1) * n], self.r, self.heads, caps)?;
+            for (i, &h) in rounded.iter().enumerate() {
+                free[i] -= h as f64 * l as f64 * self.kappa;
+            }
+            heads.push(rounded);
+        }
+        Some(heads)
+    }
+}
+
 /// A stage's §5.3.1 verdict, from [`Dispatcher::stage_balance`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageBalance {
@@ -142,11 +203,16 @@ impl Dispatcher {
     }
 
     /// Solver telemetry since construction: `(fast-path water-fill
-    /// solves, simplex solves)`, the latter being the water-fill's
-    /// fallbacks when a capacity row binds ([`WfOutcome::CapacityBound`]),
-    /// which happens only for a batch of several requests (or the §5.3.1
-    /// relaxation's two pseudo-demands): a one-request dispatch is always
-    /// a fast-path solve. A batch rejected by the pooled-capacity bound
+    /// solves, simplex solves)`. The water-fill falls back to the simplex
+    /// ([`WfOutcome::CapacityBound`]) only when a capacity row binds on a
+    /// batch of several requests (or the §5.3.1 relaxation's two
+    /// pseudo-demands) and its bottleneck certificate refuses: a ratio
+    /// tie at the fill boundary, a balanced batch, a stage of three or
+    /// more devices or a demand that consumes no capacity (see
+    /// `hetis_lp::waterfill`). A one-request dispatch is always a
+    /// fast-path solve. A certified batch whose fractional heads sit on
+    /// an exact half group is re-solved by the simplex and counts once,
+    /// as a simplex solve. A batch rejected by the pooled-capacity bound
     /// ([`Dispatcher::pooled_prefix`]) counts as neither, and so does a
     /// [`Dispatcher::stage_balance`] check that its memo or its level
     /// certificate settles (the debug-build oracles' solves are not
@@ -318,17 +384,91 @@ impl Dispatcher {
                 predicted_max: 0.0,
             });
         }
-        let devices = stage.attention_devices();
-        let n = devices.clone().count();
-        let j = new_reqs.len();
-        let h_total = model.num_heads as f64;
-        let r = model.gqa_ratio();
-        let kappa = Self::head_token_bytes(model);
-        let layers = stage.primary.layers as f64;
-        let anchor = stage.primary.devices[0];
-
         let mut sc = self.scratch.borrow_mut();
         let sc = &mut *sc;
+        let batch = self.pose_eq7(
+            sc,
+            cluster,
+            model,
+            kv,
+            stage,
+            stage_idx,
+            new_reqs,
+            removed,
+            banned,
+            compute_chunk,
+        )?;
+        // The water-fill settles every one-request instance (its closed
+        // form includes the capacity rows), every batch whose
+        // uncapacitated optimum fits, and, on two devices, every batch its
+        // bottleneck certificate proves uniquely optimal. On the
+        // benchmark's traffic that is a stage whose remote attention
+        // worker has little free KV: the worker's capacity binds, it takes
+        // the shortest requests (each unit of its capacity saves the
+        // primary `t/u` of time, which falls with the request length) and
+        // the primary's time is the maximum. The simplex decides the rest:
+        // ratio ties at the fill boundary (equal lengths), balanced
+        // batches where both time rows bind, stages of three or more
+        // devices. It also re-solves a certified batch whose fractional
+        // heads sit on an exact half group, since rounding breaks that tie
+        // by device index while the simplex's last digits decide it today.
+        let (sol, _certified) = match sc.wf.solve() {
+            WfOutcome::Solved(s) if !(sc.wf.certified() && batch.rounds_a_half_group(&s.x)) => {
+                sc.counts.fast += 1;
+                (s, sc.wf.certified())
+            }
+            WfOutcome::Solved(_) | WfOutcome::CapacityBound => {
+                sc.counts.fallback += 1;
+                (Self::solve_eq7_simplex(sc, &batch)?, false)
+            }
+            WfOutcome::Infeasible => return None,
+        };
+        #[cfg(debug_assertions)]
+        if new_reqs.len() == 1 || _certified {
+            Self::assert_matches_simplex(sc, &batch, &sol, _certified);
+        }
+
+        // Round per request, consuming per-device capacity as we go
+        // (`sc.free` doubles as the remaining-capacity tracker).
+        let heads = batch.round_heads(&sol.x, &mut sc.free, &mut sc.caps)?;
+        Some(DispatchOutcome {
+            heads,
+            predicted_max: sol.max_value / MS,
+        })
+    }
+
+    /// Stages Eq. (7) for `new_reqs` on `stage` into `sc` (the inputs of
+    /// [`Dispatcher::dispatch_adjusted`]): per attention device its free
+    /// capacity in per-layer bytes (`free`) and its cost coefficients
+    /// (`a_eff`, `b_coef`, `constants`), then poses the instance on
+    /// `sc.wf`. `None` when the stage's pooled capacity rules the batch
+    /// out before any solve.
+    #[allow(clippy::too_many_arguments)]
+    fn pose_eq7<'a>(
+        &self,
+        sc: &mut Scratch,
+        cluster: &Cluster,
+        model: &ModelSpec,
+        kv: &KvState,
+        stage: &StageTopo,
+        stage_idx: u16,
+        new_reqs: &'a [u32],
+        removed: &[(DeviceId, f64, f64)],
+        banned: Option<DeviceId>,
+        compute_chunk: Option<u64>,
+    ) -> Option<Batch<'a>> {
+        let devices = stage.attention_devices();
+        let batch = Batch {
+            lens: new_reqs,
+            n: devices.clone().count(),
+            kappa: Self::head_token_bytes(model),
+            compute_chunk,
+            heads: model.num_heads,
+            r: model.gqa_ratio(),
+        };
+        let r = batch.r;
+        let layers = stage.primary.layers as f64;
+        let anchor = stage.primary.devices[0];
 
         // Current loads and capacities, minus any explicit removals.
         sc.h_now.clear();
@@ -355,7 +495,7 @@ impl Dispatcher {
         }
         // Pooled capacity rules the batch out before any solve (exact:
         // see `pooled_prefix`).
-        if Self::fitting_prefix(model, new_reqs, sc.free.iter().sum()) < j {
+        if Self::fitting_prefix(model, new_reqs, sc.free.iter().sum()) < new_reqs.len() {
             return None;
         }
 
@@ -387,7 +527,7 @@ impl Dispatcher {
         // Structured fast path: one WfDevice per max term + capacity row,
         // one WfDemand per head-integrity equality.
         sc.wf.clear();
-        for i in 0..n {
+        for i in 0..batch.n {
             sc.wf.push_device(WfDevice {
                 constant: sc.constants[i],
                 alpha: sc.a_eff[i] * MS,
@@ -396,141 +536,92 @@ impl Dispatcher {
             });
         }
         for &l in new_reqs {
-            let l_compute = (l as u64).min(compute_chunk.unwrap_or(u64::MAX)) as f64;
             sc.wf.push_demand(WfDemand {
-                amount: h_total,
+                amount: batch.heads as f64,
                 p: 1.0,
-                q: kappa * l_compute,
-                u: l as f64 * kappa * GB,
+                q: batch.kappa * batch.compute_len(l),
+                u: l as f64 * batch.kappa * GB,
             });
         }
-        // The water-fill settles every one-request instance (its closed
-        // form includes the capacity rows) and every batch whose
-        // uncapacitated optimum fits. A batch of several requests whose
-        // capacity binds still goes to the simplex: there the LP wants a
-        // capacity-bound fast device to host the *shortest* requests,
-        // since each unit of its capacity saves time `t/u`, which falls
-        // as `1/l` (the fractional-knapsack ratio), while the Monge order
-        // puts the longest requests on it first. A capacity-respecting
-        // Monge greedy therefore misses the optimum on such batches.
-        let sol = match sc.wf.solve() {
-            WfOutcome::Solved(s) => {
-                sc.counts.fast += 1;
-                Some(s)
-            }
-            WfOutcome::CapacityBound => {
-                sc.counts.fallback += 1;
-                Self::solve_eq7_simplex(sc, n, new_reqs, kappa, compute_chunk, h_total)
-            }
-            WfOutcome::Infeasible => None,
-        };
-        #[cfg(debug_assertions)]
-        if j == 1 {
-            Self::assert_single_request_optimum(
-                sc,
-                n,
-                new_reqs,
-                kappa,
-                compute_chunk,
-                h_total,
-                &sol,
-            );
-        }
-        let sol = sol?;
-
-        // Round per request, consuming per-device capacity as we go. The
-        // caps carry a 2% safety margin: the engine allocates in whole
-        // blocks, so exact-byte feasibility can fall just short at the
-        // allocator. `sc.free` doubles as the remaining-capacity tracker.
-        let mut heads: Vec<Vec<u32>> = Vec::with_capacity(j);
-        for (jj, &l) in new_reqs.iter().enumerate() {
-            let x = &sol.x[jj * n..(jj + 1) * n];
-            sc.caps.clear();
-            sc.caps.extend(sc.free.iter().map(|&free| {
-                let per_head = l as f64 * kappa;
-                ((free * 0.98 / per_head).floor() as u32).min(model.num_heads)
-            }));
-            let rounded = round_to_groups(x, r, model.num_heads, &sc.caps)?;
-            for (i, &h) in rounded.iter().enumerate() {
-                sc.free[i] -= h as f64 * l as f64 * kappa;
-            }
-            heads.push(rounded);
-        }
-
-        Some(DispatchOutcome {
-            heads,
-            predicted_max: sol.max_value / MS,
-        })
+        Some(batch)
     }
 
-    /// Debug oracle of the water-fill's one-request closed form: the
-    /// simplex re-solves the instance staged in `sc`, and its objective
-    /// must equal `sol`'s within 1e-9 relative. The oracle's solve is not
-    /// the dispatcher's, so the solver counts are restored after it. A
-    /// closed form that finds no level while the simplex solves is
-    /// accepted: the simplex's phase 1 admits an infeasibility of 1e-7,
-    /// and the pooled-capacity check before the solve already rejects
-    /// any request that misses the pooled capacity by more than 1e-9.
+    /// Debug oracle of the water-fill's closed form and bottleneck
+    /// certificate: the simplex re-solves the batch staged in `sc`, and
+    /// its objective must equal `sol`'s within 1e-9 relative. A
+    /// `certified` solution must moreover be the simplex's point: every
+    /// `x` entry within 1e-9·H of it, and the same heads after rounding.
+    /// The oracle's solve is not the dispatcher's, so the solver counts
+    /// are restored after it. A closed form that finds no level while
+    /// the simplex solves never reaches the oracle and is accepted: the
+    /// simplex's phase 1 admits an infeasibility of 1e-7, and the
+    /// pooled-capacity check before the solve already rejects any
+    /// request that misses the pooled capacity by more than 1e-9.
     #[cfg(debug_assertions)]
-    #[allow(clippy::too_many_arguments)]
-    fn assert_single_request_optimum(
+    fn assert_matches_simplex(
         sc: &mut Scratch,
-        n: usize,
-        new_reqs: &[u32],
-        kappa: f64,
-        compute_chunk: Option<u64>,
-        h_total: f64,
-        sol: &Option<MinMaxSolution>,
+        batch: &Batch,
+        sol: &MinMaxSolution,
+        certified: bool,
     ) {
+        let lens = batch.lens;
         let counts = sc.counts;
-        let reference = Self::solve_eq7_simplex(sc, n, new_reqs, kappa, compute_chunk, h_total);
+        let reference = Self::solve_eq7_simplex(sc, batch);
         sc.counts = counts;
-        match (sol, reference) {
-            (Some(got), Some(want)) => assert!(
-                (got.max_value - want.max_value).abs() <= 1e-9 * want.max_value.abs(),
-                "one-request dispatch of {new_reqs:?}: {} vs the simplex {}",
-                got.max_value,
-                want.max_value
-            ),
-            (Some(got), None) => panic!(
-                "one-request dispatch of {new_reqs:?}: {} where the simplex finds no solution",
-                got.max_value
-            ),
-            (None, _) => {}
+        let Some(want) = reference else {
+            panic!(
+                "dispatch of {lens:?}: {} where the simplex finds no solution",
+                sol.max_value
+            );
+        };
+        assert!(
+            (sol.max_value - want.max_value).abs() <= 1e-9 * want.max_value.abs(),
+            "dispatch of {lens:?}: {} vs the simplex {}",
+            sol.max_value,
+            want.max_value
+        );
+        if certified {
+            let tol = 1e-9 * batch.heads as f64;
+            assert!(
+                sol.x.iter().zip(&want.x).all(|(a, b)| (a - b).abs() <= tol),
+                "certified dispatch of {lens:?}: x {:?} vs the simplex {:?}",
+                sol.x,
+                want.x
+            );
+            let mut caps = Vec::new();
+            let got = batch.round_heads(&sol.x, &mut sc.free.clone(), &mut caps);
+            let want = batch.round_heads(&want.x, &mut sc.free.clone(), &mut caps);
+            assert_eq!(
+                got, want,
+                "certified dispatch of {lens:?}: heads differ from the simplex's"
+            );
         }
     }
 
     /// Poses Eq. (7) as the epigraph LP over `x[j·n + i]` from the
     /// coefficients staged in `sc` and solves it with the simplex: the
-    /// water-fill's fallback when a capacity row binds.
-    fn solve_eq7_simplex(
-        sc: &mut Scratch,
-        n: usize,
-        new_reqs: &[u32],
-        kappa: f64,
-        compute_chunk: Option<u64>,
-        h_total: f64,
-    ) -> Option<MinMaxSolution> {
-        let j = new_reqs.len();
-        let nv = j * n;
-        sc.builder.reset(nv);
+    /// water-fill's fallback.
+    fn solve_eq7_simplex(sc: &mut Scratch, batch: &Batch) -> Option<MinMaxSolution> {
+        let Batch { lens, n, kappa, .. } = *batch;
+        sc.builder.reset(lens.len() * n);
         for i in 0..n {
             let row = sc.builder.push_max_term(sc.constants[i]);
-            for (jj, &l) in new_reqs.iter().enumerate() {
-                let l_compute = (l as u64).min(compute_chunk.unwrap_or(u64::MAX)) as f64;
-                row[jj * n + i] = (sc.a_eff[i] + sc.b_coef[i] * kappa * l_compute) * MS;
+            for (jj, &l) in lens.iter().enumerate() {
+                row[jj * n + i] = (sc.a_eff[i] + sc.b_coef[i] * kappa * batch.compute_len(l)) * MS;
             }
             // Capacity (7b): Σ_j x_iʲ · l_j · κ ≤ free_i (per-layer GB).
             let cap = sc
                 .builder
                 .push_constraint(ConstraintOp::Le, sc.free[i] * GB);
-            for (jj, &l) in new_reqs.iter().enumerate() {
+            for (jj, &l) in lens.iter().enumerate() {
                 cap[jj * n + i] = l as f64 * kappa * GB;
             }
         }
         // Head integrity (7c): Σ_i x_iʲ = H.
-        for jj in 0..j {
-            let row = sc.builder.push_constraint(ConstraintOp::Eq, h_total);
+        for jj in 0..lens.len() {
+            let row = sc
+                .builder
+                .push_constraint(ConstraintOp::Eq, batch.heads as f64);
             for i in 0..n {
                 row[jj * n + i] = 1.0;
             }
@@ -1060,6 +1151,65 @@ mod tests {
             d.stage_balance(&cluster, &model, &kv, &stage, 0, 0.5),
             StageBalance::Imbalanced { bottleneck: dev }
         );
+    }
+
+    /// A two-device stage, one A100 primary under heavy resident load and
+    /// one P100 attention worker with little free KV, whose worker
+    /// capacity binds. The worker takes the shorter request whole (it has
+    /// the higher knapsack ratio) and exactly 12 heads, 1.5 KV-head
+    /// groups, of the longer one, which comes first in the batch, so its
+    /// rounding meets the worker's full free bytes and breaks the
+    /// half-group tie by device index. The certificate settles the batch,
+    /// but the dispatcher re-solves it with the simplex, counts one
+    /// fallback and places what the simplex places.
+    #[test]
+    fn half_group_tie_falls_back_to_the_simplex() {
+        let cluster = paper_cluster();
+        let model = llama_70b();
+        let a100 = cluster.devices_of_type(GpuType::A100)[0];
+        let p100 = cluster.devices_of_type(GpuType::P100)[0];
+        let mut stage = StageTopo::plain(StageConfig {
+            devices: vec![a100],
+            layers: 80,
+        });
+        stage.attention_workers = vec![p100];
+        let lens = [2000, 1000];
+        let kappa = Dispatcher::head_token_bytes(&model) as u64;
+        let free_per_layer = (64 * 1000 + 12 * 2000) * kappa;
+        let loose = KvState::new(&cluster, &model, 16, &HashMap::new()).unwrap();
+        let weights = loose.device(p100).free_bytes() - free_per_layer * 80;
+        let mut kv = KvState::new(&cluster, &model, 16, &HashMap::from([(p100, weights)])).unwrap();
+        let blocks = kv.blocks_for(4000);
+        for q in 0..40u64 {
+            kv.device_mut(a100)
+                .allocate(hetis_workload::RequestId(q), 0, 8, blocks, 80)
+                .unwrap();
+        }
+        let d = Dispatcher::new(Profiler::profile(&cluster, 8, 0.0, 1));
+        let (fast, fallback) = d.solver_counts();
+        let out = d.dispatch(&cluster, &model, &kv, &stage, 0, &lens).unwrap();
+        assert!(d.scratch.borrow().wf.certified());
+        assert_eq!(d.solver_counts(), (fast, fallback + 1));
+
+        let mut sc = Scratch::default();
+        let batch = d
+            .pose_eq7(
+                &mut sc,
+                &cluster,
+                &model,
+                &kv,
+                &stage,
+                0,
+                &lens,
+                &[],
+                None,
+                None,
+            )
+            .unwrap();
+        let want = Dispatcher::solve_eq7_simplex(&mut sc, &batch).unwrap();
+        assert!((want.x[1] - 12.0).abs() < 1e-9 && (want.x[3] - 64.0).abs() < 1e-9);
+        let heads = batch.round_heads(&want.x, &mut sc.free, &mut sc.caps);
+        assert_eq!(Some(out.heads), heads);
     }
 
     #[test]

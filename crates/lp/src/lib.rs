@@ -12,8 +12,12 @@
 //!   equality per request, rank-2 costs) reduces to parametric
 //!   water-filling with a Monge-greedy feasibility oracle — no tableau,
 //!   no pivots. One request whose capacity binds is solved in closed
-//!   form; a batch of several falls back to simplex when capacity
-//!   genuinely binds.
+//!   form, and a batch of several on two devices by a bottleneck
+//!   certificate: a fractional knapsack over the capacity-bound device,
+//!   accepted only when its optimum is Eq. (7)'s unique optimum. The
+//!   rest of the capacity-bound batches (ratio ties at the fill
+//!   boundary, balanced batches, three or more devices) fall back to the
+//!   simplex.
 //! * [`simplex`] — a dense two-phase primal simplex with Bland's rule on
 //!   a single flat row-major tableau (these LPs have a handful of
 //!   variables per request × device, so dense is the right choice),

@@ -10,7 +10,9 @@
 //! simplex optimum to 1e-6, that feasibility is exact, and that both
 //! solutions survive `round_to_groups`. One-demand instances never fall
 //! back: the closed form settles them, capacity included, within 1e-9 of
-//! the simplex.
+//! the simplex. Two-device instances the bottleneck certificate settles
+//! are the simplex's point, and those whose knapsack fill boundary
+//! splits a ratio tie fall back.
 
 use hetis_lp::{
     round_to_groups, ConstraintOp, LpError, MinMaxBuilder, WaterFill, WfDemand, WfDevice, WfOutcome,
@@ -125,6 +127,12 @@ impl Instance {
     }
 
     fn waterfill(&self) -> WfOutcome {
+        self.waterfill_certified().0
+    }
+
+    /// The water-fill's outcome, and whether the bottleneck certificate
+    /// settled it.
+    fn waterfill_certified(&self) -> (WfOutcome, bool) {
         let mut wf = WaterFill::new();
         for &d in &self.devices {
             wf.push_device(d);
@@ -132,7 +140,31 @@ impl Instance {
         for &d in &self.demands {
             wf.push_demand(d);
         }
-        wf.solve()
+        (wf.solve(), wf.certified())
+    }
+
+    /// The optimum with every positive capacity lifted: below the
+    /// instance's own optimum exactly when capacity binds.
+    fn loose_optimum(&self) -> f64 {
+        let loose = Instance {
+            devices: self
+                .devices
+                .iter()
+                .map(|&d| WfDevice {
+                    capacity: if d.capacity > 0.0 {
+                        f64::INFINITY
+                    } else {
+                        d.capacity
+                    },
+                    ..d
+                })
+                .collect(),
+            demands: self.demands.clone(),
+        };
+        match loose.waterfill() {
+            WfOutcome::Solved(s) => s.max_value,
+            other => panic!("the uncapacitated instance is solvable: {other:?}"),
+        }
     }
 
     /// Max-term value at `x` (layout `x[k*n + i]`).
@@ -376,25 +408,7 @@ fn one_demand_instances_settle_exactly() {
                     assert!((eval - wf.max_value).abs() <= 1e-9 * eval.abs().max(1.0));
                     // Binding: lifting every positive capacity lowers the
                     // optimum.
-                    let loose = Instance {
-                        devices: inst
-                            .devices
-                            .iter()
-                            .map(|&d| WfDevice {
-                                capacity: if d.capacity > 0.0 {
-                                    f64::INFINITY
-                                } else {
-                                    d.capacity
-                                },
-                                ..d
-                            })
-                            .collect(),
-                        demands: inst.demands.clone(),
-                    };
-                    let WfOutcome::Solved(free) = loose.waterfill() else {
-                        panic!("{label}: the uncapacitated instance is solvable");
-                    };
-                    if wf.max_value > free.max_value + tol {
+                    if wf.max_value > inst.loose_optimum() + tol {
                         binding += 1;
                     }
                 }
@@ -410,4 +424,135 @@ fn one_demand_instances_settle_exactly() {
         binding > 300 && solved > binding && infeasible > 0,
         "{binding} binding of {solved} solved, {infeasible} infeasible"
     );
+}
+
+/// Two-device instances of the dispatcher's shape (`p = 1`, `q = u =`
+/// the request length, 64 heads each) with several demands whose
+/// capacity binds: lengths are either distinct draws or repeats from a
+/// small set, and one device's capacity is cut to a share of the
+/// batch's need. Every instance the bottleneck certificate settles must
+/// be the simplex's point: objective within 1e-9, every `x` entry within
+/// 1e-9·H. Every instance whose fill boundary splits two demands of
+/// equal length (an equal knapsack ratio) must fall back. The test
+/// finds that boundary on its own: the bottleneck is the device with the
+/// larger time at the simplex optimum, and the other device takes the
+/// demands by length ascending (each unit of its capacity saves the
+/// bottleneck `α/l + β`) until its capacity runs out.
+#[test]
+fn pair_instances_settle_exactly() {
+    const H: f64 = 64.0;
+    let (mut settled, mut ties) = (0usize, 0usize);
+    for seed in 0..300u64 {
+        let mut rng = StdRng::seed_from_u64(0x9a12 + seed);
+        let lens: Vec<f64> = (0..rng.gen_range(2usize..=8))
+            .map(|_| match seed % 2 {
+                0 => rng.gen_range(16u32..4000) as f64,
+                _ => [256.0, 700.0, 1500.0][rng.gen_range(0usize..3)],
+            })
+            .collect();
+        let demands: Vec<WfDemand> = lens
+            .iter()
+            .map(|&l| WfDemand {
+                amount: H,
+                p: 1.0,
+                q: l,
+                u: l,
+            })
+            .collect();
+        let need = H * lens.iter().sum::<f64>();
+        let devices: Vec<WfDevice> = (0..2)
+            .map(|_| WfDevice {
+                constant: rng.gen_range(0.0f64..25.0),
+                alpha: rng.gen_range(0.001f64..2.0),
+                beta: rng.gen_range(0.0001f64..0.05),
+                capacity: need * rng.gen_range(0.5f64..2.0),
+            })
+            .collect();
+        let mut inst = Instance { devices, demands };
+        let cut = (seed / 2 % 2) as usize;
+        for scale in [0.03, 0.1, 0.25, 0.5, 0.8] {
+            inst.devices[cut].capacity = need * scale;
+            let label = format!("seed {seed} scale {scale}");
+            let (outcome, certified) = inst.waterfill_certified();
+            let Ok(sx) = inst.simplex() else {
+                assert!(!matches!(outcome, WfOutcome::Solved(_)), "{label}");
+                continue;
+            };
+            let time = |i: usize| {
+                let d = &inst.devices[i];
+                d.constant
+                    + (inst.demands.iter().enumerate())
+                        .map(|(k, dem)| (d.alpha + d.beta * dem.q) * sx.x[k * 2 + i])
+                        .sum::<f64>()
+            };
+            let tol = 1e-9 * sx.max_value.abs().max(1.0);
+            let (f0, f1) = (time(0), time(1));
+            if inst.loose_optimum() < sx.max_value - tol
+                && (f0 - f1).abs() > 1e-6 * f0.max(f1)
+                && boundary_tie(&inst, usize::from(f1 > f0))
+            {
+                ties += 1;
+                assert!(
+                    matches!(outcome, WfOutcome::CapacityBound),
+                    "{label}: a ratio tie at the fill boundary settled"
+                );
+            }
+            let WfOutcome::Solved(wf) = outcome else {
+                continue;
+            };
+            assert!(
+                (wf.max_value - sx.max_value).abs() <= tol,
+                "{label}: {} vs the simplex {}",
+                wf.max_value,
+                sx.max_value
+            );
+            if certified {
+                settled += 1;
+                for (a, b) in wf.x.iter().zip(&sx.x) {
+                    assert!(
+                        (a - b).abs() <= 1e-9 * H,
+                        "{label}: x {:?} vs the simplex {:?}",
+                        wf.x,
+                        sx.x
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        settled > 400 && ties > 200,
+        "{settled} settled, {ties} ties"
+    );
+}
+
+/// Whether the knapsack fill of the device other than `bottleneck`
+/// splits two demands of equal length: one keeps heads on the
+/// bottleneck, the other has heads on the filled device.
+fn boundary_tie(inst: &Instance, bottleneck: usize) -> bool {
+    let mut order: Vec<usize> = (0..inst.demands.len()).collect();
+    order.sort_by(|&a, &b| {
+        (inst.demands[a].u)
+            .total_cmp(&inst.demands[b].u)
+            .then(a.cmp(&b))
+    });
+    let mut cap_left = inst.devices[1 - bottleneck].capacity;
+    let mut filled = Vec::new(); // per position: (heads on the filled device, heads left)
+    for &k in &order {
+        let d = &inst.demands[k];
+        let take = d.amount.min((cap_left / d.u).max(0.0));
+        cap_left = if take < d.amount {
+            0.0
+        } else {
+            cap_left - take * d.u
+        };
+        filled.push((take, d.amount - take));
+    }
+    order.iter().enumerate().any(|(a, &ka)| {
+        order.iter().enumerate().any(|(b, &kb)| {
+            a != b
+                && inst.demands[ka].u == inst.demands[kb].u
+                && filled[a].0 > 0.0
+                && filled[b].1 > 0.0
+        })
+    })
 }
