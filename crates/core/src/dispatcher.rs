@@ -410,8 +410,9 @@ impl Dispatcher {
         // ratio ties at the fill boundary (equal lengths), balanced
         // batches where both time rows bind, stages of three or more
         // devices. It also re-solves a certified batch whose fractional
-        // heads sit on an exact half group, since rounding breaks that tie
-        // by device index while the simplex's last digits decide it today.
+        // heads sit on an exact half group: rounding breaks that tie by
+        // device index, and which device rounds up must stay what the
+        // simplex's last digits decide.
         let (sol, _certified) = match sc.wf.solve() {
             WfOutcome::Solved(s) if !(sc.wf.certified() && batch.rounds_a_half_group(&s.x)) => {
                 sc.counts.fast += 1;
