@@ -21,14 +21,6 @@ pub struct AttnWork {
 }
 
 impl AttnWork {
-    /// Sums attention work batched into one kernel.
-    pub fn plus(self, other: AttnWork) -> AttnWork {
-        AttnWork {
-            query_heads: self.query_heads + other.query_heads,
-            kv_bytes: self.kv_bytes + other.kv_bytes,
-        }
-    }
-
     /// Zero work.
     pub const ZERO: AttnWork = AttnWork {
         query_heads: 0.0,

@@ -123,11 +123,6 @@ impl MemoryLedger {
         self.total
     }
 
-    /// Bytes reserved for weights.
-    pub fn weights(&self) -> u64 {
-        self.weights
-    }
-
     /// Bytes reserved for activations/workspace.
     pub fn activation_reserve(&self) -> u64 {
         self.activation_reserve
@@ -166,7 +161,7 @@ mod tests {
         let err = m.reserve_weights(12 * GB).unwrap_err();
         assert!(err.available < 12 * GB);
         // The ledger is unchanged after a failed reservation.
-        assert_eq!(m.weights(), 0);
+        assert_eq!(m.kv_pool(), 12 * GB - m.activation_reserve());
     }
 
     #[test]

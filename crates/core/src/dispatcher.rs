@@ -228,13 +228,6 @@ impl Dispatcher {
         self.scratch.borrow().balance
     }
 
-    /// Access to the underlying profiler (e.g. for perturbation). Clears
-    /// the balance-check memo, whose verdicts read the profiler's models.
-    pub fn profiler_mut(&mut self) -> &mut Profiler {
-        self.scratch.get_mut().memo.clear();
-        &mut self.profiler
-    }
-
     /// Read access to the profiler.
     pub fn profiler(&self) -> &Profiler {
         &self.profiler
@@ -643,9 +636,8 @@ impl Dispatcher {
     /// `theta`, the stage's layer count, its primary and worker device
     /// lists, and per attention device its `stage_query_heads`,
     /// `stage_kv_bytes_per_layer` (as bits) and pool bytes. The remaining
-    /// inputs are the profiler's models, whose only mutator
-    /// ([`Dispatcher::profiler_mut`]) clears the memo, and the cluster
-    /// and model, which are fixed for a dispatcher's life.
+    /// inputs are the profiler's models, the cluster and the model, which
+    /// are all fixed for a dispatcher's life.
     ///
     /// **Certificate.** A miss on a loaded stage first runs one pass of
     /// the water-fill's uncapacitated level oracle

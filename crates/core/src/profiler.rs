@@ -186,41 +186,11 @@ impl Profiler {
         }
     }
 
-    /// Mean relative prediction accuracy (1 − mean |err|/truth) over a
-    /// fresh test grid, per device — the §7.4 accuracy metric.
-    pub fn attn_accuracy(&self, cluster: &Cluster, test_grid: usize) -> Vec<f64> {
-        cluster
-            .devices()
-            .iter()
-            .map(|dev| {
-                let model = &self.attn[dev.id.index()];
-                let mut err_sum = 0.0;
-                let mut n = 0;
-                for hi in 0..test_grid {
-                    for gi in 0..test_grid {
-                        // Offset test points so they interleave the
-                        // training grid.
-                        let h = 96.0 * (6000.0_f64 / 96.0).powf(hi as f64 / (test_grid - 1) as f64);
-                        let g = 12e6 * (3e9_f64 / 12e6).powf(gi as f64 / (test_grid - 1) as f64);
-                        let truth = attn_decode_time(
-                            &dev.spec,
-                            AttnWork {
-                                query_heads: h,
-                                kv_bytes: g,
-                            },
-                        );
-                        err_sum += (model.predict(h, g) - truth).abs() / truth;
-                        n += 1;
-                    }
-                }
-                1.0 - err_sum / n as f64
-            })
-            .collect()
-    }
-
-    /// Like [`Profiler::attn_accuracy`], but the held-out "ground truth"
-    /// is itself a noisy measurement — the §7.4 setting, where accuracy
-    /// is prediction vs. *measured* time on a real, jittery device.
+    /// Mean relative prediction accuracy (1 − mean |err|/measured) over a
+    /// fresh test grid, per device — the §7.4 accuracy metric. The
+    /// held-out "ground truth" is itself a measurement with relative
+    /// `noise`, as on a real, jittery device; at `noise = 0` it is the
+    /// exact kernel time.
     pub fn attn_accuracy_measured(
         &self,
         cluster: &Cluster,
@@ -256,7 +226,8 @@ impl Profiler {
             .collect()
     }
 
-    /// Measured-ground-truth variant of [`Profiler::link_accuracy`].
+    /// Transfer-model accuracy per device (inter-host path), §7.4,
+    /// measured like [`Profiler::attn_accuracy_measured`].
     pub fn link_accuracy_measured(
         &self,
         cluster: &Cluster,
@@ -284,33 +255,6 @@ impl Profiler {
                     let d = 6e3 * (1.5e6_f64 / 6e3).powf(k as f64 / (test_points - 1) as f64);
                     let measured = link.time(d) * rng.jitter(noise);
                     err += (model.predict(d) - measured).abs() / measured;
-                }
-                1.0 - err / test_points as f64
-            })
-            .collect()
-    }
-
-    /// Transfer-model accuracy per device (inter-host path), §7.4.
-    pub fn link_accuracy(&self, cluster: &Cluster, test_points: usize) -> Vec<f64> {
-        cluster
-            .devices()
-            .iter()
-            .map(|dev| {
-                let model = &self.links_inter[dev.id.index()];
-                let cross = cluster
-                    .devices()
-                    .iter()
-                    .map(|d| d.id)
-                    .find(|&d| cluster.device(d).host != dev.host);
-                let Some(cross) = cross else {
-                    return 1.0;
-                };
-                let link = cluster.link(dev.id, cross);
-                let mut err = 0.0;
-                for k in 0..test_points {
-                    let d = 6e3 * (1.5e6_f64 / 6e3).powf(k as f64 / (test_points - 1) as f64);
-                    let truth = link.time(d);
-                    err += (model.predict(d) - truth).abs() / truth;
                 }
                 1.0 - err / test_points as f64
             })
@@ -431,10 +375,10 @@ mod tests {
         // §7.4: computation accuracy up to 93.8%, transfer 92.4–96.1%.
         let c = paper_cluster();
         let p = Profiler::profile(&c, 8, 0.05, 7);
-        for acc in p.attn_accuracy(&c, 6) {
+        for acc in p.attn_accuracy_measured(&c, 6, 0.0, 0) {
             assert!(acc > 0.90, "attention accuracy {acc}");
         }
-        for acc in p.link_accuracy(&c, 8) {
+        for acc in p.link_accuracy_measured(&c, 8, 0.0, 0) {
             assert!(acc > 0.90, "transfer accuracy {acc}");
         }
     }

@@ -2,7 +2,7 @@
 
 use crate::config::{HetisConfig, WorkloadProfile, PROFILE_GRID, PROFILE_NOISE, PROFILE_SEED};
 use crate::dispatcher::Dispatcher;
-use crate::parallelizer::{search_topology, SearchOutcome};
+use crate::parallelizer::search_topology;
 use crate::profiler::{Coefficient, Profiler};
 use crate::redispatch::{balance_computation, select_victim, VictimMode};
 use hetis_cluster::{Cluster, DeviceId};
@@ -20,7 +20,6 @@ pub struct HetisPolicy {
     fixed_topology: Option<Topology>,
     perturbations: Vec<(Coefficient, f64)>,
     victim_mode: VictimMode,
-    search_outcome: Option<SearchOutcome>,
     rr: usize,
 }
 
@@ -34,7 +33,6 @@ impl HetisPolicy {
             fixed_topology: None,
             perturbations: Vec::new(),
             victim_mode: VictimMode::Hetis,
-            search_outcome: None,
             rr: 0,
         }
     }
@@ -64,16 +62,6 @@ impl HetisPolicy {
         self
     }
 
-    /// The Parallelizer's search statistics (after `topology()` ran).
-    pub fn search_outcome(&self) -> Option<&SearchOutcome> {
-        self.search_outcome.as_ref()
-    }
-
-    /// The fitted models (after `topology()` ran).
-    pub fn dispatcher(&self) -> Option<&Dispatcher> {
-        self.dispatcher.as_ref()
-    }
-
     fn dispatcher_ref(&self) -> &Dispatcher {
         self.dispatcher
             .as_ref()
@@ -95,10 +83,7 @@ impl Policy for HetisPolicy {
         if let Some(t) = &self.fixed_topology {
             return t.clone();
         }
-        let outcome = search_topology(cluster, model, &self.profile, &self.cfg);
-        let topo = outcome.topology.clone();
-        self.search_outcome = Some(outcome);
-        topo
+        search_topology(cluster, model, &self.profile, &self.cfg).topology
     }
 
     fn route(&mut self, _req: &Request, ctx: &PolicyCtx<'_>) -> usize {

@@ -6,7 +6,6 @@
 
 use hetis_cluster::cluster::paper_cluster;
 use hetis_cluster::{DeviceId, GpuType};
-use hetis_core::profiler::Coefficient;
 use hetis_core::{Dispatcher, Profiler, StageBalance};
 use hetis_engine::{KvState, StageTopo};
 use hetis_model::llama_70b;
@@ -180,14 +179,13 @@ struct MemoCase {
 /// long-lived dispatcher is driven through random KV states on two
 /// stages: fresh states, states that pile their load onto one device,
 /// revisits of earlier ones, and copies of the last one that change only
-/// a stage's worker list, only one device's pool, only Θ or only the
-/// profiler's cost coefficients. Every verdict must equal the reference
+/// a stage's worker list, only one device's pool or only Θ. Every verdict must equal the reference
 /// a fresh dispatcher computes, and checking again must solve nothing.
 /// Memo hits, certificates, full solves, simplex fallbacks and both
 /// verdict kinds must all occur.
 #[test]
 fn stage_balance_matches_reference() {
-    let (cluster, model, _, stage0, mut memo) = setup(&[]);
+    let (cluster, model, _, stage0, memo) = setup(&[]);
     let a100 = cluster.devices_of_type(GpuType::A100);
     let r3090 = cluster.devices_of_type(GpuType::Rtx3090);
     let p100 = cluster.devices_of_type(GpuType::P100);
@@ -241,7 +239,7 @@ fn stage_balance_matches_reference() {
     let mut cases: Vec<MemoCase> = Vec::new();
     let (mut hits, mut balanced, mut imbalanced) = (0, 0, 0);
     for _ in 0..120 {
-        let case = match (cases.last(), rng.next_below(7)) {
+        let case = match (cases.last(), rng.next_below(6)) {
             (Some(_), 0) => cases[rng.next_below(cases.len() as u64) as usize].clone(),
             (Some(last), 1) => {
                 let mut case = last.clone();
@@ -264,20 +262,7 @@ fn stage_balance_matches_reference() {
                 case.cut_pool = Some(devices[rng.next_below(devices.len() as u64) as usize]);
                 case
             }
-            (Some(last), 3) => {
-                // Same state, new cost coefficients.
-                let which = [
-                    Coefficient::A,
-                    Coefficient::B,
-                    Coefficient::C,
-                    Coefficient::Gamma,
-                    Coefficient::Beta,
-                ][rng.next_below(5) as usize];
-                let frac = [-0.05, 0.05][rng.next_below(2) as usize];
-                memo.profiler_mut().perturb(which, frac);
-                last.clone()
-            }
-            (Some(last), 4) => MemoCase {
+            (Some(last), 3) => MemoCase {
                 theta: [0.3, 0.5][rng.next_below(2) as usize],
                 ..last.clone()
             },

@@ -51,7 +51,6 @@ pub struct ClosedLoopController {
     outstanding: u32,
     throttled: bool,
     pacing: bool,
-    ticks: u64,
 }
 
 impl ClosedLoopController {
@@ -65,7 +64,6 @@ impl ClosedLoopController {
             outstanding: 0,
             throttled: false,
             pacing: false,
-            ticks: 0,
         }
     }
 
@@ -84,15 +82,9 @@ impl ClosedLoopController {
         self.outstanding
     }
 
-    /// Ticks observed so far.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
     /// Consumes one telemetry tick; returns the actions to take this
     /// tick (possibly empty), in a fixed order: scale, throttle, pace.
     pub fn on_tick(&mut self, snap: &TelemetrySnapshot) -> Vec<ControlAction> {
-        self.ticks += 1;
         if self.cooldown > 0 {
             self.cooldown -= 1;
         }
@@ -326,7 +318,7 @@ mod tests {
         let mut scale_ticks: Vec<u64> = Vec::new();
         // Storm for 10 ticks, then dead calm for 30: the automaton must
         // space every pair of scale actions by >= cooldown_ticks.
-        for t in 0..40 {
+        for t in 0..40u64 {
             let s = if t < 10 {
                 snap(t as f64, 10, 3.0, 0.5)
             } else {
@@ -335,7 +327,7 @@ mod tests {
             for a in ctl.on_tick(&s) {
                 match a {
                     ControlAction::ScaleOut { .. } | ControlAction::ScaleIn => {
-                        scale_ticks.push(ctl.ticks());
+                        scale_ticks.push(t);
                     }
                     _ => {}
                 }

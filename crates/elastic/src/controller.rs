@@ -2,8 +2,7 @@
 //!
 //! On every churn event the controller re-runs the Parallelizer's
 //! hierarchical search on the *surviving* device set (via a sub-cluster
-//! rebuild with an id mapping), diffs the resulting topology against the
-//! running one, and emits a [`ReplanPlan`]:
+//! rebuild) to price the re-plan, and emits a [`ReplanPlan`]:
 //!
 //! * a **constrained topology** that is actually applied — surviving
 //!   primary stages keep their devices and layer splits (weights cannot
@@ -17,87 +16,35 @@
 //!   candidates the search evaluated (the engine stalls pipelines for
 //!   this long, charging the cost the paper reports in §7.4).
 
-use hetis_cluster::{Cluster, ClusterBuilder, DeviceId};
+use hetis_cluster::{ClusterBuilder, DeviceId};
 use hetis_core::{search_topology, HetisConfig, WorkloadProfile};
 use hetis_engine::{
     ClusterEvent, ClusterEventKind, DeviceHealth, HeadPlacement, HealthView, InstanceRole, Phase,
     PolicyCtx, RedispatchOp, Topology,
 };
-use hetis_telemetry::TelemetrySnapshot;
 use hetis_workload::RequestId;
+
+/// Fixed re-plan cost in simulated seconds (state sync, dispatch
+/// barrier).
+const REPLAN_BASE_S: f64 = 0.25;
+
+/// Marginal simulated seconds per search candidate evaluated (the paper
+/// reports 4–15 s searches; our analytic search evaluates the same
+/// candidate set far faster, so the cost is re-imposed here).
+const REPLAN_PER_CANDIDATE_S: f64 = 0.002;
 
 /// Controller tunables.
 #[derive(Debug, Clone)]
 pub struct ElasticConfig {
-    /// Fixed re-plan cost in simulated seconds (state sync, dispatch
-    /// barrier).
-    pub replan_base_s: f64,
-    /// Marginal simulated seconds per search candidate evaluated (the
-    /// paper reports 4–15 s searches; our analytic search evaluates the
-    /// same candidate set far faster, so the cost is re-imposed here).
-    pub replan_per_candidate_s: f64,
-    /// Run the full hierarchical re-search for the diff/latency model.
-    /// When false only the constrained worker rebuild runs (cheapest).
-    pub rerun_search: bool,
     /// Plan drain migrations on preemption notices.
     pub drain_on_notice: bool,
-    /// Telemetry snapshots retained by [`ElasticController::observe`]:
-    /// a fixed-capacity ring mirroring the telemetry `EventRing` —
-    /// observing past capacity overwrites the oldest snapshot and counts
-    /// a drop instead of growing without bound.
-    pub observation_capacity: usize,
 }
 
 impl Default for ElasticConfig {
     fn default() -> Self {
         ElasticConfig {
-            replan_base_s: 0.25,
-            replan_per_candidate_s: 0.002,
-            rerun_search: true,
             drain_on_notice: true,
-            observation_capacity: 256,
         }
-    }
-}
-
-/// Fixed-capacity ring of telemetry snapshots with drop accounting —
-/// the same overwrite-oldest contract as the telemetry `EventRing`, so
-/// a long run cannot grow the controller's memory without bound.
-#[derive(Debug, Clone)]
-struct ObservationRing {
-    buf: Vec<TelemetrySnapshot>,
-    /// Index of the oldest element once the ring is full (0 before).
-    head: usize,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl ObservationRing {
-    fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "observation ring needs capacity >= 1");
-        ObservationRing {
-            buf: Vec::with_capacity(capacity),
-            head: 0,
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    fn push(&mut self, snap: TelemetrySnapshot) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(snap);
-        } else {
-            self.buf[self.head] = snap;
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
-        }
-    }
-
-    /// Buffered snapshots, oldest first.
-    fn iter(&self) -> impl Iterator<Item = &TelemetrySnapshot> {
-        self.buf[self.head..]
-            .iter()
-            .chain(self.buf[..self.head].iter())
     }
 }
 
@@ -119,11 +66,8 @@ pub struct ReplanPlan {
     pub topology: Topology,
     /// What changed relative to the running topology.
     pub diff: TopologyDiff,
-    /// Unconstrained re-search result on the surviving devices, mapped
-    /// back to cluster ids (diagnostic: what a from-scratch deployment
-    /// would look like).
-    pub ideal_topology: Option<Topology>,
-    /// Candidates the re-search evaluated (0 when skipped).
+    /// Candidates the re-search evaluated (0 for a pool resize, or when
+    /// the survivors cannot host the model).
     pub searched_candidates: usize,
     /// Simulated seconds the re-plan costs.
     pub replan_latency: f64,
@@ -135,76 +79,37 @@ pub struct ReplanPlan {
 /// subsystem's main entry point.
 ///
 /// On every cluster-change event it re-runs the hierarchical topology
-/// search on the *surviving* device set (rebuilt as a sub-cluster with
-/// id remapping), diffs the ideal result against the running topology,
-/// and emits a [`ReplanPlan`]: the constrained topology actually
-/// installable live (surviving primaries keep their devices and layers
-/// — weights cannot teleport — while the attention-worker pool is
-/// rebuilt from all surviving non-primary devices), Hauler-planned KV
-/// drains off devices under preemption notice, and a deterministic
-/// re-plan latency the engine charges to every pipeline. Wrap it around
-/// any policy with [`crate::ElasticPolicy`]; construct the no-replan
-/// ablation with [`crate::ElasticPolicy::frozen`].
+/// search on the *surviving* device set (rebuilt as a sub-cluster) to
+/// price the re-plan, and emits a [`ReplanPlan`]: the constrained
+/// topology actually installable live (surviving primaries keep their
+/// devices and layers — weights cannot teleport — while the
+/// attention-worker pool is rebuilt from all surviving non-primary
+/// devices), Hauler-planned KV drains off devices under preemption
+/// notice, and a deterministic re-plan latency the engine charges to
+/// every pipeline. Wrap it around any policy with
+/// [`crate::ElasticPolicy`]; construct the no-replan ablation with
+/// [`crate::ElasticPolicy::frozen`].
 #[derive(Debug, Clone)]
 pub struct ElasticController {
     hetis: HetisConfig,
     profile: WorkloadProfile,
     cfg: ElasticConfig,
-    /// Telemetry snapshots fed in via [`Self::observe`]: a bounded ring
-    /// (capacity [`ElasticConfig::observation_capacity`]), newest last.
-    observations: ObservationRing,
 }
 
 impl ElasticController {
     /// A controller planning for `profile` with the paper's defaults.
     pub fn new(hetis: HetisConfig, profile: WorkloadProfile) -> Self {
-        let cfg = ElasticConfig::default();
         ElasticController {
             hetis,
             profile,
-            observations: ObservationRing::new(cfg.observation_capacity),
-            cfg,
+            cfg: ElasticConfig::default(),
         }
     }
 
-    /// Overrides the elastic tunables (builder style: re-sizes the
-    /// observation ring, discarding anything already observed).
+    /// Overrides the elastic tunables (builder style).
     pub fn with_config(mut self, cfg: ElasticConfig) -> Self {
-        self.observations = ObservationRing::new(cfg.observation_capacity);
         self.cfg = cfg;
         self
-    }
-
-    /// Feeds a live telemetry snapshot (queue depths, streaming
-    /// per-class percentiles, KV occupancy) into the controller's
-    /// bounded ring — past capacity the oldest snapshot is overwritten
-    /// and counted in [`Self::observations_dropped`]. The retained
-    /// stream feeds diagnostics ([`Self::max_observed_queue_depth`]);
-    /// the *closed-loop* consumer is [`crate::ClosedLoopController`],
-    /// which watches each snapshot as it arrives.
-    pub fn observe(&mut self, snapshot: &TelemetrySnapshot) {
-        self.observations.push(snapshot.clone());
-    }
-
-    /// Snapshots currently retained (oldest first, at most
-    /// [`ElasticConfig::observation_capacity`]).
-    pub fn observations(&self) -> Vec<&TelemetrySnapshot> {
-        self.observations.iter().collect()
-    }
-
-    /// Snapshots overwritten because the observation ring was full.
-    pub fn observations_dropped(&self) -> u64 {
-        self.observations.dropped
-    }
-
-    /// Largest admission-queue depth seen across the retained snapshots
-    /// — the simplest scale-up pressure signal.
-    pub fn max_observed_queue_depth(&self) -> u32 {
-        self.observations
-            .iter()
-            .map(|s| s.max_queue_depth())
-            .max()
-            .unwrap_or(0)
     }
 
     /// Computes the plan for one event. `ctx.topology` is the engine's
@@ -217,15 +122,8 @@ impl ElasticController {
     ) -> ReplanPlan {
         let accepting = health.accepting();
 
-        // Unconstrained re-search on the survivors (diff + latency model).
-        let (ideal_topology, searched_candidates) = if self.cfg.rerun_search {
-            match ideal_search(ctx.cluster, &accepting, ctx, &self.profile, &self.hetis) {
-                Some((topo, evaluated)) => (Some(topo), evaluated),
-                None => (None, 0),
-            }
-        } else {
-            (None, 0)
-        };
+        // Unconstrained re-search on the survivors (latency model).
+        let searched_candidates = search_candidates(&accepting, ctx, &self.profile, &self.hetis);
 
         // Constrained rebuild: keep surviving primaries, re-pool workers.
         let topology = rebuild_workers(ctx.topology, health);
@@ -239,13 +137,11 @@ impl ElasticController {
             Vec::new()
         };
 
-        let replan_latency =
-            self.cfg.replan_base_s + self.cfg.replan_per_candidate_s * searched_candidates as f64;
+        let replan_latency = REPLAN_BASE_S + REPLAN_PER_CANDIDATE_S * searched_candidates as f64;
 
         ReplanPlan {
             topology,
             diff,
-            ideal_topology,
             searched_candidates,
             replan_latency,
             migrations,
@@ -299,8 +195,8 @@ impl ElasticController {
     /// highest-id worker of the instance with the largest pool. Returns
     /// `None` when the change would be a no-op (already at full pool /
     /// no worker left to retire), so the caller can skip the replan
-    /// stall entirely. Latency is `replan_base_s` only: no search is
-    /// re-run for a pool resize.
+    /// stall entirely. Latency is the fixed re-plan cost only: no search
+    /// is re-run for a pool resize.
     pub fn scale_plan(
         &self,
         scale_out: bool,
@@ -319,9 +215,8 @@ impl ElasticController {
         Some(ReplanPlan {
             topology,
             diff,
-            ideal_topology: None,
             searched_candidates: 0,
-            replan_latency: self.cfg.replan_base_s,
+            replan_latency: REPLAN_BASE_S,
             migrations: Vec::new(),
         })
     }
@@ -439,21 +334,21 @@ fn diff_topologies(old: &Topology, new: &Topology) -> TopologyDiff {
     diff
 }
 
-/// Runs the hierarchical search on the surviving devices by rebuilding a
-/// sub-cluster with the same host structure (ids remapped back
-/// afterwards). Returns `None` when the survivors cannot host the model.
-fn ideal_search(
-    cluster: &Cluster,
+/// Runs the hierarchical search on the surviving devices, rebuilt as a
+/// sub-cluster with the same host structure, and returns the number of
+/// candidates it evaluated: 0 when the survivors cannot host the model.
+fn search_candidates(
     accepting: &[DeviceId],
     ctx: &PolicyCtx<'_>,
     profile: &WorkloadProfile,
     hetis: &HetisConfig,
-) -> Option<(Topology, usize)> {
+) -> usize {
+    let cluster = ctx.cluster;
     if accepting.is_empty() {
-        return None;
+        return 0;
     }
     let mut builder = ClusterBuilder::new();
-    let mut mapping: Vec<DeviceId> = Vec::new(); // sub id -> cluster id
+    let mut hosts = 0;
     for h in 0..cluster.num_hosts() {
         let survivors: Vec<DeviceId> = cluster
             .host_devices(hetis_cluster::HostId(h as u32))
@@ -466,37 +361,20 @@ fn ideal_search(
         }
         let gpus: Vec<_> = survivors.iter().map(|&d| cluster.spec(d).gpu).collect();
         builder = builder.host(&gpus);
-        mapping.extend(survivors);
+        hosts += 1;
     }
-    if mapping.is_empty() {
-        return None;
+    if hosts == 0 {
+        return 0;
     }
     let sub = builder.build();
     // Quick feasibility gate: enough total memory for one weight copy.
     if sub.total_memory() < ctx.model.weight_bytes_total() {
-        return None;
+        return 0;
     }
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         search_topology(&sub, ctx.model, profile, hetis)
     }))
-    .ok()?;
-    Some((map_topology(&outcome.topology, &mapping), outcome.evaluated))
-}
-
-/// Rewrites every device id of a sub-cluster topology back to cluster ids.
-fn map_topology(topo: &Topology, mapping: &[DeviceId]) -> Topology {
-    let mut out = topo.clone();
-    for inst in out.instances.iter_mut() {
-        for s in inst.stages.iter_mut() {
-            for d in s.primary.devices.iter_mut() {
-                *d = mapping[d.index()];
-            }
-            for d in s.attention_workers.iter_mut() {
-                *d = mapping[d.index()];
-            }
-        }
-    }
-    out
+    .map_or(0, |outcome| outcome.evaluated)
 }
 
 /// Hauler-style drain: for every resident decoding request holding head
@@ -591,7 +469,7 @@ fn plan_drain(
 mod tests {
     use super::*;
     use hetis_cluster::cluster::paper_cluster;
-    use hetis_cluster::GpuType;
+    use hetis_cluster::{Cluster, GpuType};
     use hetis_engine::{InstanceTopo, StageTopo};
     use hetis_parallel::StageConfig;
 
@@ -619,75 +497,6 @@ mod tests {
 
     fn full_health(c: &Cluster) -> Vec<DeviceHealth> {
         vec![DeviceHealth::NOMINAL; c.len()]
-    }
-
-    #[test]
-    fn observe_accumulates_snapshots() {
-        use hetis_core::WorkloadProfile;
-        use hetis_telemetry::QueueDepthStat;
-        use hetis_workload::DatasetKind;
-        let mut ctl = ElasticController::new(
-            HetisConfig::default(),
-            WorkloadProfile::from_dataset(DatasetKind::ShareGpt, 8),
-        );
-        assert_eq!(ctl.max_observed_queue_depth(), 0);
-        for (t, depth) in [(1.0, 3u32), (2.0, 9), (3.0, 5)] {
-            let snap = TelemetrySnapshot {
-                now: t,
-                window_secs: f64::INFINITY,
-                events_published: 1,
-                events_buffered: 1,
-                dropped: 0,
-                completions: 0,
-                open_flows: 0,
-                classes: vec![],
-                queue_depths: vec![QueueDepthStat {
-                    time: t,
-                    instance: 0,
-                    waiting: depth,
-                    running: 2,
-                }],
-                kv: None,
-            };
-            ctl.observe(&snap);
-        }
-        assert_eq!(ctl.observations().len(), 3);
-        assert_eq!(ctl.max_observed_queue_depth(), 9);
-        assert_eq!(ctl.observations_dropped(), 0);
-    }
-
-    #[test]
-    fn observation_ring_is_bounded_and_counts_drops() {
-        use hetis_core::WorkloadProfile;
-        use hetis_workload::DatasetKind;
-        let mut ctl = ElasticController::new(
-            HetisConfig::default(),
-            WorkloadProfile::from_dataset(DatasetKind::ShareGpt, 8),
-        )
-        .with_config(ElasticConfig {
-            observation_capacity: 4,
-            ..ElasticConfig::default()
-        });
-        let mk = |t: f64| TelemetrySnapshot {
-            now: t,
-            window_secs: f64::INFINITY,
-            events_published: 1,
-            events_buffered: 1,
-            dropped: 0,
-            completions: 0,
-            open_flows: 0,
-            classes: vec![],
-            queue_depths: vec![],
-            kv: None,
-        };
-        for t in 0..10 {
-            ctl.observe(&mk(t as f64));
-        }
-        assert_eq!(ctl.observations().len(), 4, "capacity bounds retention");
-        assert_eq!(ctl.observations_dropped(), 6);
-        // Oldest-first iteration: the survivors are the last four pushed.
-        let times: Vec<f64> = ctl.observations().iter().map(|s| s.now).collect();
-        assert_eq!(times, vec![6.0, 7.0, 8.0, 9.0]);
     }
 
     #[test]
@@ -838,22 +647,13 @@ mod tests {
             topology: &topo,
             prefill_chunk_tokens: None,
         };
-        let (ideal, evaluated) =
-            ideal_search(&c, &accepting, &ctx, &profile, &HetisConfig::default())
-                .expect("survivors host llama-70b");
-        assert!(evaluated > 0);
-        let mut used: Vec<DeviceId> = Vec::new();
-        for i in &ideal.instances {
-            for s in &i.stages {
-                used.extend(s.primary.devices.iter().copied());
-                used.extend(s.attention_workers.iter().copied());
-            }
-        }
-        used.sort();
-        used.dedup();
-        for d in &used {
-            assert!(accepting.contains(d), "{d} is not a survivor");
-            assert_ne!(*d, dead);
-        }
+        let hetis = HetisConfig::default();
+        assert!(
+            search_candidates(&accepting, &ctx, &profile, &hetis) > 0,
+            "survivors host llama-70b"
+        );
+        // One P100 cannot hold llama-70b's weights: nothing is searched.
+        assert_eq!(search_candidates(&[dead], &ctx, &profile, &hetis), 0);
+        assert_eq!(search_candidates(&[], &ctx, &profile, &hetis), 0);
     }
 }

@@ -10,8 +10,8 @@
 //!   thermal slowdowns) with per-device-class rates, built on `sim-core`'s
 //!   RNG so every scenario reproduces bit-for-bit.
 //! * [`ElasticController`] — on each event, re-runs the Parallelizer's
-//!   hierarchical search on the surviving device set, diffs the old/new
-//!   topology, and emits a [`ReplanPlan`]: a constrained topology
+//!   hierarchical search on the surviving device set to price the
+//!   re-plan, and emits a [`ReplanPlan`]: a constrained topology
 //!   (surviving primaries keep their weights), Hauler-planned KV drains
 //!   off devices under preemption notice, and a deterministic re-plan
 //!   latency that the engine charges to the pipelines.

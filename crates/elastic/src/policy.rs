@@ -33,11 +33,6 @@ pub struct ElasticPolicy<P: Policy> {
     controller: Option<ElasticController>,
     /// Health as of the last cluster event (drives incremental drains).
     health: Option<HealthView>,
-    /// Replan statistics observed so far (event label, searched
-    /// candidates), for diagnostics.
-    replans_seen: Vec<(String, usize)>,
-    /// Drain re-dispatches planned across the run.
-    drains_planned: usize,
     /// Closed-loop automaton, constructed lazily from the engine's
     /// `ClosedLoopConfig` on the first telemetry tick (stays `None` with
     /// an open loop).
@@ -57,8 +52,6 @@ impl<P: Policy> ElasticPolicy<P> {
             inner,
             controller: Some(controller),
             health: None,
-            replans_seen: Vec::new(),
-            drains_planned: 0,
             closed_loop: None,
             scaled_out_workers: 0,
         }
@@ -70,37 +63,14 @@ impl<P: Policy> ElasticPolicy<P> {
             inner,
             controller: None,
             health: None,
-            replans_seen: Vec::new(),
-            drains_planned: 0,
             closed_loop: None,
             scaled_out_workers: 0,
         }
     }
 
-    /// The wrapped policy.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
     /// Unwraps the inner policy.
     pub fn into_inner(self) -> P {
         self.inner
-    }
-
-    /// Events handled so far as (label, searched candidates).
-    pub fn replans_seen(&self) -> &[(String, usize)] {
-        &self.replans_seen
-    }
-
-    /// Drain re-dispatches planned across the run.
-    pub fn drains_planned(&self) -> usize {
-        self.drains_planned
-    }
-
-    /// The closed-loop automaton, once the first telemetry tick has
-    /// constructed it (`None` with an open loop).
-    pub fn closed_loop(&self) -> Option<&ClosedLoopController> {
-        self.closed_loop.as_ref()
     }
 }
 
@@ -157,7 +127,6 @@ impl<P: Policy> Policy for ElasticPolicy<P> {
         if let (Some(controller), Some(health)) = (&self.controller, &self.health) {
             let drains = controller.drain_plans(health, ctx, Some(instance));
             if !drains.is_empty() {
-                self.drains_planned += drains.len();
                 return drains;
             }
         }
@@ -185,8 +154,6 @@ impl<P: Policy> Policy for ElasticPolicy<P> {
             return ReplanResponse::default();
         };
         let plan = controller.replan(event, health, ctx);
-        self.replans_seen
-            .push((event.label(), plan.searched_candidates));
         ReplanResponse {
             new_topology: Some(plan.topology),
             migrations: plan.migrations,
@@ -201,10 +168,6 @@ impl<P: Policy> Policy for ElasticPolicy<P> {
         health: &HealthView,
         ctx: &PolicyCtx<'_>,
     ) -> ControlResponse {
-        // Feed the diagnostic stream (bounded ring) and run the automaton.
-        if let Some(controller) = &mut self.controller {
-            controller.observe(snapshot);
-        }
         let automaton = self
             .closed_loop
             .get_or_insert_with(|| ClosedLoopController::new(closed_loop.clone()));
@@ -237,14 +200,6 @@ impl<P: Policy> Policy for ElasticPolicy<P> {
                                     .scaled_out_workers
                                     .saturating_sub(plan.diff.workers_removed.len().max(1));
                             }
-                            self.replans_seen.push((
-                                if out {
-                                    "scale-out(load)".into()
-                                } else {
-                                    "scale-in(load)".into()
-                                },
-                                plan.searched_candidates,
-                            ));
                             response.replan = Some(ReplanResponse {
                                 new_topology: Some(plan.topology),
                                 migrations: plan.migrations,

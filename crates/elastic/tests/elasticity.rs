@@ -151,7 +151,6 @@ fn preemption_notice_drains_kv_ahead_of_revocation() {
         worker_heavy_policy(profile).into_inner(),
         ElasticController::new(cfg, profile).with_config(hetis_elastic::ElasticConfig {
             drain_on_notice: false,
-            ..Default::default()
         }),
     );
     let without = scenario.run(no_drain_policy, &cluster, &model, engine_cfg());

@@ -144,13 +144,6 @@ impl HealthView {
             .collect()
     }
 
-    /// All devices not dead (serving, possibly draining or slowed).
-    pub fn serving(&self) -> Vec<DeviceId> {
-        self.iter_ids()
-            .filter(|&d| self.of(d).is_serving())
-            .collect()
-    }
-
     /// All draining devices.
     pub fn draining(&self) -> Vec<DeviceId> {
         self.iter_ids()
@@ -230,7 +223,6 @@ mod tests {
             DeviceHealth::Alive { factor: 2.0 },
         ]);
         assert_eq!(v.accepting(), vec![DeviceId(0), DeviceId(3)]);
-        assert_eq!(v.serving(), vec![DeviceId(0), DeviceId(2), DeviceId(3)]);
         assert_eq!(v.draining(), vec![DeviceId(2)]);
     }
 

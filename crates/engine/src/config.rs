@@ -8,10 +8,11 @@ pub enum AdmissionPolicy {
     /// Strict arrival order (the pre-SLO behavior).
     #[default]
     Fifo,
-    /// Least TTFT slack first: requests are ordered by
-    /// `class.ttft_slack(arrival, now)` ascending, so latency-critical
-    /// classes overtake queued long-context work whose deadline is far
-    /// away. Ties break by arrival then id, keeping runs deterministic.
+    /// Least TTFT slack first: requests are ordered by their static TTFT
+    /// deadline `arrival + class.target().ttft` ascending, so
+    /// latency-critical classes overtake queued long-context work whose
+    /// deadline is far away. Ties break by arrival then id, keeping runs
+    /// deterministic.
     SloSlack,
 }
 

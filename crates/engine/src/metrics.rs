@@ -560,15 +560,6 @@ impl RunReport {
         percentile(&v, 95.0).unwrap_or(0.0)
     }
 
-    /// Completed requests per second of simulated time.
-    pub fn throughput(&self) -> f64 {
-        if self.duration <= 0.0 {
-            0.0
-        } else {
-            self.completed.len() as f64 / self.duration
-        }
-    }
-
     /// Output-token throughput (tokens/s).
     pub fn token_throughput(&self) -> f64 {
         if self.duration <= 0.0 {
@@ -659,7 +650,7 @@ mod tests {
         assert!(r.mean_normalized_latency().is_infinite());
         assert!(r.p95_ttft().is_infinite());
         assert_eq!(r.p95_mlp(), 0.0);
-        assert_eq!(r.throughput(), 0.0);
+        assert_eq!(r.token_throughput(), 0.0);
         assert_eq!(r.completion_rate(), 1.0);
         assert_eq!(r.scale_out_proposals(), 0);
     }
@@ -730,7 +721,6 @@ mod tests {
         ];
         r.unfinished = 1;
         assert_eq!(r.ttfts(), vec![1.0, 1.0, 2.0]);
-        assert!((r.throughput() - 0.3).abs() < 1e-12);
         assert_eq!(r.token_throughput(), 1.3);
         assert!((r.completion_rate() - 0.75).abs() < 1e-12);
         assert!(r.mean_normalized_latency() > 0.0);

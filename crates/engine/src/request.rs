@@ -124,12 +124,6 @@ impl RunningRequest {
         self.req.input_len + self.generated
     }
 
-    /// Tokens still to generate.
-    #[inline]
-    pub fn remaining(&self) -> u32 {
-        self.req.output_len - self.generated
-    }
-
     /// Prompt tokens of the current prefill not yet chunk-processed.
     #[inline]
     pub fn remaining_prefill(&self) -> u32 {
@@ -192,7 +186,6 @@ mod tests {
     fn lifecycle_arithmetic() {
         let mut r = RunningRequest::new(req(), 0);
         assert_eq!(r.context_len(), 100);
-        assert_eq!(r.remaining(), 10);
         r.push_token(1.0);
         r.push_token(1.5);
         assert_eq!(r.generated, 2);

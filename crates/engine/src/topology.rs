@@ -133,11 +133,6 @@ impl HeadPlacement {
         HeadPlacement { per_stage }
     }
 
-    /// Total heads in stage `s`.
-    pub fn heads_in_stage(&self, s: usize) -> u32 {
-        self.per_stage[s].iter().map(|&(_, h)| h).sum()
-    }
-
     /// Heads of stage `s` on `device` (0 if absent).
     pub fn heads_on(&self, s: usize, device: DeviceId) -> u32 {
         self.per_stage[s]
@@ -259,8 +254,8 @@ mod tests {
     fn stage_local_placement() {
         let stages = vec![stage(&[0, 1], 20), stage(&[2, 3], 20)];
         let p = HeadPlacement::stage_local(&stages, 40);
-        assert_eq!(p.heads_in_stage(0), 40);
         assert_eq!(p.heads_on(0, DeviceId(0)), 20);
+        assert_eq!(p.heads_on(0, DeviceId(1)), 20);
         assert_eq!(p.heads_on(0, DeviceId(2)), 0);
         assert_eq!(p.heads_on(1, DeviceId(2)), 20);
         p.validate(40, 1).unwrap();

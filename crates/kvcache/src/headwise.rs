@@ -158,23 +158,6 @@ impl HeadwiseAllocator {
         Ok(())
     }
 
-    /// Frees one head group of a sequence (e.g. after migrating it away).
-    /// Returns the number of blocks reclaimed to the pool.
-    pub fn free_group(&mut self, seq: SeqId, group: GroupId) -> u32 {
-        let Some(table) = self.tables.remove(&(seq, group)) else {
-            return 0;
-        };
-        let n = table.blocks.len() as u32;
-        self.free.extend(table.blocks);
-        if let Some(gs) = self.groups.get_mut(&seq) {
-            gs.retain(|&g| g != group);
-            if gs.is_empty() {
-                self.groups.remove(&seq);
-            }
-        }
-        n
-    }
-
     /// Frees every group of a sequence; returns blocks reclaimed to the
     /// pool.
     pub fn free_seq(&mut self, seq: SeqId) -> u32 {
@@ -268,21 +251,6 @@ mod tests {
         for g in 0..3 {
             assert_eq!(a.tokens_of(SeqId(1), GroupId(g)), Some(16));
         }
-    }
-
-    #[test]
-    fn free_group_releases_only_that_group() {
-        let mut a = alloc(100);
-        a.allocate_groups(SeqId(1), &groups(&[0, 1, 2]), 32)
-            .unwrap();
-        let released = a.free_group(SeqId(1), GroupId(1));
-        assert_eq!(released, 2);
-        assert_eq!(a.used_blocks(), 4);
-        assert_eq!(a.groups_of(SeqId(1)), &[GroupId(0), GroupId(2)]);
-        // Freeing the rest removes the sequence entirely.
-        assert_eq!(a.free_seq(SeqId(1)), 4);
-        assert_eq!(a.used_blocks(), 0);
-        assert_eq!(a.sequences().count(), 0);
     }
 
     #[test]

@@ -112,14 +112,6 @@ impl MinMaxBuilder {
         self.push_constraint(op, rhs).copy_from_slice(&coeffs);
     }
 
-    /// Iterates the max terms as `(constant, coeffs)` pairs.
-    pub fn max_terms(&self) -> impl Iterator<Item = (f64, &[f64])> {
-        self.expr_consts
-            .iter()
-            .zip(self.expr_coeffs.chunks_exact(self.n.max(1)))
-            .map(|(&c, row)| (c, row))
-    }
-
     /// Solves via the epigraph LP: variables `[x₀..xₙ₋₁, t]`, minimize
     /// `t` subject to `coeffs·x − t ≤ −constant` per max term plus the
     /// side constraints. Rows are lowered straight into the simplex
@@ -224,25 +216,24 @@ mod tests {
     #[test]
     fn eval_matches_solution() {
         let mut b = MinMaxBuilder::new(3);
-        for i in 0..3 {
-            let mut coeffs = vec![0.0; 3];
-            coeffs[i] = (i + 1) as f64;
-            b.add_max_term(AffineExpr {
-                constant: 0.1 * i as f64,
-                coeffs,
-            });
+        let terms: Vec<AffineExpr> = (0..3)
+            .map(|i| {
+                let mut coeffs = vec![0.0; 3];
+                coeffs[i] = (i + 1) as f64;
+                AffineExpr {
+                    constant: 0.1 * i as f64,
+                    coeffs,
+                }
+            })
+            .collect();
+        for t in &terms {
+            b.add_max_term(t.clone());
         }
         b.add_constraint(vec![1.0, 1.0, 1.0], ConstraintOp::Eq, 6.0);
         let s = b.solve().unwrap();
-        let max_eval = b
-            .max_terms()
-            .map(|(c, coeffs)| {
-                c + coeffs
-                    .iter()
-                    .zip(s.x.iter())
-                    .map(|(a, b)| a * b)
-                    .sum::<f64>()
-            })
+        let max_eval = terms
+            .iter()
+            .map(|t| t.eval(&s.x))
             .fold(f64::NEG_INFINITY, f64::max);
         assert!((max_eval - s.max_value).abs() < 1e-6);
     }

@@ -40,33 +40,6 @@ impl<'a> KvFootprint<'a> {
     pub fn bytes_per_token(&self) -> u64 {
         self.spec.num_layers as u64 * self.bytes_per_token_per_layer()
     }
-
-    /// Bytes of K+V for a full sequence of `tokens` across `layers` layers
-    /// and `groups` KV-head groups.
-    #[inline]
-    pub fn bytes_for(&self, tokens: u64, layers: u64, groups: u64) -> u64 {
-        tokens * layers * groups * self.bytes_per_token_per_layer_per_group()
-    }
-
-    /// Bytes of KV held for `query_heads` query heads of one request with
-    /// context `tokens`, across `layers` layers. Query heads are converted
-    /// to KV groups via `r` (fractional groups cannot exist; callers round
-    /// via [`ModelSpec::gqa_ratio`] multiples — this function asserts it).
-    pub fn bytes_for_query_heads(&self, query_heads: u64, tokens: u64, layers: u64) -> u64 {
-        let r = self.spec.gqa_ratio() as u64;
-        assert!(
-            query_heads.is_multiple_of(r),
-            "query heads {query_heads} not a multiple of group ratio {r}"
-        );
-        self.bytes_for(tokens, layers, query_heads / r)
-    }
-
-    /// Number of tokens a byte budget can host (whole model, all heads) —
-    /// the capacity estimate behind the paper's §1 example ("decoding a 10k
-    /// sequence on LLaMA2-13B needs >8 GB").
-    pub fn tokens_in_bytes(&self, bytes: u64) -> u64 {
-        bytes / self.bytes_per_token()
-    }
 }
 
 #[cfg(test)]
@@ -108,26 +81,5 @@ mod tests {
             kv.bytes_per_token_per_layer(),
             kv.bytes_per_token_per_layer_per_group() * m.num_kv_heads as u64
         );
-        // All 64 query heads over 100 tokens, all layers == full footprint.
-        assert_eq!(
-            kv.bytes_for_query_heads(64, 100, m.num_layers as u64),
-            kv.bytes_per_token() * 100
-        );
-    }
-
-    #[test]
-    #[should_panic]
-    fn fractional_groups_rejected() {
-        let m = llama_70b(); // r = 8
-        let kv = KvFootprint::new(&m);
-        let _ = kv.bytes_for_query_heads(12, 10, 1);
-    }
-
-    #[test]
-    fn tokens_in_bytes_roundtrip() {
-        let m = llama_13b();
-        let kv = KvFootprint::new(&m);
-        let tokens = kv.tokens_in_bytes(10 * kv.bytes_per_token());
-        assert_eq!(tokens, 10);
     }
 }

@@ -85,23 +85,7 @@ impl<'a> ModuleCosts<'a> {
             .sum()
     }
 
-    /// Total dense weight bytes of one layer.
-    pub fn dense_weight_bytes_total(&self) -> u64 {
-        DenseOp::ALL
-            .iter()
-            .map(|&op| self.dense_weight_bytes(op))
-            .sum()
-    }
-
     // ------------------------------------------------------------ attention
-
-    /// Decode-attention FLOPs for `query_heads` heads attending over a
-    /// `context_len`-token KV cache (one layer, one new token per request).
-    ///
-    /// Per head: `q·Kᵀ` is `2·L·d` and `A·V` is `2·L·d`.
-    pub fn attn_decode_flops(&self, query_heads: u64, context_len: u64) -> f64 {
-        4.0 * query_heads as f64 * context_len as f64 * self.spec.head_dim as f64
-    }
 
     /// KV-cache bytes read by decode attention for `query_heads` heads over
     /// `context_len` tokens (one layer). With GQA, `r` query heads share one
@@ -204,7 +188,11 @@ mod tests {
     fn weight_bytes_match_spec_layer_bytes() {
         for m in [opt_2_7b(), llama_70b()] {
             let c = ModuleCosts::new(&m);
-            assert_eq!(c.dense_weight_bytes_total(), m.weight_bytes_per_layer());
+            let total: u64 = DenseOp::ALL
+                .iter()
+                .map(|&op| c.dense_weight_bytes(op))
+                .sum();
+            assert_eq!(total, m.weight_bytes_per_layer());
         }
     }
 

@@ -60,12 +60,6 @@ impl ModelSpec {
         self.num_heads / self.num_kv_heads
     }
 
-    /// True when the model uses grouped-query attention.
-    #[inline]
-    pub fn is_gqa(&self) -> bool {
-        self.num_kv_heads < self.num_heads
-    }
-
     /// Parameters in one transformer layer.
     ///
     /// QKV projection (`h×h` for Q plus `h×(kv_heads·head_dim)` for each of
@@ -155,7 +149,6 @@ mod tests {
     fn gqa_ratio() {
         let m = toy();
         assert_eq!(m.gqa_ratio(), 4);
-        assert!(m.is_gqa());
         assert!(m.validate().is_ok());
     }
 

@@ -31,11 +31,6 @@ pub struct InstanceConfig {
 }
 
 impl InstanceConfig {
-    /// Pipeline depth.
-    pub fn pp(&self) -> usize {
-        self.stages.len()
-    }
-
     /// All devices of the instance in stage order.
     pub fn devices(&self) -> Vec<DeviceId> {
         self.stages
@@ -58,18 +53,6 @@ pub struct ParallelConfig {
 }
 
 impl ParallelConfig {
-    /// A single-instance configuration.
-    pub fn single(stages: Vec<StageConfig>) -> Self {
-        ParallelConfig {
-            instances: vec![InstanceConfig { stages }],
-        }
-    }
-
-    /// Data-parallel degree.
-    pub fn dp(&self) -> usize {
-        self.instances.len()
-    }
-
     /// All devices used by any instance.
     pub fn devices(&self) -> Vec<DeviceId> {
         self.instances.iter().flat_map(|i| i.devices()).collect()
@@ -127,26 +110,6 @@ impl ParallelConfig {
         }
         Ok(())
     }
-
-    /// Human-readable shape like `dp2[A100x2:40|3090x2:40]`, for logs.
-    pub fn shape_string(&self, cluster: &Cluster) -> String {
-        let insts: Vec<String> = self
-            .instances
-            .iter()
-            .map(|inst| {
-                let stages: Vec<String> = inst
-                    .stages
-                    .iter()
-                    .map(|s| {
-                        let gpu = cluster.spec(s.devices[0]).gpu;
-                        format!("{gpu}x{}:{}", s.tp(), s.layers)
-                    })
-                    .collect();
-                stages.join("|")
-            })
-            .collect();
-        format!("dp{}[{}]", self.dp(), insts.join(" ; "))
-    }
 }
 
 #[cfg(test)]
@@ -155,6 +118,15 @@ mod tests {
     use hetis_cluster::cluster::paper_cluster;
     use hetis_cluster::GpuType;
     use hetis_model::llama_13b;
+
+    impl ParallelConfig {
+        /// A single-instance configuration.
+        pub(crate) fn single(stages: Vec<StageConfig>) -> Self {
+            ParallelConfig {
+                instances: vec![InstanceConfig { stages }],
+            }
+        }
+    }
 
     fn two_stage_config(cluster: &Cluster) -> ParallelConfig {
         let a100 = cluster.devices_of_type(GpuType::A100);
@@ -177,8 +149,8 @@ mod tests {
         let m = llama_13b();
         let cfg = two_stage_config(&c);
         cfg.validate(&c, &m).unwrap();
-        assert_eq!(cfg.dp(), 1);
-        assert_eq!(cfg.instances[0].pp(), 2);
+        assert_eq!(cfg.instances.len(), 1);
+        assert_eq!(cfg.instances[0].stages.len(), 2);
         assert_eq!(cfg.devices().len(), 6);
     }
 
@@ -211,12 +183,5 @@ mod tests {
             layers: 40,
         }]);
         assert!(cfg.validate(&c, &m).is_err());
-    }
-
-    #[test]
-    fn shape_string_readable() {
-        let c = paper_cluster();
-        let cfg = two_stage_config(&c);
-        assert_eq!(cfg.shape_string(&c), "dp1[A100x4:30|3090x2:10]");
     }
 }

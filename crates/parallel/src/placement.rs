@@ -15,18 +15,6 @@ pub struct PlacementSummary {
     pub kv_pool: HashMap<DeviceId, u64>,
 }
 
-impl PlacementSummary {
-    /// Total KV pool across all placed devices.
-    pub fn total_kv_pool(&self) -> u64 {
-        self.kv_pool.values().sum()
-    }
-
-    /// Total weight bytes across all placed devices.
-    pub fn total_weights(&self) -> u64 {
-        self.weights.values().sum()
-    }
-}
-
 /// Weight bytes each device must hold under `config`: its stage's layer
 /// shard plus the embedding table (first stage) / LM head (last stage),
 /// both TP-sharded.
@@ -149,6 +137,8 @@ mod tests {
         for (&d, &pool) in &summary.kv_pool {
             assert!(pool > 60_000_000_000, "{d}: pool {pool}");
         }
-        assert!(summary.total_kv_pool() > summary.total_weights());
+        let total_pool: u64 = summary.kv_pool.values().sum();
+        let total_weights: u64 = summary.weights.values().sum();
+        assert!(total_pool > total_weights);
     }
 }

@@ -1,24 +1,12 @@
 //! Minimal offline shim for the subset of `criterion` this workspace
-//! uses: `Criterion::bench_function`, `Bencher::{iter, iter_batched}`,
-//! `BatchSize`, `criterion_group!` and `criterion_main!`.
+//! uses: `Criterion::bench_function`, `Bencher::iter`, `criterion_group!`
+//! and `criterion_main!`.
 //!
 //! Each benchmark is warmed up briefly, then timed for a fixed budget; the
 //! mean ns/iter is printed as a TSV row. There is no statistical analysis
 //! or report output.
 
 use std::time::{Duration, Instant};
-
-/// How batched inputs are sized; accepted for API compatibility, the shim
-/// times one routine call per setup either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchSize {
-    /// Small per-iteration inputs.
-    SmallInput,
-    /// Large per-iteration inputs.
-    LargeInput,
-    /// One input per iteration.
-    PerIteration,
-}
 
 /// Opaque value sink preventing the optimizer from deleting benchmarked
 /// work, as in `criterion::black_box`.
@@ -30,7 +18,7 @@ pub fn black_box<T>(x: T) -> T {
 pub struct Bencher {
     warmup: Duration,
     budget: Duration,
-    /// Filled in by `iter`/`iter_batched`.
+    /// Filled in by `iter`.
     result_ns: Option<f64>,
 }
 
@@ -51,30 +39,6 @@ impl Bencher {
         }
         let total = start.elapsed();
         self.result_ns = Some(total.as_nanos() as f64 / iters.max(1) as f64);
-    }
-
-    /// Times `routine` on inputs produced by `setup`; setup time is
-    /// excluded from the measurement.
-    pub fn iter_batched<I, O, S, F>(&mut self, mut setup: S, mut routine: F, _size: BatchSize)
-    where
-        S: FnMut() -> I,
-        F: FnMut(I) -> O,
-    {
-        let start = Instant::now();
-        while start.elapsed() < self.warmup {
-            black_box(routine(setup()));
-        }
-        let mut iters: u64 = 0;
-        let mut timed = Duration::ZERO;
-        let wall = Instant::now();
-        while wall.elapsed() < self.budget {
-            let input = setup();
-            let t = Instant::now();
-            black_box(routine(input));
-            timed += t.elapsed();
-            iters += 1;
-        }
-        self.result_ns = Some(timed.as_nanos() as f64 / iters.max(1) as f64);
     }
 }
 
@@ -158,9 +122,6 @@ mod tests {
 
     fn tiny(c: &mut Criterion) {
         c.bench_function("tiny_add", |b| b.iter(|| black_box(2u64) + 2));
-        c.bench_function("tiny_batched", |b| {
-            b.iter_batched(|| vec![1u8; 64], |v| v.len(), BatchSize::SmallInput)
-        });
     }
 
     #[test]

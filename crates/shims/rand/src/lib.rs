@@ -168,17 +168,6 @@ pub mod rngs {
     }
 }
 
-/// `rand::thread_rng` stand-in: deterministic per call-site would defeat
-/// the point, so this seeds from the system clock once per call.
-pub fn thread_rng() -> rngs::StdRng {
-    use std::time::{SystemTime, UNIX_EPOCH};
-    let nanos = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.subsec_nanos() as u64 ^ d.as_secs())
-        .unwrap_or(0x5EED);
-    <rngs::StdRng as SeedableRng>::seed_from_u64(nanos)
-}
-
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;

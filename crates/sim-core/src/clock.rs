@@ -30,12 +30,6 @@ impl SimTime {
         self.0
     }
 
-    /// Milliseconds since simulation start.
-    #[inline]
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
-    }
-
     /// Returns the later of two timestamps.
     #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
@@ -189,7 +183,6 @@ mod tests {
     fn arithmetic() {
         let t = SimTime::from_secs(1.0) + 0.5;
         assert!((t.as_secs() - 1.5).abs() < 1e-12);
-        assert!((t.as_millis() - 1500.0).abs() < 1e-9);
         let mut u = SimTime::ZERO;
         u += 2.0;
         assert_eq!(u.as_secs(), 2.0);

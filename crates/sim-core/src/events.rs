@@ -82,11 +82,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|se| (se.at, se.event))
     }
 
-    /// Time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|se| se.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -138,11 +133,10 @@ mod tests {
     fn peek_and_len() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), None);
         q.schedule(SimTime::from_secs(5.0), ());
         q.schedule(SimTime::from_secs(4.0), ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time().unwrap().as_secs(), 4.0);
         q.clear();
         assert!(q.is_empty());
     }

@@ -57,22 +57,6 @@ impl<T> FifoQueue<T> {
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.items.iter()
     }
-
-    /// Removes all items matching the predicate, returning them in queue
-    /// order. Non-matching items keep their relative order.
-    pub fn drain_where<F: FnMut(&T) -> bool>(&mut self, mut pred: F) -> Vec<T> {
-        let mut kept = VecDeque::with_capacity(self.items.len());
-        let mut out = Vec::new();
-        for item in self.items.drain(..) {
-            if pred(&item) {
-                out.push(item);
-            } else {
-                kept.push_back(item);
-            }
-        }
-        self.items = kept;
-        out
-    }
 }
 
 impl<T> Default for FifoQueue<T> {
@@ -105,14 +89,5 @@ mod tests {
         assert_eq!(q.dequeue(), Some(2));
         assert_eq!(q.len(), 1);
         assert_eq!(q.peek(), Some(&3));
-    }
-
-    #[test]
-    fn drain_where_preserves_order() {
-        let mut q: FifoQueue<i32> = (0..10).collect();
-        let evens = q.drain_where(|x| x % 2 == 0);
-        assert_eq!(evens, vec![0, 2, 4, 6, 8]);
-        let rest: Vec<i32> = std::iter::from_fn(|| q.dequeue()).collect();
-        assert_eq!(rest, vec![1, 3, 5, 7, 9]);
     }
 }

@@ -1,4 +1,4 @@
-//! Statistics helpers: percentiles, online mean/variance, and summaries.
+//! Statistics helpers: percentiles, an online mean, and summaries.
 //!
 //! Every table and figure in the paper reports either a mean, a P95, or a
 //! time series; these helpers centralize that arithmetic so each experiment
@@ -37,12 +37,11 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> Option<f64> {
     Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
 }
 
-/// Welford online mean/variance accumulator.
+/// Online mean/min/max accumulator.
 #[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -53,7 +52,6 @@ impl OnlineStats {
         OnlineStats {
             n: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -64,7 +62,6 @@ impl OnlineStats {
         self.n += 1;
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -83,20 +80,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population variance (0 for fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation (+inf for empty).
     pub fn min(&self) -> f64 {
         self.min
@@ -105,26 +88,6 @@ impl OnlineStats {
     /// Largest observation (-inf for empty).
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -204,30 +167,13 @@ mod tests {
             s.push(x);
         }
         let mean = data.iter().sum::<f64>() / data.len() as f64;
-        let var = data.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / data.len() as f64;
         assert!((s.mean() - mean).abs() < 1e-9);
-        assert!((s.variance() - var).abs() < 1e-9);
-    }
-
-    #[test]
-    fn online_stats_merge_equals_sequential() {
-        let data: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.37).cos()).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &data {
-            whole.push(x);
-        }
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        for &x in &data[..400] {
-            left.push(x);
-        }
-        for &x in &data[400..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(left.count(), whole.count());
+        assert_eq!(s.count(), 100);
+        assert_eq!(s.min(), data.iter().cloned().fold(f64::INFINITY, f64::min));
+        assert_eq!(
+            s.max(),
+            data.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
+        );
     }
 
     #[test]

@@ -122,22 +122,6 @@ pub enum FlowEventKind {
 }
 
 impl FlowEventKind {
-    /// The request this edge concerns (`None` for the periodic
-    /// instance/pool samples).
-    pub fn request(&self) -> Option<RequestId> {
-        use FlowEventKind::*;
-        match *self {
-            Arrival { req, .. }
-            | Admission { req, .. }
-            | PrefillChunk { req, .. }
-            | FirstToken { req, .. }
-            | Preemption { req, .. }
-            | Redispatch { req, .. }
-            | Completion { req, .. } => Some(req),
-            DecodeIteration { .. } | QueueDepth { .. } | KvOccupancy { .. } => None,
-        }
-    }
-
     /// Short kind label for logs and tables.
     pub fn name(&self) -> &'static str {
         use FlowEventKind::*;
@@ -168,14 +152,12 @@ mod tests {
             tenant: TenantId(2),
             instance: 1,
         };
-        assert_eq!(k.request(), Some(RequestId(7)));
         assert_eq!(k.name(), "arrival");
         let s = FlowEventKind::QueueDepth {
             instance: 0,
             waiting: 3,
             running: 9,
         };
-        assert_eq!(s.request(), None);
         assert_eq!(s.name(), "queue_depth");
     }
 }

@@ -55,11 +55,6 @@ impl EventRing {
         self.buf.is_empty()
     }
 
-    /// Maximum events the ring retains.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Total events ever pushed.
     pub fn pushed(&self) -> u64 {
         self.pushed

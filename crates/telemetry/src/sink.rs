@@ -24,7 +24,6 @@ pub trait TelemetrySink {
 /// (`FlowRecord::to_jsonl`).
 pub struct JsonlSink {
     out: BufWriter<File>,
-    records: u64,
 }
 
 impl JsonlSink {
@@ -32,13 +31,7 @@ impl JsonlSink {
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
         Ok(JsonlSink {
             out: BufWriter::new(File::create(path)?),
-            records: 0,
         })
-    }
-
-    /// Records written so far.
-    pub fn records(&self) -> u64 {
-        self.records
     }
 }
 
@@ -46,9 +39,8 @@ impl TelemetrySink for JsonlSink {
     fn on_record(&mut self, record: &FlowRecord) {
         // An export-file write error should not kill a simulation that
         // the caller may still want the in-memory results of; drop the
-        // line (the records counter keeps counting attempts).
+        // line.
         let _ = writeln!(self.out, "{}", record.to_jsonl());
-        self.records += 1;
     }
 
     fn flush(&mut self) {
@@ -104,7 +96,6 @@ mod tests {
             sink.on_record(&record(i));
         }
         sink.flush();
-        assert_eq!(sink.records(), 5);
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 5);

@@ -60,12 +60,6 @@ impl Request {
     pub fn context_len(&self, generated: u32) -> u32 {
         self.input_len + generated
     }
-
-    /// Final context length at completion.
-    #[inline]
-    pub fn final_context_len(&self) -> u32 {
-        self.input_len + self.output_len
-    }
 }
 
 #[cfg(test)]
@@ -85,7 +79,6 @@ mod tests {
         };
         assert_eq!(r.context_len(0), 100);
         assert_eq!(r.context_len(5), 105);
-        assert_eq!(r.final_context_len(), 120);
         assert_eq!(r.id.to_string(), "req1");
     }
 }

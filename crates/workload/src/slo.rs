@@ -87,14 +87,6 @@ impl SloClass {
         }
     }
 
-    /// TTFT slack at `now` for a request that arrived at `arrival`:
-    /// seconds left before the class's TTFT target is violated. Negative
-    /// once the deadline passed. `BestEffort` slack is `+inf`, so
-    /// slack-ordered admission serves it last.
-    pub fn ttft_slack(self, arrival: f64, now: f64) -> f64 {
-        self.target().ttft - (now - arrival)
-    }
-
     /// Stable small index (digest folding, compact tables).
     pub fn index(self) -> u8 {
         match self {
@@ -102,13 +94,6 @@ impl SloClass {
             SloClass::Batch => 1,
             SloClass::BestEffort => 2,
         }
-    }
-
-    /// Inverse of [`Self::index`], for consumers that key compact tables
-    /// by the stable index (e.g. telemetry snapshots). `None` for indices
-    /// no class owns.
-    pub fn from_index(index: u8) -> Option<SloClass> {
-        SloClass::ALL.into_iter().find(|c| c.index() == index)
     }
 
     /// Short lowercase name for reports.
@@ -228,17 +213,14 @@ mod tests {
     #[test]
     fn index_round_trips() {
         for c in SloClass::ALL {
-            assert_eq!(SloClass::from_index(c.index()), Some(c));
+            assert_eq!(SloClass::ALL[c.index() as usize], c);
         }
-        assert_eq!(SloClass::from_index(3), None);
-        assert_eq!(SloClass::from_index(u8::MAX), None);
     }
 
     #[test]
     fn slack_and_met() {
         let c = SloClass::Interactive;
-        assert!(c.ttft_slack(0.0, 0.2) > 0.0);
-        assert!(c.ttft_slack(0.0, 5.0) < 0.0);
+        assert!(0.2 < c.target().ttft && c.target().ttft < 5.0);
         assert!(c.target().met(0.5, 0.1));
         assert!(!c.target().met(2.0, 0.1));
         assert!(SloClass::BestEffort.target().met(1e9, 1e9));

@@ -1,8 +1,8 @@
 //! Live telemetry during a request storm: an interactive tenant bursts
-//! to 3× its base rate while a batch tenant streams long prompts, and a
-//! controller polls the streaming telemetry bus *mid-run* — queue
-//! depths, KV occupancy and sliding-window p99 TTFT — while every
-//! finished request lands in a JSONL flow log.
+//! to 3× its base rate while a batch tenant streams long prompts, and the
+//! driver polls the streaming telemetry bus *mid-run* — queue depths, KV
+//! occupancy and sliding-window p99 TTFT — while every finished request
+//! lands in a JSONL flow log.
 //!
 //! ```bash
 //! cargo run --release --example live_telemetry
@@ -13,8 +13,6 @@
 
 use hetis::cluster::cluster::paper_cluster;
 use hetis::cluster::GpuType;
-use hetis::core::{HetisConfig, WorkloadProfile};
-use hetis::elastic::ElasticController;
 use hetis::engine::policy::StaticPolicy;
 use hetis::engine::{
     AdmissionPolicy, Engine, EngineConfig, InstanceRole, InstanceTopo, StageTopo, Topology,
@@ -79,10 +77,9 @@ fn main() {
     );
 
     // 3. Drive the simulation step by step, polling the bus every 5
-    //    simulated seconds and feeding each snapshot to the elastic
-    //    controller (its scale-pressure diagnostic).
-    let profile = WorkloadProfile::for_cluster(DatasetKind::ShareGpt, &cluster, &model, 0.3);
-    let mut controller = ElasticController::new(HetisConfig::default(), profile);
+    //    simulated seconds and keeping the deepest queue seen (the
+    //    simplest scale-pressure signal).
+    let (mut polls, mut max_depth) = (0, 0);
     println!("\n  t(s)  completions  open  queue  kv-util  p99-ttft(interactive, 15s window)");
     let mut next_poll = 5.0;
     while engine.step() {
@@ -91,8 +88,9 @@ fn main() {
             continue;
         }
         next_poll += 5.0;
-        controller.observe(&snap);
         let depth = snap.max_queue_depth();
+        polls += 1;
+        max_depth = max_depth.max(depth);
         let util = snap.kv.map(|k| k.utilization()).unwrap_or(0.0);
         let p99 = snap.p99_ttft(SloClass::Interactive);
         println!(
@@ -117,11 +115,7 @@ fn main() {
         snap.events_published,
         report.telemetry_dropped,
     );
-    println!(
-        "controller observed {} snapshots, max queue depth {}",
-        controller.observations().len(),
-        controller.max_observed_queue_depth()
-    );
+    println!("polled {polls} snapshots, max queue depth {max_depth}");
     assert!(!snap.is_empty(), "bus saw no events");
     assert_eq!(snap.completions, report.completed.len() as u64);
     println!(
