@@ -6,13 +6,14 @@
 # Scans every `pub fn` and `pub const fn` in the library sources
 # (crates/*/src, crates/shims/*/src and src/), skipping items under
 # `#[cfg(test)]`. For each one it looks through every tracked .rs file,
-# comments and string literals blanked, for a use of the name: a method
-# call `.name(`, a path `::name`, a free call `name(`, or the bare name
-# passed as a value (`(name)`, `, name,` and the like). Uses inside the
-# defining file's own `#[cfg(test)]` items and inside its own crate's
-# tests/ do not count; benches, examples, other crates' tests and
-# perfbench/src do. The scan matches names, not types, so two functions
-# of one name share their uses.
+# comments and string literals blanked, for a use of the name: a path
+# `::name` (not a module path `::name::`), and for a method or
+# associated function a call `.name(`, for a free function a call
+# `name(` or the bare name passed as a value (`(name)`, `, name,` and
+# the like). Uses inside `#[cfg(test)]` items of the defining crate and
+# inside its tests/ do not count; benches, examples, other crates'
+# tests and perfbench/src do. The scan matches names, not types, so two
+# functions of one name share their uses.
 #
 # Prints `path:line name` for each function left without a use that the
 # allowlist below does not name. It only reports: it always exits 0 and

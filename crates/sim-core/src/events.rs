@@ -137,6 +137,7 @@ mod tests {
         q.schedule(SimTime::from_secs(5.0), ());
         q.schedule(SimTime::from_secs(4.0), ());
         assert_eq!(q.len(), 2);
+        assert_eq!(q.pop().map(|(t, _)| t.as_secs()), Some(4.0));
         q.clear();
         assert!(q.is_empty());
     }

@@ -1,8 +1,8 @@
 //! Live telemetry during a request storm: an interactive tenant bursts
 //! to 3× its base rate while a batch tenant streams long prompts, and the
-//! driver polls the streaming telemetry bus *mid-run* — queue depths, KV
-//! occupancy and sliding-window p99 TTFT — while every finished request
-//! lands in a JSONL flow log.
+//! example polls the streaming telemetry bus *mid-run* — queue depths,
+//! KV occupancy and sliding-window p99 TTFT — while every finished
+//! request lands in a JSONL flow log.
 //!
 //! ```bash
 //! cargo run --release --example live_telemetry
