@@ -102,11 +102,6 @@ impl FlowNetwork {
         self.cap0[e] - self.cap[e]
     }
 
-    /// Original capacity of edge `e`.
-    pub fn capacity(&self, e: usize) -> u64 {
-        self.cap0[e]
-    }
-
     /// All forward edges as `(id, from, to, capacity, flow)`.
     pub fn forward_edges(&self) -> Vec<(usize, usize, usize, u64, u64)> {
         let mut out = Vec::with_capacity(self.to.len() / 2);

@@ -257,12 +257,11 @@ fn main() {
     }
     let overhead_pct = 100.0 * (wall_on - wall_off) / wall_off;
     println!(
-        "slo_mix\ttelemetry\tchunked+priority\twall_off_s={}\twall_on_s={}\toverhead_pct={}\tevents={}\tdropped={}",
+        "slo_mix\ttelemetry\tchunked+priority\twall_off_s={}\twall_on_s={}\toverhead_pct={}\tevents={}",
         f(wall_off),
         f(wall_on),
         f(overhead_pct),
         snap.events_published,
-        on.telemetry_dropped,
     );
     // sim-throughput-style row for the telemetry-ON run so BENCH records
     // can quote on/off side by side (not floor-gated: the floors file

@@ -13,14 +13,6 @@ pub struct DenseWork {
 }
 
 impl DenseWork {
-    /// Sums two pieces of dense work executed back-to-back.
-    pub fn plus(self, other: DenseWork) -> DenseWork {
-        DenseWork {
-            flops: self.flops + other.flops,
-            weight_bytes: self.weight_bytes + other.weight_bytes,
-        }
-    }
-
     /// Zero work.
     pub const ZERO: DenseWork = DenseWork {
         flops: 0.0,
@@ -139,24 +131,5 @@ mod tests {
         };
         let t = dense_decode_time(&a, w, 3);
         assert!((t - 3.0 * a.launch_overhead).abs() < 1e-15);
-    }
-
-    #[test]
-    fn work_addition() {
-        let w = DenseWork {
-            flops: 1.0,
-            weight_bytes: 2.0,
-        }
-        .plus(DenseWork {
-            flops: 3.0,
-            weight_bytes: 4.0,
-        });
-        assert_eq!(
-            w,
-            DenseWork {
-                flops: 4.0,
-                weight_bytes: 6.0
-            }
-        );
     }
 }

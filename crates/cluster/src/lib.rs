@@ -29,6 +29,6 @@ pub use device::{Device, DeviceId, DeviceSpec, GpuType};
 pub use kernels::attention::{attn_decode_time, attn_prefill_time, AttnWork};
 pub use kernels::dense::{dense_decode_time, dense_prefill_time, DenseWork};
 pub use memory::MemoryLedger;
-pub use net::collective::{all_gather_time, all_reduce_time, p2p_time};
+pub use net::collective::{all_reduce_time, p2p_time};
 pub use net::link::{AlphaBeta, LinkKind};
 pub use net::stream::MigrationStream;

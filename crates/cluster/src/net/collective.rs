@@ -17,16 +17,6 @@ pub fn all_reduce_time(worst: AlphaBeta, n: usize, bytes: f64) -> f64 {
     2.0 * (nf - 1.0) * worst.alpha + 2.0 * (nf - 1.0) / nf * bytes * worst.beta
 }
 
-/// Ring all-gather over `n` participants: `(n-1)·alpha + (n-1)/n·bytes·beta`
-/// where `bytes` is the total gathered payload.
-pub fn all_gather_time(worst: AlphaBeta, n: usize, bytes: f64) -> f64 {
-    if n <= 1 || bytes <= 0.0 {
-        return 0.0;
-    }
-    let nf = n as f64;
-    (nf - 1.0) * worst.alpha + (nf - 1.0) / nf * bytes * worst.beta
-}
-
 /// Point-to-point send of `bytes` over `link`.
 pub fn p2p_time(link: AlphaBeta, bytes: f64) -> f64 {
     link.time(bytes)
@@ -67,15 +57,6 @@ mod tests {
         let t = all_reduce_time(l, 4, 1e8);
         let expect = 2.0 * 3.0 * 1e-5 + 2.0 * 0.75 * 1e8 * 1e-10;
         assert!((t - expect).abs() < 1e-15);
-    }
-
-    #[test]
-    fn allgather_half_of_allreduce_bandwidth() {
-        let l = AlphaBeta::of(LinkKind::InterHost);
-        let ar = all_reduce_time(l, 4, 1e8);
-        let ag = all_gather_time(l, 4, 1e8);
-        assert!(ag < ar);
-        assert!((ar / ag - 2.0).abs() < 0.1);
     }
 
     #[test]

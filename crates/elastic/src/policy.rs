@@ -33,10 +33,9 @@ pub struct ElasticPolicy<P: Policy> {
     controller: Option<ElasticController>,
     /// Health as of the last cluster event (drives incremental drains).
     health: Option<HealthView>,
-    /// Closed-loop automaton, constructed lazily from the engine's
-    /// `ClosedLoopConfig` on the first telemetry tick (stays `None` with
-    /// an open loop).
-    closed_loop: Option<ClosedLoopController>,
+    /// Closed-loop automaton, fed only while the engine runs a closed
+    /// loop (`EngineConfig::closed_loop`).
+    closed_loop: ClosedLoopController,
     /// Attention workers added by *actuated* closed-loop scale-outs and
     /// not yet returned. Scale-in proposals actuate only while this is
     /// positive: the loop never shrinks the pool below its pre-loop
@@ -52,7 +51,7 @@ impl<P: Policy> ElasticPolicy<P> {
             inner,
             controller: Some(controller),
             health: None,
-            closed_loop: None,
+            closed_loop: ClosedLoopController::default(),
             scaled_out_workers: 0,
         }
     }
@@ -63,7 +62,7 @@ impl<P: Policy> ElasticPolicy<P> {
             inner,
             controller: None,
             health: None,
-            closed_loop: None,
+            closed_loop: ClosedLoopController::default(),
             scaled_out_workers: 0,
         }
     }
@@ -164,60 +163,44 @@ impl<P: Policy> Policy for ElasticPolicy<P> {
     fn on_telemetry_tick(
         &mut self,
         snapshot: &TelemetrySnapshot,
-        closed_loop: &ClosedLoopConfig,
+        _closed_loop: &ClosedLoopConfig,
         health: &HealthView,
         ctx: &PolicyCtx<'_>,
     ) -> ControlResponse {
-        let automaton = self
-            .closed_loop
-            .get_or_insert_with(|| ClosedLoopController::new(closed_loop.clone()));
-        let actions = automaton.on_tick(snapshot);
-        if actions.is_empty() {
-            return ControlResponse::default();
-        }
-        let mut response = ControlResponse::default();
-        for &action in &actions {
-            match action {
-                ControlAction::ScaleOut { .. } | ControlAction::ScaleIn => {
-                    // Scale proposals route through the elastic
-                    // controller's replan path; a frozen policy records
-                    // the proposal (it lands in the control log) but has
-                    // no planner to actuate it. A no-op plan (already at
-                    // full pool / nothing to retire) skips the replan —
-                    // and its stall — entirely. Scale-ins actuate only
-                    // while earlier scale-outs actually grew the pool:
-                    // the loop never retires pre-loop capacity.
-                    if let Some(controller) = &self.controller {
-                        let out = matches!(action, ControlAction::ScaleOut { .. });
-                        if !out && self.scaled_out_workers == 0 {
-                            continue;
-                        }
-                        if let Some(plan) = controller.scale_plan(out, health, ctx) {
-                            if out {
-                                self.scaled_out_workers += plan.diff.workers_added.len();
-                            } else {
-                                self.scaled_out_workers = self
-                                    .scaled_out_workers
-                                    .saturating_sub(plan.diff.workers_removed.len().max(1));
-                            }
-                            response.replan = Some(ReplanResponse {
-                                new_topology: Some(plan.topology),
-                                migrations: plan.migrations,
-                                replan_latency: plan.replan_latency,
-                            });
-                        }
+        let actions = self.closed_loop.on_tick(snapshot);
+        let mut replan = None;
+        // The engine applies throttle and pace actions itself. Scale
+        // proposals route through the elastic controller's replan path;
+        // a frozen policy records the proposal (it lands in the control
+        // log) but has no planner to actuate it. A no-op plan (already at
+        // full pool / nothing to retire) skips the replan — and its stall
+        // — entirely. Scale-ins actuate only while earlier scale-outs
+        // actually grew the pool: the loop never retires pre-loop
+        // capacity.
+        if let Some(controller) = &self.controller {
+            for &action in &actions {
+                let out = match action {
+                    ControlAction::ScaleOut { .. } => true,
+                    ControlAction::ScaleIn if self.scaled_out_workers > 0 => false,
+                    _ => continue,
+                };
+                if let Some(plan) = controller.scale_plan(out, health, ctx) {
+                    if out {
+                        self.scaled_out_workers += plan.diff.workers_added.len();
+                    } else {
+                        self.scaled_out_workers = self
+                            .scaled_out_workers
+                            .saturating_sub(plan.diff.workers_removed.len().max(1));
                     }
+                    replan = Some(ReplanResponse {
+                        new_topology: Some(plan.topology),
+                        migrations: plan.migrations,
+                        replan_latency: plan.replan_latency,
+                    });
                 }
-                ControlAction::ThrottleOn { .. } => response.throttle = Some(true),
-                ControlAction::ThrottleOff => response.throttle = Some(false),
-                ControlAction::PaceOn { chunk_tokens, .. } => {
-                    response.pace_chunk_tokens = Some(Some(chunk_tokens))
-                }
-                ControlAction::PaceOff => response.pace_chunk_tokens = Some(None),
             }
         }
-        response.actions = actions;
-        response
+        ControlResponse { actions, replan }
     }
 }
 

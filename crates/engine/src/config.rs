@@ -65,7 +65,8 @@ pub struct EngineConfig {
     /// are still running (guards against pathological stalls).
     pub drain_timeout: f64,
     /// Streaming telemetry bus (`None` = off, the default). When `Some`,
-    /// the engine taps every request lifecycle edge onto a
+    /// the engine taps the request edges flow records need (arrival,
+    /// admission, prefill chunks) and every completion onto a
     /// [`hetis_telemetry::TelemetryBus`] and samples queue depths / KV
     /// occupancy on the config's tick. Strictly zero-cost when `None`:
     /// no bus is constructed, no event is published, and the run's

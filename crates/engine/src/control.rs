@@ -11,13 +11,14 @@
 //! * **scale proposals** — a [`crate::churn::ReplanResponse`] routed
 //!   through the same apply path as cluster-change replans (topology
 //!   swap, drain migrations, replan-latency stall),
-//! * **admission throttling** — a flag that defers non-protected-class
-//!   admissions while the protected class's windowed attainment is
-//!   below target,
-//! * **chunk pacing** — a temporary cap on the chunk tokens a *fused*
-//!   iteration may carry: while interactive TTFT slack is tight, heavy
-//!   chunk backlogs drain as pure prefill iterations (alternating
-//!   behavior) and only light backlogs ride the decode batch.
+//! * **admission throttling** — [`ControlAction::ThrottleOn`] defers the
+//!   admissions of every class but [`PROTECTED_CLASS`] until
+//!   [`ControlAction::ThrottleOff`],
+//! * **chunk pacing** — [`ControlAction::PaceOn`] caps the chunk tokens
+//!   a *fused* iteration may carry until [`ControlAction::PaceOff`]:
+//!   while interactive TTFT slack is tight, heavy chunk backlogs drain as
+//!   pure prefill iterations (alternating behavior) and only light
+//!   backlogs ride the decode batch.
 //!
 //! Everything is tick-edge-driven off simulated time — no wall clock —
 //! so a run's actuation sequence is a pure function of `(seed, trace,
@@ -28,75 +29,21 @@
 
 use hetis_workload::SloClass;
 
-/// Closed-loop controller knobs, carried by
-/// [`crate::config::EngineConfig::closed_loop`]. `None` there means the
-/// loop is open: the tick hook is never called and behavior is
-/// bit-identical to a config without the field.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClosedLoopConfig {
-    /// Consecutive breach ticks (windowed p99 TTFT above the class
-    /// target) required before a scale-out proposal fires — the
-    /// "breach-for-N-ticks" debounce.
-    pub breach_ticks: u32,
-    /// Minimum ticks between two scale actions (out or in). Hysteresis:
-    /// within a cooldown the controller cannot flip direction.
-    pub cooldown_ticks: u32,
-    /// Scale-in requires windowed p99 TTFT ≤ `scale_in_margin ×` target
-    /// for `breach_ticks` consecutive ticks (and never below the
-    /// starting capacity — only capacity the loop added is returned).
-    pub scale_in_margin: f64,
-    /// Windows with fewer samples than this are treated as "no signal":
-    /// they neither breach nor count as calm, so cold starts and drained
-    /// tails take no actions.
-    pub min_window_samples: usize,
-    /// The class whose SLOs the throttle and pacer protect.
-    pub protected_class: SloClass,
-    /// Throttle non-protected admissions when the protected class's
-    /// windowed attainment falls below this fraction.
-    pub throttle_attainment: f64,
-    /// Release the throttle once windowed attainment recovers to this
-    /// fraction (must be ≥ `throttle_attainment` for hysteresis).
-    pub throttle_release: f64,
-    /// Fused-chunk token cap while pacing is engaged: an iteration whose
-    /// queued chunk backlog exceeds this drains as a *pure* prefill
-    /// iteration (the decode batch sits one iteration out, alternating
-    /// style) instead of dragging the decode batch's attention through a
-    /// heavy chunk drain; backlogs at or under the cap keep fusing. Only
-    /// effective in fused mode with `prefill_chunk_tokens` set.
-    pub pace_chunk_tokens: u64,
-    /// Engage pacing when the protected class's windowed p99 TTFT
-    /// exceeds this fraction of its TTFT target.
-    pub pace_engage_frac: f64,
-    /// Release pacing once windowed p99 TTFT drops back below this
-    /// fraction of the target (must be ≤ `pace_engage_frac`).
-    pub pace_release_frac: f64,
-    /// Enable the scale-out/scale-in automaton.
-    pub scaling: bool,
-    /// Enable admission throttling.
-    pub throttling: bool,
-    /// Enable chunk pacing.
-    pub pacing: bool,
-}
+/// The class whose SLOs the closed loop's throttle and pacer protect:
+/// while the throttle is engaged, the engine defers the admissions of
+/// every other class.
+pub const PROTECTED_CLASS: SloClass = SloClass::Interactive;
 
-impl Default for ClosedLoopConfig {
-    fn default() -> Self {
-        ClosedLoopConfig {
-            breach_ticks: 3,
-            cooldown_ticks: 10,
-            scale_in_margin: 0.5,
-            min_window_samples: 8,
-            protected_class: SloClass::Interactive,
-            throttle_attainment: 0.9,
-            throttle_release: 0.97,
-            pace_chunk_tokens: 128,
-            pace_engage_frac: 0.5,
-            pace_release_frac: 0.4,
-            scaling: true,
-            throttling: true,
-            pacing: true,
-        }
-    }
-}
+/// Closes the loop when set on
+/// [`crate::config::EngineConfig::closed_loop`]; `None` there means the
+/// loop is open: the tick hook is never called and behavior is
+/// bit-identical to a config without the field. It carries no settings:
+/// the automaton's thresholds are constants beside it
+/// (`hetis_elastic::closed_loop`), and the protected class is
+/// [`PROTECTED_CLASS`]. Build it with `ClosedLoopConfig::default()`.
+#[derive(Debug, Clone, Default, PartialEq)]
+#[non_exhaustive]
+pub struct ClosedLoopConfig;
 
 /// One actuation decision taken at a telemetry tick.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -179,41 +126,27 @@ pub struct ControlRecord {
 /// open loop.
 #[derive(Debug, Clone, Default)]
 pub struct ControlResponse {
-    /// Actions taken this tick (logged to `RunReport::control_log`).
+    /// Actions taken this tick, in order: each is logged to
+    /// `RunReport::control_log`, and the engine applies the throttle and
+    /// pace actions itself (a later action of a kind overrides an earlier
+    /// one).
     pub actions: Vec<ControlAction>,
     /// Scale actuation: applied through the same path as a
     /// cluster-change replan (topology swap + drain migrations +
     /// replan-latency stall on every pipeline).
     pub replan: Option<crate::churn::ReplanResponse>,
-    /// `Some(flag)` sets the engine's admission throttle.
-    pub throttle: Option<bool>,
-    /// `Some(cap)` sets the engine's pacing chunk cap (`Some(None)`
-    /// releases it).
-    pub pace_chunk_tokens: Option<Option<u64>>,
 }
 
 impl ControlResponse {
     /// True when this response changes nothing.
     pub fn is_noop(&self) -> bool {
-        self.actions.is_empty()
-            && self.replan.is_none()
-            && self.throttle.is_none()
-            && self.pace_chunk_tokens.is_none()
+        self.actions.is_empty() && self.replan.is_none()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn defaults_have_hysteresis_gaps() {
-        let cfg = ClosedLoopConfig::default();
-        assert!(cfg.throttle_release >= cfg.throttle_attainment);
-        assert!(cfg.pace_release_frac <= cfg.pace_engage_frac);
-        assert!(cfg.breach_ticks >= 1);
-        assert!(cfg.cooldown_ticks >= cfg.breach_ticks);
-    }
 
     #[test]
     fn digest_words_distinguish_actions() {
@@ -255,7 +188,7 @@ mod tests {
     fn default_response_is_noop() {
         assert!(ControlResponse::default().is_noop());
         let r = ControlResponse {
-            throttle: Some(true),
+            actions: vec![ControlAction::ThrottleOff],
             ..ControlResponse::default()
         };
         assert!(!r.is_noop());

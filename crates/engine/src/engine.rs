@@ -13,7 +13,7 @@ use crate::churn::{
 use crate::config::{
     AdmissionPolicy, EngineConfig, BLOCK_SIZE, DECODE_HEADROOM_TOKENS, MAX_RUNNING,
 };
-use crate::control::ControlRecord;
+use crate::control::{ClosedLoopConfig, ControlAction, ControlRecord, PROTECTED_CLASS};
 use crate::memory::KvState;
 use crate::metrics::{CompletedRequest, ModuleSample, RunReport, TraceSample};
 use crate::policy::{Policy, PolicyCtx, VictimAction};
@@ -455,8 +455,8 @@ impl<'a, P: Policy> Engine<'a, P> {
             events.schedule(SimTime::from_secs(cfg.trace_sample_period), Event::Sample);
             sampling_pending += 1;
         }
-        // Telemetry (off by default): build the bus up front so the ring
-        // never reallocates mid-run, and seed the periodic tick.
+        // Telemetry (off by default): build the bus up front (opening the
+        // flow log, if any) and seed the periodic tick.
         let telemetry = cfg.telemetry.as_ref().map(|t| {
             TelemetryBus::new(t, topo.instances.len()).expect("telemetry sink path unwritable")
         });
@@ -670,22 +670,24 @@ impl<'a, P: Policy> Engine<'a, P> {
             .as_ref()
             .expect("closed loop requires telemetry")
             .snapshot(now);
-        let closed_loop = self.cfg.closed_loop.clone().expect("gated by caller");
         let health_view = HealthView::new(self.health.clone());
         let response =
             self.policy
-                .on_telemetry_tick(&snapshot, &closed_loop, &health_view, &ctx!(self));
+                .on_telemetry_tick(&snapshot, &ClosedLoopConfig, &health_view, &ctx!(self));
         if response.is_noop() {
             return;
         }
         for &action in &response.actions {
             self.control_log.push(ControlRecord { time: now, action });
-        }
-        if let Some(flag) = response.throttle {
-            self.throttle_admission = flag;
-        }
-        if let Some(cap) = response.pace_chunk_tokens {
-            self.pace_chunk_tokens = cap;
+            match action {
+                ControlAction::ThrottleOn { .. } => self.throttle_admission = true,
+                ControlAction::ThrottleOff => self.throttle_admission = false,
+                ControlAction::PaceOn { chunk_tokens, .. } => {
+                    self.pace_chunk_tokens = Some(chunk_tokens)
+                }
+                ControlAction::PaceOff => self.pace_chunk_tokens = None,
+                ControlAction::ScaleOut { .. } | ControlAction::ScaleIn => {}
+            }
         }
         // Scale actuations take the cluster-change replan path: capacity
         // changes are not free in the closed loop either.
@@ -751,18 +753,14 @@ impl<'a, P: Policy> Engine<'a, P> {
 
     /// Consumes the engine into its report.
     pub fn into_report(mut self) -> RunReport {
-        // Final telemetry state: flush sinks, take the end-of-run
-        // snapshot, and surface the ring-wrap drop counter. Both fields
-        // are `None`/0 when telemetry is disabled and neither is folded
-        // into the digest (the `events_processed` convention).
+        // Final telemetry state: flush the flow log and take the
+        // end-of-run snapshot (`None` when telemetry is disabled; not
+        // folded into the digest, the `events_processed` convention).
         let now = self.clock.now().as_secs();
-        let (telemetry_dropped, telemetry) = match self.telemetry.take() {
-            Some(mut bus) => {
-                bus.flush();
-                (bus.dropped(), Some(bus.snapshot(now)))
-            }
-            None => (0, None),
-        };
+        let telemetry = self.telemetry.take().map(|mut bus| {
+            bus.flush();
+            bus.snapshot(now)
+        });
         let mut used: Vec<DeviceId> = self
             .topo
             .instances
@@ -804,7 +802,7 @@ impl<'a, P: Policy> Engine<'a, P> {
             prefix_hits: self.prefix_hits,
             prefix_hit_tokens: self.prefix_hit_tokens,
             shared_kv_bytes: self.shared_kv_bytes,
-            telemetry_dropped,
+            telemetry_dropped: 0,
             telemetry,
             control_log: self.control_log,
             // Cost accounting is attached post-run by a cost meter (the
@@ -943,16 +941,9 @@ impl<'a, P: Policy> Engine<'a, P> {
                 continue;
             }
             let r = self.requests.get_mut(&rid).expect("live request");
-            let first_token = r.first_token_at.is_none();
             r.push_token(now);
             let complete = r.is_complete();
             self.remove_cohort_member(inst, rid);
-            if first_token {
-                self.tap(FlowEventKind::FirstToken {
-                    req: rid,
-                    instance: inst as u32,
-                });
-            }
             if complete {
                 self.finish(rid);
                 continue;
@@ -1655,11 +1646,7 @@ impl<'a, P: Policy> Engine<'a, P> {
         // slack keys are unchanged, so re-enqueueing restores the exact
         // heap order next round). Designed for `SloSlack` admission;
         // under FIFO a deferred request re-enters at the back.
-        let protect = if self.throttle_admission {
-            self.cfg.closed_loop.as_ref().map(|c| c.protected_class)
-        } else {
-            None
-        };
+        let protect = self.throttle_admission.then_some(PROTECTED_CLASS);
         let mut deferred: Vec<SlackKey> = Vec::new();
         if running < MAX_RUNNING && tokens < budget && !self.instances[inst].waiting.is_empty() {
             while let Some(rid) = self.instances[inst].waiting.peek() {
@@ -2093,12 +2080,6 @@ impl<'a, P: Policy> Engine<'a, P> {
                 mlp: max_mlp * n as f64,
                 attn: max_attn * n as f64,
             });
-            self.tap(FlowEventKind::DecodeIteration {
-                instance: inst as u32,
-                cohort: cohort as u32,
-                batch_size: batch.len() as u32,
-                prefill_tokens: chunk.tokens as u32,
-            });
         }
         let co = &mut self.instances[inst].cohorts[cohort];
         co.last_carried_chunk = !entries.is_empty();
@@ -2360,11 +2341,6 @@ impl<'a, P: Policy> Engine<'a, P> {
         // Release boundary: observe the peak while the victim's KV is
         // still resident (see `note_kv_peak`).
         self.note_kv_peak();
-        self.tap(FlowEventKind::Preemption {
-            req: rid,
-            instance: inst as u32,
-            lost_context: lost,
-        });
         self.requests
             .get_mut(&rid)
             .expect("live")
@@ -2465,10 +2441,6 @@ impl<'a, P: Policy> Engine<'a, P> {
         r.redispatches += 1;
         let sources = moves.iter().map(|m| m.src).collect();
         self.begin_migration(rid, sources, moved_bytes, finish);
-        self.tap(FlowEventKind::Redispatch {
-            req: rid,
-            instance: inst as u32,
-        });
         true
     }
 
@@ -2957,9 +2929,20 @@ mod tests {
     use hetis_telemetry::TelemetryConfig;
     use hetis_workload::{DatasetKind, Request, SloClass, TenantId};
 
-    /// A request preempted after its first token taps `FirstToken` once,
-    /// and its completion keeps that token's time: a recompute re-prefill
-    /// emits no new first token.
+    /// Reads `key`'s value from a one-line JSON flow record.
+    fn json_field<'a>(line: &'a str, key: &str) -> &'a str {
+        let pat = format!("\"{key}\":");
+        let rest = &line[line.find(&pat).expect("flow record field") + pat.len()..];
+        &rest[..rest.find([',', '}']).expect("field ends")]
+    }
+
+    /// A request preempted after its first token keeps that token's time
+    /// through the recompute re-prefill. Under atomic prefill a flow
+    /// record's `first_chunk` is the time its prompt first finished
+    /// prefilling, so every record of the JSONL flow log must carry
+    /// `first_chunk == first_token` bit for bit (Rust prints floats so
+    /// that they parse back exactly), and some record must show a
+    /// re-prefill (`prefill_chunks >= 2`) after a preemption.
     #[test]
     fn first_token_fires_once_across_a_recompute_preemption() {
         // OPT-2.7B on one P100: the small KV pool cannot hold every
@@ -2987,40 +2970,40 @@ mod tests {
             })
             .collect();
         let trace = Trace::from_requests(requests, DatasetKind::ShareGpt);
+        let path = std::env::temp_dir().join(format!(
+            "hetis_engine_first_token_{}.jsonl",
+            std::process::id()
+        ));
         let cfg = EngineConfig {
             telemetry: Some(TelemetryConfig {
                 sample_period: 0.0,
+                jsonl_path: Some(path.to_str().expect("utf-8 temp path").to_string()),
                 ..TelemetryConfig::full_run()
             }),
             drain_timeout: 3000.0,
             ..EngineConfig::default()
         };
-        let policy = StaticPolicy::new("vllm-p100", topo.clone());
-        let mut engine = Engine::new(policy, &cluster, &model, cfg, topo, &trace);
-        engine.run_to_completion();
-        let bus = engine.telemetry.as_ref().expect("telemetry enabled");
-        assert_eq!(bus.dropped(), 0, "the ring must hold every event");
-        let mut first_tokens: FxHashMap<RequestId, Vec<f64>> = FxHashMap::default();
-        let mut preempted_after_first = 0;
-        for ev in bus.events().iter() {
-            match ev.kind {
-                FlowEventKind::FirstToken { req, .. } => {
-                    first_tokens.entry(req).or_default().push(ev.time);
-                }
-                FlowEventKind::Preemption { req, .. } if first_tokens.contains_key(&req) => {
-                    preempted_after_first += 1;
-                }
-                _ => {}
+        let policy = StaticPolicy::new("vllm-p100", topo);
+        let report = run(policy, &cluster, &model, cfg, &trace);
+        let text = std::fs::read_to_string(&path).expect("flow log written");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(report.unfinished, 0);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), report.completed.len());
+        let mut reprefilled = 0;
+        for line in lines {
+            let first_chunk: f64 = json_field(line, "first_chunk").parse().unwrap();
+            let first_token: f64 = json_field(line, "first_token").parse().unwrap();
+            assert_eq!(first_chunk.to_bits(), first_token.to_bits(), "{line}");
+            let chunks: u32 = json_field(line, "prefill_chunks").parse().unwrap();
+            let preemptions: u32 = json_field(line, "preemptions").parse().unwrap();
+            if chunks >= 2 && preemptions > 0 {
+                reprefilled += 1;
             }
         }
-        let report = engine.into_report();
-        assert_eq!(report.unfinished, 0);
         assert!(
-            preempted_after_first > 0,
-            "no request was preempted after its first token"
+            reprefilled > 0,
+            "no request was re-prefilled after a recompute preemption"
         );
-        for c in &report.completed {
-            assert_eq!(first_tokens[&c.id], vec![c.first_token], "{}", c.id);
-        }
     }
 }

@@ -48,7 +48,9 @@ pub use churn::{
     ClusterEvent, ClusterEventKind, DeviceHealth, HealthView, ReplanRecord, ReplanResponse,
 };
 pub use config::{AdmissionPolicy, EngineConfig};
-pub use control::{ClosedLoopConfig, ControlAction, ControlRecord, ControlResponse};
+pub use control::{
+    ClosedLoopConfig, ControlAction, ControlRecord, ControlResponse, PROTECTED_CLASS,
+};
 pub use engine::{run, run_with_churn, Engine};
 pub use memory::{DeviceKv, KvAllocError, KvState};
 pub use metrics::{ClassStats, CompletedRequest, CostReport, ModuleSample, RunReport, TraceSample};

@@ -254,9 +254,9 @@ pub struct RunReport {
     /// KV bytes adopted warm across all hits — reservation traffic the
     /// prefill never wrote. Not digested.
     pub shared_kv_bytes: u64,
-    /// Telemetry events overwritten on ring wrap (0 when telemetry is
-    /// disabled or the ring never filled). An observability-mechanics
-    /// counter, not digested (same policy as `events_processed`).
+    /// Always 0: the telemetry bus folds every event into its aggregates
+    /// and buffers none, so it never drops one. Kept so that code
+    /// reading the field still compiles; not digested.
     pub telemetry_dropped: u64,
     /// End-of-run telemetry snapshot (`None` when telemetry is
     /// disabled). Not digested: the digest pins serving behavior, and

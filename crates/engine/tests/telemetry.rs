@@ -1,24 +1,24 @@
-//! Telemetry bus integration gates (ISSUE 6).
+//! Telemetry bus integration gates.
 //!
-//! 1. **Digest neutrality** — enabling telemetry (any ring size, any
-//!    window) must not perturb the simulation: behavior digests are
-//!    bit-identical with the bus on and off. The scenario gate pins the
-//!    same property on the scenario benches.
+//! 1. **Digest neutrality** — enabling telemetry (any window, with or
+//!    without the periodic tick) must not perturb the simulation:
+//!    behavior digests are bit-identical with the bus on and off. The
+//!    scenario gate pins the same property on the scenario benches.
 //! 2. **Flow-record completeness** — one JSONL flow record per completed
 //!    request, every line valid JSON, snapshot completion counts equal to
 //!    the report's.
 //! 3. **Exact percentile convergence** — with `TelemetryConfig::full_run`
 //!    the streaming per-class p99 TTFT equals the end-of-run report p99
 //!    bit for bit (same samples, same `hetis_sim::percentile`).
-//! 4. **Drop accounting** — a tiny ring wraps, `telemetry_dropped`
-//!    surfaces the overwrites in the report, and the digest still
-//!    matches the disabled run (drops are a bus-side artifact).
+//! 4. **Closed-loop gating** — the engine refuses a closed loop without
+//!    a ticking bus, before the first event.
 
 use hetis_cluster::cluster::paper_cluster;
 use hetis_cluster::GpuType;
 use hetis_engine::policy::StaticPolicy;
 use hetis_engine::{
-    run, AdmissionPolicy, EngineConfig, InstanceRole, InstanceTopo, RunReport, StageTopo, Topology,
+    run, AdmissionPolicy, ClosedLoopConfig, EngineConfig, InstanceRole, InstanceTopo, RunReport,
+    StageTopo, Topology,
 };
 use hetis_model::llama_13b;
 use hetis_parallel::StageConfig;
@@ -40,16 +40,28 @@ fn a100_topo() -> Topology {
 
 /// Chunked + slack-ordered run over a mixed ShareGPT trace — the same
 /// harness shape as the kv_growth suite, exercising every tap site
-/// (arrival, admission, chunks, first token, decode, completion).
+/// (arrival, admission, chunks) and the completion path.
 fn run_with(telemetry: Option<TelemetryConfig>, seed: u64, rate: f64) -> RunReport {
+    run_cfg(
+        EngineConfig {
+            telemetry,
+            ..EngineConfig::default()
+        },
+        seed,
+        rate,
+    )
+}
+
+/// [`run_with`]'s run under any engine config (chunking and slack order
+/// are set on top of it).
+fn run_cfg(cfg: EngineConfig, seed: u64, rate: f64) -> RunReport {
     let cluster = paper_cluster();
     let model = llama_13b();
     let trace = TraceBuilder::new(DatasetKind::ShareGpt, seed).build(&Poisson::new(rate), 20.0);
     let cfg = EngineConfig {
         prefill_chunk_tokens: Some(256),
         admission: AdmissionPolicy::SloSlack,
-        telemetry,
-        ..EngineConfig::default()
+        ..cfg
     };
     run(
         StaticPolicy::new("vllm", a100_topo()),
@@ -60,9 +72,9 @@ fn run_with(telemetry: Option<TelemetryConfig>, seed: u64, rate: f64) -> RunRepo
     )
 }
 
-/// The zero-cost gating contract, measured: default bus, full-run bus and
-/// a deliberately wrapping 8-slot ring all reproduce the disabled run's
-/// digest exactly.
+/// The zero-cost gating contract, measured: the default bus, a full-run
+/// bus and a bus without the periodic tick all reproduce the disabled
+/// run's digest exactly.
 #[test]
 fn telemetry_is_digest_neutral() {
     let off = run_with(None, 42, 5.0);
@@ -76,44 +88,16 @@ fn telemetry_is_digest_neutral() {
     let full = run_with(Some(TelemetryConfig::full_run()), 42, 5.0);
     assert_eq!(off.digest(), full.digest());
 
-    let tiny = run_with(
+    let untick = run_with(
         Some(TelemetryConfig {
-            ring_capacity: 8,
+            sample_period: 0.0,
             ..TelemetryConfig::default()
         }),
         42,
         5.0,
     );
-    assert_eq!(off.digest(), tiny.digest());
-}
-
-/// Satellite: ring-wrap drops surface in the report without touching the
-/// digest (asserted above) — and a roomy ring drops nothing.
-#[test]
-fn dropped_counter_counts_ring_wrap() {
-    let tiny = run_with(
-        Some(TelemetryConfig {
-            ring_capacity: 8,
-            ..TelemetryConfig::default()
-        }),
-        42,
-        5.0,
-    );
-    let snap = tiny.telemetry.as_ref().expect("bus was enabled");
-    assert!(
-        tiny.telemetry_dropped > 0,
-        "an 8-slot ring must wrap on this trace"
-    );
-    assert_eq!(snap.dropped, tiny.telemetry_dropped);
-    assert_eq!(snap.events_buffered, 8, "ring stays at capacity after wrap");
-
-    let roomy = run_with(Some(TelemetryConfig::default()), 42, 5.0);
-    assert_eq!(roomy.telemetry_dropped, 0);
-    let snap = roomy.telemetry.as_ref().unwrap();
-    assert_eq!(
-        snap.events_published, snap.events_buffered as u64,
-        "nothing dropped ⇒ everything still buffered"
-    );
+    assert_eq!(off.digest(), untick.digest());
+    assert_eq!(untick.telemetry_dropped, 0, "the bus buffers nothing");
 }
 
 /// Every completion produces exactly one flow record; the JSONL sink
@@ -212,4 +196,38 @@ fn periodic_tick_samples_queues_and_kv() {
     assert!(snap.queue_depths.is_empty());
     assert!(snap.kv.is_none());
     assert!(snap.completions > 0, "lifecycle edges still flow untick'd");
+}
+
+/// The closed loop is driven by telemetry ticks: without a bus it could
+/// never observe anything, so the engine refuses the config up front.
+#[test]
+#[should_panic(expected = "requires telemetry with a positive sample_period")]
+fn closed_loop_without_telemetry_is_refused() {
+    run_cfg(
+        EngineConfig {
+            closed_loop: Some(ClosedLoopConfig::default()),
+            ..EngineConfig::default()
+        },
+        42,
+        5.0,
+    );
+}
+
+/// A bus whose periodic tick is off (`sample_period: 0.0`) never fires
+/// a control tick either, so it is refused the same way.
+#[test]
+#[should_panic(expected = "requires telemetry with a positive sample_period")]
+fn closed_loop_without_a_tick_is_refused() {
+    run_cfg(
+        EngineConfig {
+            telemetry: Some(TelemetryConfig {
+                sample_period: 0.0,
+                ..TelemetryConfig::default()
+            }),
+            closed_loop: Some(ClosedLoopConfig::default()),
+            ..EngineConfig::default()
+        },
+        42,
+        5.0,
+    );
 }

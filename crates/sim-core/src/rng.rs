@@ -53,11 +53,6 @@ impl SplitMix64 {
     pub fn jitter(&mut self, eps: f64) -> f64 {
         1.0 + self.uniform(-eps, eps)
     }
-
-    /// Derives an independent child generator (split).
-    pub fn split(&mut self) -> SplitMix64 {
-        SplitMix64::new(self.next_u64())
-    }
 }
 
 #[cfg(test)]
@@ -113,17 +108,5 @@ mod tests {
             let j = r.jitter(0.05);
             assert!((0.95..=1.05).contains(&j));
         }
-    }
-
-    #[test]
-    fn split_streams_are_independent_of_parent_consumption() {
-        let mut parent = SplitMix64::new(5);
-        let mut child = parent.split();
-        let c1 = child.next_u64();
-        // Consuming the parent further must not affect the child stream.
-        let _ = parent.next_u64();
-        let mut parent2 = SplitMix64::new(5);
-        let mut child2 = parent2.split();
-        assert_eq!(c1, child2.next_u64());
     }
 }

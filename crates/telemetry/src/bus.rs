@@ -1,4 +1,4 @@
-//! The telemetry bus: event ring + streaming aggregators + sinks behind
+//! The telemetry bus: streaming aggregators and the flow-log sink behind
 //! one `publish()` entry point, queryable mid-run via `snapshot()`.
 
 use std::io;
@@ -6,25 +6,23 @@ use std::io;
 use hetis_workload::SloClass;
 
 use crate::event::{FlowEvent, FlowEventKind};
-use crate::flow::{FlowCompletion, FlowRecord, FlowTable};
-use crate::ring::EventRing;
-use crate::sink::{JsonlSink, TelemetrySink};
+use crate::flow::{FlowCompletion, FlowTable};
+use crate::sink::JsonlSink;
 use crate::window::{SlidingWindow, WindowSummary};
+
+/// Time buckets per finite latency window (the infinite window of
+/// [`TelemetryConfig::full_run`] uses one bucket).
+pub const WINDOW_BUCKETS: usize = 12;
 
 /// Bus tunables, carried by `EngineConfig` (telemetry is off unless the
 /// engine config holds one of these).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryConfig {
-    /// Event-ring capacity; a full ring overwrites the oldest event and
-    /// counts a drop (`telemetry_dropped`). Allocated once up front.
-    pub ring_capacity: usize,
-    /// Sliding-window span for the streaming percentiles, seconds.
-    /// `f64::INFINITY` keeps every sample for the whole run, making the
-    /// streaming p99 converge *exactly* to `RunReport`'s end-of-run p99.
+    /// Sliding-window span for the streaming percentiles, seconds, split
+    /// into [`WINDOW_BUCKETS`] buckets. `f64::INFINITY` keeps every
+    /// sample for the whole run, making the streaming p99 converge
+    /// *exactly* to `RunReport`'s end-of-run p99.
     pub window_secs: f64,
-    /// Time buckets per window (more buckets ⇒ smoother expiry; ignored
-    /// for the infinite window, which uses one bucket).
-    pub window_buckets: usize,
     /// Queue-depth / KV-occupancy sampling period, simulated seconds;
     /// `0.0` disables the periodic tick (lifecycle edges still flow).
     pub sample_period: f64,
@@ -35,9 +33,7 @@ pub struct TelemetryConfig {
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
-            ring_capacity: 65_536,
             window_secs: 60.0,
-            window_buckets: 12,
             sample_period: 1.0,
             jsonl_path: None,
         }
@@ -51,7 +47,6 @@ impl TelemetryConfig {
     pub fn full_run() -> Self {
         TelemetryConfig {
             window_secs: f64::INFINITY,
-            window_buckets: 1,
             ..TelemetryConfig::default()
         }
     }
@@ -132,11 +127,6 @@ pub struct TelemetrySnapshot {
     pub window_secs: f64,
     /// Events ever published to the bus.
     pub events_published: u64,
-    /// Events still buffered in the ring.
-    pub events_buffered: usize,
-    /// Events overwritten on ring wrap (satellite counter
-    /// `telemetry_dropped`).
-    pub dropped: u64,
     /// Requests completed so far.
     pub completions: u64,
     /// Requests with partial flow state (in flight).
@@ -198,12 +188,14 @@ impl TelemetrySnapshot {
 }
 
 /// The event-sourced metrics bus. The engine publishes [`FlowEvent`]s at
-/// request lifecycle edges; the bus rings them, folds them into the
-/// streaming aggregators, finalizes per-request [`FlowRecord`]s at
-/// completion, and fans records out to the attached sinks.
+/// request edges and periodic samples; the bus folds them into the
+/// streaming aggregators, finalizes one
+/// [`FlowRecord`](crate::flow::FlowRecord) per request at completion,
+/// and writes it to the JSONL sink when one is configured. It keeps no
+/// event log.
 pub struct TelemetryBus {
     window_secs: f64,
-    ring: EventRing,
+    published: u64,
     flows: FlowTable,
     // Per-class windows, indexed by `SloClass::index()`.
     ttft: Vec<SlidingWindow>,
@@ -212,7 +204,7 @@ pub struct TelemetryBus {
     slo: Vec<SlidingWindow>,
     depths: Vec<Option<QueueDepthStat>>,
     kv: Option<KvOccupancySample>,
-    sinks: Vec<Box<dyn TelemetrySink + Send>>,
+    sink: Option<JsonlSink>,
     completions: u64,
 }
 
@@ -223,16 +215,13 @@ impl TelemetryBus {
         let mkwindows = || {
             SloClass::ALL
                 .iter()
-                .map(|_| SlidingWindow::new(cfg.window_secs, cfg.window_buckets))
+                .map(|_| SlidingWindow::new(cfg.window_secs, WINDOW_BUCKETS))
                 .collect()
         };
-        let mut sinks: Vec<Box<dyn TelemetrySink + Send>> = Vec::new();
-        if let Some(path) = &cfg.jsonl_path {
-            sinks.push(Box::new(JsonlSink::create(path)?));
-        }
+        let sink = cfg.jsonl_path.as_ref().map(JsonlSink::create).transpose()?;
         Ok(TelemetryBus {
             window_secs: cfg.window_secs,
-            ring: EventRing::new(cfg.ring_capacity),
+            published: 0,
             flows: FlowTable::with_capacity(1024),
             ttft: mkwindows(),
             tpot: mkwindows(),
@@ -240,15 +229,15 @@ impl TelemetryBus {
             slo: mkwindows(),
             depths: vec![None; instances],
             kv: None,
-            sinks,
+            sink,
             completions: 0,
         })
     }
 
-    /// Publishes one event: rings it and folds it into the aggregators.
-    /// O(1), allocation-free except for per-request flow-table inserts.
+    /// Publishes one event: folds it into the aggregators. O(1),
+    /// allocation-free except for per-request flow-table inserts.
     pub fn publish(&mut self, ev: FlowEvent) {
-        self.ring.push(ev);
+        self.published += 1;
         self.flows.observe(&ev);
         match ev.kind {
             FlowEventKind::QueueDepth {
@@ -279,20 +268,10 @@ impl TelemetryBus {
         }
     }
 
-    /// Finalizes one request: publishes its `Completion` edge, feeds the
-    /// latency windows (the exact `CompletedRequest` formulas, so
-    /// full-run windows reproduce report percentiles bit for bit), and
-    /// fans the flow record out to the sinks.
-    pub fn complete(&mut self, done: &FlowCompletion) -> FlowRecord {
-        self.publish(FlowEvent {
-            time: done.completion,
-            kind: FlowEventKind::Completion {
-                req: done.req,
-                instance: done.instance,
-                output_len: done.output_len,
-                kv_bytes: done.kv_bytes,
-            },
-        });
+    /// Finalizes one request: feeds the latency windows (the exact
+    /// `CompletedRequest` formulas, so full-run windows reproduce report
+    /// percentiles bit for bit) and writes the flow record to the sink.
+    pub fn complete(&mut self, done: &FlowCompletion) {
         let i = done.class.index() as usize;
         let ttft = done.first_token - done.arrival;
         self.ttft[i].push(done.completion, ttft);
@@ -318,25 +297,14 @@ impl TelemetryBus {
         self.slo[i].push(done.completion, if met { 1.0 } else { 0.0 });
         self.completions += 1;
         let record = self.flows.finalize(done);
-        for sink in &mut self.sinks {
-            sink.on_record(&record);
+        if let Some(sink) = &mut self.sink {
+            sink.write_record(&record);
         }
-        record
     }
 
-    /// Events overwritten on ring wrap so far.
-    pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
-    }
-
-    /// The buffered event ring (oldest first) — the live tail's view.
-    pub fn events(&self) -> &EventRing {
-        &self.ring
-    }
-
-    /// Flushes every attached sink.
+    /// Flushes the sink, if any.
     pub fn flush(&mut self) {
-        for sink in &mut self.sinks {
+        if let Some(sink) = &mut self.sink {
             sink.flush();
         }
     }
@@ -363,9 +331,7 @@ impl TelemetryBus {
         TelemetrySnapshot {
             now,
             window_secs: self.window_secs,
-            events_published: self.ring.pushed(),
-            events_buffered: self.ring.len(),
-            dropped: self.ring.dropped(),
+            events_published: self.published,
             completions: self.completions,
             open_flows: self.flows.open_len(),
             classes,
@@ -457,26 +423,5 @@ mod tests {
         let t = snap.windowed_ttft(SloClass::Interactive).unwrap();
         assert_eq!(t.count, 4);
         assert!((t.mean - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn drops_counted_on_wrap() {
-        let cfg = TelemetryConfig {
-            ring_capacity: 4,
-            ..TelemetryConfig::default()
-        };
-        let mut bus = TelemetryBus::new(&cfg, 1).unwrap();
-        for i in 0..10 {
-            bus.publish(FlowEvent {
-                time: i as f64,
-                kind: FlowEventKind::QueueDepth {
-                    instance: 0,
-                    waiting: 0,
-                    running: 0,
-                },
-            });
-        }
-        assert_eq!(bus.dropped(), 6);
-        assert_eq!(bus.snapshot(10.0).events_buffered, 4);
     }
 }

@@ -3,29 +3,26 @@
 //! `RunReport` is end-of-run only; this crate is the live counterpart —
 //! the online signal an autoscaler or SLO controller polls *mid-run*:
 //!
-//! * **flow events** ([`FlowEvent`]) — the engine taps the bus at every
-//!   request lifecycle edge (arrival, admission, prefill chunks, first
-//!   token, decode iterations, preemption, re-dispatch, completion) plus
-//!   periodic queue-depth and KV-occupancy samples;
-//! * **event ring** ([`EventRing`]) — a fixed-capacity, pre-allocated
-//!   ring the events land in; wrapping overwrites the oldest event and
-//!   counts a drop (surfaced as `RunReport::telemetry_dropped`);
+//! * **flow events** ([`FlowEvent`]) — the engine taps the bus at the
+//!   request edges a flow record needs (arrival, admission, prefill
+//!   chunks) plus periodic queue-depth and KV-occupancy samples; the bus
+//!   folds each event into its aggregates and keeps no event log;
 //! * **flow records** ([`FlowRecord`]) — one deepflow-`l7_flow_log`-style
 //!   row per finished request (identity, phase timestamps, KV bytes,
 //!   chunk/batch sizes), finalized from the engine's `CompletedRequest`
-//!   fields and exported through [`TelemetrySink`]s ([`JsonlSink`],
-//!   [`MemorySink`]);
+//!   fields and written to an optional JSON Lines file ([`JsonlSink`]);
 //! * **streaming aggregators** — per-SLO-class sliding-window p50/p95/p99
 //!   for TTFT/TPOT/normalized latency ([`SlidingWindow`], ring-of-buckets,
 //!   O(1) per event) using the *same* [`hetis_sim::percentile`] as the
 //!   report, so a full-run window reproduces end-of-run percentiles
 //!   exactly; latest per-instance queue depths; KV-pool occupancy;
 //! * **query handle** — [`TelemetryBus::snapshot`] returns a
-//!   [`TelemetrySnapshot`] a controller can poll (see
-//!   `ElasticController::observe`).
+//!   [`TelemetrySnapshot`] a controller can poll: the engine hands one
+//!   to `Policy::on_telemetry_tick` at every tick of a closed loop, and
+//!   `Engine::telemetry_snapshot` serves live pollers.
 //!
 //! The engine enables all of this only when `EngineConfig::telemetry` is
-//! `Some`; disabled, no event is constructed, no ring exists and the
+//! `Some`; disabled, no event is constructed, no bus exists and the
 //! behavior digests are bit-identical — the zero-cost gating contract
 //! (DESIGN.md §T).
 
@@ -33,7 +30,6 @@ pub mod bus;
 pub mod event;
 pub mod flow;
 pub mod json;
-pub mod ring;
 pub mod sink;
 pub mod window;
 
@@ -44,6 +40,5 @@ pub use bus::{
 pub use event::{FlowEvent, FlowEventKind};
 pub use flow::{FlowCompletion, FlowRecord, FlowTable};
 pub use json::validate_json_line;
-pub use ring::EventRing;
-pub use sink::{JsonlSink, MemorySink, TelemetrySink};
+pub use sink::JsonlSink;
 pub use window::{SlidingWindow, WindowSummary};

@@ -1,24 +1,14 @@
-//! Telemetry sinks: where finalized flow records are exported.
+//! The JSONL flow-log sink: where finalized flow records are exported.
 //!
-//! The bus owns a list of sinks and hands every [`FlowRecord`] to each of
-//! them as requests complete. Sinks are pull-free — they see records in
-//! completion order and never block the engine on anything but their own
-//! I/O (the JSONL sink buffers writes).
+//! The bus hands every [`FlowRecord`] to its sink as requests complete,
+//! in completion order. The sink never blocks the engine on anything but
+//! its own buffered I/O.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 use crate::flow::FlowRecord;
-
-/// A consumer of finalized flow records.
-pub trait TelemetrySink {
-    /// Called once per completed request, in completion order.
-    fn on_record(&mut self, record: &FlowRecord);
-
-    /// Flushes buffered output (end of run, or before a live tail reads).
-    fn flush(&mut self) {}
-}
 
 /// Streams flow records to a file as JSON Lines, one record per line
 /// (`FlowRecord::to_jsonl`).
@@ -33,32 +23,19 @@ impl JsonlSink {
             out: BufWriter::new(File::create(path)?),
         })
     }
-}
 
-impl TelemetrySink for JsonlSink {
-    fn on_record(&mut self, record: &FlowRecord) {
+    /// Writes one record; called once per completed request, in
+    /// completion order.
+    pub fn write_record(&mut self, record: &FlowRecord) {
         // An export-file write error should not kill a simulation that
         // the caller may still want the in-memory results of; drop the
         // line.
         let _ = writeln!(self.out, "{}", record.to_jsonl());
     }
 
-    fn flush(&mut self) {
+    /// Flushes buffered output (end of run, or before a live tail reads).
+    pub fn flush(&mut self) {
         let _ = self.out.flush();
-    }
-}
-
-/// Retains every record in memory — the query-handle sink for tests and
-/// short runs.
-#[derive(Debug, Clone, Default)]
-pub struct MemorySink {
-    /// Records in completion order.
-    pub records: Vec<FlowRecord>,
-}
-
-impl TelemetrySink for MemorySink {
-    fn on_record(&mut self, record: &FlowRecord) {
-        self.records.push(record.clone());
     }
 }
 
@@ -93,7 +70,7 @@ mod tests {
         let path = std::env::temp_dir().join("hetis_telemetry_sink_test.jsonl");
         let mut sink = JsonlSink::create(&path).unwrap();
         for i in 0..5 {
-            sink.on_record(&record(i));
+            sink.write_record(&record(i));
         }
         sink.flush();
         let text = std::fs::read_to_string(&path).unwrap();
@@ -103,15 +80,5 @@ mod tests {
             validate_json_line(line).expect("sink line parses");
         }
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn memory_sink_retains_order() {
-        let mut sink = MemorySink::default();
-        for i in 0..3 {
-            sink.on_record(&record(i));
-        }
-        let ids: Vec<u64> = sink.records.iter().map(|r| r.req.0).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
     }
 }

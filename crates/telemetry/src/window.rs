@@ -34,7 +34,6 @@ pub struct SlidingWindow {
     /// Seconds per bucket; `∞` makes one never-expiring full-run bucket.
     bucket_span: f64,
     buckets: Vec<Bucket>,
-    pushed: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -63,7 +62,6 @@ impl SlidingWindow {
                     values: Vec::new(),
                 })
                 .collect(),
-            pushed: 0,
         }
     }
 
@@ -87,12 +85,6 @@ impl SlidingWindow {
             b.epoch = epoch;
         }
         b.values.push(value);
-        self.pushed += 1;
-    }
-
-    /// Total samples ever pushed (including expired ones).
-    pub fn pushed(&self) -> u64 {
-        self.pushed
     }
 
     /// Samples still inside the window ending at `now`, in bucket order.

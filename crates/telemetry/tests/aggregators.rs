@@ -1,22 +1,10 @@
-//! Streaming-aggregator coverage (ISSUE 6 satellite): the sliding-window
-//! percentiles must agree with the batch `hetis_sim::percentile` on a
-//! full-run window, and the event ring must wrap correctly at the
-//! degenerate capacity 1 and at arbitrary N.
+//! Streaming-aggregator coverage: the sliding-window percentiles must
+//! agree with the batch `hetis_sim::percentile` on a full-run window, and
+//! a finite window must forget expired samples.
 
 use hetis_sim::percentile;
-use hetis_telemetry::{EventRing, FlowEvent, FlowEventKind, SlidingWindow};
+use hetis_telemetry::SlidingWindow;
 use proptest::prelude::*;
-
-fn depth_event(time: f64, waiting: u32) -> FlowEvent {
-    FlowEvent {
-        time,
-        kind: FlowEventKind::QueueDepth {
-            instance: 0,
-            waiting,
-            running: 0,
-        },
-    }
-}
 
 proptest! {
     /// A full-run window retains every sample, so its p50/p95/p99 must
@@ -52,42 +40,6 @@ proptest! {
         }
     }
 
-    /// Ring wrap at arbitrary capacity N: drop accounting and retained
-    /// suffix must be exact.
-    #[test]
-    fn ring_wraps_exactly_at_capacity_n(
-        capacity in 1usize..50,
-        pushes in 0usize..200,
-    ) {
-        let mut ring = EventRing::new(capacity);
-        for i in 0..pushes {
-            ring.push(depth_event(i as f64, i as u32));
-        }
-        prop_assert_eq!(ring.len(), pushes.min(capacity));
-        prop_assert_eq!(ring.pushed(), pushes as u64);
-        prop_assert_eq!(ring.dropped(), pushes.saturating_sub(capacity) as u64);
-        // The retained events are exactly the newest `min(pushes, cap)`,
-        // oldest first.
-        let times: Vec<f64> = ring.iter().map(|e| e.time).collect();
-        let expect: Vec<f64> = (pushes.saturating_sub(capacity)..pushes)
-            .map(|i| i as f64)
-            .collect();
-        prop_assert_eq!(times, expect);
-    }
-}
-
-#[test]
-fn ring_capacity_one_keeps_only_latest() {
-    let mut ring = EventRing::new(1);
-    assert!(ring.latest().is_none());
-    ring.push(depth_event(0.0, 0));
-    assert_eq!((ring.len(), ring.dropped()), (1, 0));
-    for i in 1..=7 {
-        ring.push(depth_event(i as f64, i));
-    }
-    assert_eq!((ring.len(), ring.pushed(), ring.dropped()), (1, 8, 7));
-    assert_eq!(ring.latest().unwrap().time, 7.0);
-    assert_eq!(ring.iter().count(), 1);
 }
 
 #[test]

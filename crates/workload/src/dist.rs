@@ -12,25 +12,6 @@ pub trait Distribution {
     fn mean(&self) -> f64;
 }
 
-/// Uniform over `[lo, hi)`.
-#[derive(Debug, Clone, Copy)]
-pub struct Uniform {
-    /// Inclusive lower bound.
-    pub lo: f64,
-    /// Exclusive upper bound.
-    pub hi: f64,
-}
-
-impl Distribution for Uniform {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        rng.gen_range(self.lo..self.hi)
-    }
-
-    fn mean(&self) -> f64 {
-        (self.lo + self.hi) / 2.0
-    }
-}
-
 /// Log-normal with parameters `mu`, `sigma` of the underlying normal.
 ///
 /// Sequence-length distributions of chat/code corpora are well described
@@ -118,16 +99,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn uniform_bounds_and_mean() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let d = Uniform { lo: 3.0, hi: 7.0 };
-        let samples: Vec<f64> = (0..20_000).map(|_| d.sample(&mut rng)).collect();
-        assert!(samples.iter().all(|&x| (3.0..7.0).contains(&x)));
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        assert!((mean - d.mean()).abs() < 0.05);
-    }
 
     #[test]
     fn lognormal_median_and_mean() {

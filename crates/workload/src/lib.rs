@@ -30,7 +30,7 @@ pub mod trace;
 
 pub use arrivals::{ArrivalProcess, PiecewiseRate, Poisson};
 pub use datasets::{Dataset, DatasetKind};
-pub use dist::{Distribution, LogNormal, TruncatedLogNormal, Uniform};
+pub use dist::{Distribution, LogNormal, TruncatedLogNormal};
 pub use price::PriceTrace;
 pub use request::{Request, RequestId, SessionTurn};
 pub use sessions::{multi_turn_trace, SessionWorkload};

@@ -110,10 +110,9 @@ fn main() {
     let report = engine.into_report();
     let snap = report.telemetry.as_ref().expect("telemetry is enabled");
     println!(
-        "\nrun done: {} completed, {} events published, {} dropped (ring wrap)",
+        "\nrun done: {} completed, {} events published",
         report.completed.len(),
         snap.events_published,
-        report.telemetry_dropped,
     );
     println!("polled {polls} snapshots, max queue depth {max_depth}");
     assert!(!snap.is_empty(), "bus saw no events");

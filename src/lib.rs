@@ -1,9 +1,9 @@
 //! # Hetis — reproduction facade crate
 //!
-//! Re-exports every subsystem of the Hetis reproduction under one roof and
-//! provides a [`prelude`] for examples/tests. See `DESIGN.md` at the
-//! repository root for the full system inventory and the per-experiment
-//! index, and `EXPERIMENTS.md` for paper-vs-measured results.
+//! Re-exports every subsystem of the Hetis reproduction under one roof.
+//! See `DESIGN.md` at the repository root for the full system inventory
+//! and the per-experiment index, and `EXPERIMENTS.md` for paper-vs-measured
+//! results.
 
 pub use hetis_baselines as baselines;
 pub use hetis_cluster as cluster;
@@ -17,8 +17,3 @@ pub use hetis_parallel as parallel;
 pub use hetis_sim as sim;
 pub use hetis_telemetry as telemetry;
 pub use hetis_workload as workload;
-
-/// Commonly used items for examples and integration tests.
-pub mod prelude {
-    pub use hetis_sim::{Clock, EventQueue, SimTime, Summary};
-}
