@@ -322,7 +322,7 @@ pub struct Engine<'a, P: Policy> {
     /// prefill writing them — the memory-traffic saving).
     shared_kv_bytes: u64,
     /// Streaming telemetry bus (`None` = disabled; every tap is a no-op
-    /// and no event/ring/aggregator exists — the zero-cost contract).
+    /// and no event or aggregator exists — the zero-cost contract).
     telemetry: Option<TelemetryBus>,
     /// `Sample` + `TelemetryTick` events currently queued (each chain
     /// holds at most one). The liveness guard subtracts these so the two
