@@ -49,7 +49,7 @@ fn main() {
 
     // Candidate placements for one new request (64 heads).
     let lp = dispatcher
-        .dispatch(&cluster, &model, &kv, &stage, 0, &[new_ctx])
+        .dispatch(&cluster, &model, &kv, &stage, 0, &[new_ctx], None)
         .unwrap()
         .heads[0]
         .clone();

@@ -155,8 +155,9 @@ fn bench_dispatch(c: &mut Criterion) {
 
     c.bench_function("dispatch_waterfill_6dev_4req", |b| {
         b.iter(|| {
+            let lens = [512, 1024, 2048, 300];
             waterfill
-                .dispatch(&cluster, &model, &kv, &stage, 0, &[512, 1024, 2048, 300])
+                .dispatch(&cluster, &model, &kv, &stage, 0, &lens, None)
                 .unwrap()
         });
         // Smoke assertion for CI quick mode: the fast path must actually
@@ -320,7 +321,7 @@ fn bench_capacity_bound_dispatch(
     }
     let mut settled = |name: &str, lens: &[u32]| {
         let predicted = |kv: &KvState| {
-            d.dispatch(cluster, model, kv, &stage, 0, lens)
+            d.dispatch(cluster, model, kv, &stage, 0, lens, None)
                 .expect("the batch fits the stage")
                 .predicted_max
         };
@@ -360,7 +361,7 @@ fn bench_capacity_bound_dispatch(
         let mut calls = 0u64;
         b.iter(|| {
             calls += 1;
-            d.dispatch(cluster, model, &kv, &stage, 0, &lens)
+            d.dispatch(cluster, model, &kv, &stage, 0, &lens, None)
                 .expect("the batch fits the stage")
         });
         assert_eq!(

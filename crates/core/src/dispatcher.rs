@@ -101,7 +101,7 @@ struct Batch<'a> {
     /// Bytes per query-head-token, κ.
     kappa: f64,
     /// The objective's per-request length cap (see
-    /// [`Dispatcher::dispatch_chunked`]).
+    /// [`Dispatcher::dispatch`]).
     compute_chunk: Option<u64>,
     /// Query heads per request, H.
     heads: u32,
@@ -287,6 +287,20 @@ impl Dispatcher {
     /// Solves Eq. (7) for `new_reqs` (context lengths `l_j`) on `stage`
     /// (stage index `stage_idx` of its instance). Returns `None` when the
     /// batch cannot fit the stage's pooled capacity at all.
+    ///
+    /// `compute_chunk` is the chunked-prefill engine's chunk size: the
+    /// objective's per-request attention-load term is capped at it —
+    /// during the chunked window a prompt's per-iteration attention work
+    /// is chunk-bounded, so pricing its whole context into every
+    /// iteration makes the LP too pessimistic about slower workers —
+    /// while the capacity constraint still prices the *full* prompt.
+    /// The engine's reservation is fine-grained (first chunk + headroom,
+    /// grown per chunk), so full-prompt capacity here is deliberately
+    /// conservative: the chosen placement must be able to absorb the
+    /// request's eventual growth, and the free-bytes inputs the LP reads
+    /// already reflect the leaner resident reservations. `None` prices
+    /// whole prompts (atomic prefill).
+    #[allow(clippy::too_many_arguments)]
     pub fn dispatch(
         &self,
         cluster: &Cluster,
@@ -295,6 +309,7 @@ impl Dispatcher {
         stage: &StageTopo,
         stage_idx: u16,
         new_reqs: &[u32],
+        compute_chunk: Option<u64>,
     ) -> Option<DispatchOutcome> {
         self.dispatch_adjusted(
             cluster,
@@ -305,43 +320,7 @@ impl Dispatcher {
             new_reqs,
             &[],
             None,
-            None,
-        )
-    }
-
-    /// [`Dispatcher::dispatch`] for a chunked-prefill engine: the
-    /// objective's per-request attention-load term is capped at `chunk`
-    /// tokens — during the chunked window a prompt's per-iteration
-    /// attention work is chunk-bounded, so pricing its whole context into
-    /// every iteration makes the LP too pessimistic about slower workers
-    /// — while the capacity constraint still prices the *full* prompt.
-    /// The engine's reservation is fine-grained (first chunk + headroom,
-    /// grown per chunk), so full-prompt capacity here is deliberately
-    /// conservative: the chosen placement must be able to absorb the
-    /// request's eventual growth, and the free-bytes inputs the LP reads
-    /// already reflect the leaner resident reservations. With
-    /// `chunk = None` this is exactly [`Dispatcher::dispatch`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn dispatch_chunked(
-        &self,
-        cluster: &Cluster,
-        model: &ModelSpec,
-        kv: &KvState,
-        stage: &StageTopo,
-        stage_idx: u16,
-        new_reqs: &[u32],
-        chunk: Option<u64>,
-    ) -> Option<DispatchOutcome> {
-        self.dispatch_adjusted(
-            cluster,
-            model,
-            kv,
-            stage,
-            stage_idx,
-            new_reqs,
-            &[],
-            None,
-            chunk,
+            compute_chunk,
         )
     }
 
@@ -356,8 +335,8 @@ impl Dispatcher {
     /// heads its own eviction pressure just released.
     ///
     /// `compute_chunk` caps each request's length in the *objective* only
-    /// (see [`Dispatcher::dispatch_chunked`]); capacity always uses the
-    /// full length.
+    /// (see [`Dispatcher::dispatch`]); capacity always uses the full
+    /// length.
     #[allow(clippy::too_many_arguments)]
     pub fn dispatch_adjusted(
         &self,
@@ -1044,7 +1023,7 @@ mod tests {
         // (network beta makes remote placement unprofitable).
         let (cluster, model, kv, stage, d) = setup();
         let out = d
-            .dispatch(&cluster, &model, &kv, &stage, 0, &[512])
+            .dispatch(&cluster, &model, &kv, &stage, 0, &[512], None)
             .unwrap();
         assert_eq!(out.heads.len(), 1);
         let total: u32 = out.heads[0].iter().sum();
@@ -1073,7 +1052,7 @@ mod tests {
             }
         }
         let out = d
-            .dispatch(&cluster, &model, &kv, &stage, 0, &[2000])
+            .dispatch(&cluster, &model, &kv, &stage, 0, &[2000], None)
             .unwrap();
         let remote: u32 = out.heads[0][4..].iter().sum();
         assert!(
@@ -1087,7 +1066,7 @@ mod tests {
     fn head_counts_are_group_multiples() {
         let (cluster, model, kv, stage, d) = setup();
         let out = d
-            .dispatch(&cluster, &model, &kv, &stage, 0, &[700, 1400, 300])
+            .dispatch(&cluster, &model, &kv, &stage, 0, &[700, 1400, 300], None)
             .unwrap();
         for per_req in &out.heads {
             assert_eq!(per_req.iter().sum::<u32>(), 64);
@@ -1117,7 +1096,7 @@ mod tests {
                     .unwrap();
             }
         }
-        let out = d.dispatch(&cluster, &model, &kv, &stage, 0, &[100_000]);
+        let out = d.dispatch(&cluster, &model, &kv, &stage, 0, &[100_000], None);
         assert!(out.is_none(), "oversized request must be rejected");
     }
 
@@ -1180,7 +1159,9 @@ mod tests {
         }
         let d = Dispatcher::new(Profiler::profile(&cluster, 8, 0.0, 1));
         let (fast, fallback) = d.solver_counts();
-        let out = d.dispatch(&cluster, &model, &kv, &stage, 0, &lens).unwrap();
+        let out = d
+            .dispatch(&cluster, &model, &kv, &stage, 0, &lens, None)
+            .unwrap();
         assert!(d.scratch.borrow().wf.certified());
         assert_eq!(d.solver_counts(), (fast, fallback + 1));
 
@@ -1208,7 +1189,9 @@ mod tests {
     #[test]
     fn empty_batch_trivial() {
         let (cluster, model, kv, stage, d) = setup();
-        let out = d.dispatch(&cluster, &model, &kv, &stage, 0, &[]).unwrap();
+        let out = d
+            .dispatch(&cluster, &model, &kv, &stage, 0, &[], None)
+            .unwrap();
         assert!(out.heads.is_empty());
         let (t, dev) = d.current_attention_time(&cluster, &model, &kv, &stage, 0);
         assert_eq!(t, 0.0);

@@ -114,7 +114,7 @@ impl Policy for HetisPolicy {
         // shrink to the largest feasible prefix. Under chunked prefill the
         // LP prices each prompt's per-iteration attention load at chunk
         // size (capacity still reserves the full prompt) — see
-        // `Dispatcher::dispatch_chunked`.
+        // `Dispatcher::dispatch`.
         let mut k = stages
             .iter()
             .map(|stage| Dispatcher::pooled_prefix(ctx.model, ctx.kv, stage, &lens))
@@ -124,7 +124,7 @@ impl Policy for HetisPolicy {
             let mut per_stage_heads: Vec<Vec<Vec<u32>>> = Vec::with_capacity(stages.len());
             let mut feasible = true;
             for (s, stage) in stages.iter().enumerate() {
-                match dispatcher.dispatch_chunked(
+                match dispatcher.dispatch(
                     ctx.cluster,
                     ctx.model,
                     ctx.kv,

@@ -58,7 +58,7 @@ proptest! {
     ) {
         let (cluster, model, kv, stage, dispatcher) = setup(&resident);
         let devices: Vec<DeviceId> = stage.attention_devices().collect();
-        let Some(out) = dispatcher.dispatch(&cluster, &model, &kv, &stage, 0, &lens) else {
+        let Some(out) = dispatcher.dispatch(&cluster, &model, &kv, &stage, 0, &lens, None) else {
             // Infeasible is a legal outcome under heavy residency.
             return Ok(());
         };
@@ -132,7 +132,7 @@ fn pooled_prefix_bounds_every_accepted_prefix() {
         let mut longest = 0;
         for k in 1..=lens.len() {
             let placed = d
-                .dispatch(&cluster, &model, &kv, &stage, 0, &lens[..k])
+                .dispatch(&cluster, &model, &kv, &stage, 0, &lens[..k], None)
                 .is_some();
             assert!(
                 !(placed && k > bound),

@@ -33,9 +33,15 @@ pub const MAX_RUNNING: usize = 512;
 pub const DECODE_HEADROOM_TOKENS: u32 = 16;
 
 /// Engine configuration, mirroring vLLM's serving knobs where they exist.
+///
+/// The engine checks it once, with [`EngineConfig::validate`], when it is
+/// built, and reads its settings into a private mode value then; a config
+/// that fails the check panics with the check's message before the first
+/// event.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Prefill token budget per iteration (vLLM `max_num_batched_tokens`).
+    /// Prefill token budget per iteration (vLLM `max_num_batched_tokens`);
+    /// must be positive.
     pub max_batch_tokens: u64,
     /// Chunked prefill: cap on prompt tokens one request contributes to a
     /// single prefill iteration (vLLM `long_prefill_token_threshold`
@@ -46,16 +52,16 @@ pub struct EngineConfig {
     /// longest effective prompt schedules identically to `None`
     /// (digest-pinned on uncontended pools); its KV reservation still
     /// carries [`DECODE_HEADROOM_TOKENS`] on top of the prompt, so under
-    /// memory pressure victim timing can differ from atomic mode.
+    /// memory pressure victim timing can differ from atomic mode. A
+    /// chunk must be positive.
     pub prefill_chunk_tokens: Option<u64>,
     /// Fused prefill+decode microbatches (vLLM-style chunked prefill's
-    /// mixed batches): when chunking is on, each cohort iteration runs
-    /// ONE breakdown combining the current prefill chunk(s) with the
-    /// resident decode batch — weights stream once, decode tokens ride
-    /// the chunk's dense pass — instead of alternating chunk and decode
-    /// iterations. Cuts decode TPOT during long prefills at a small TTFT
-    /// cost. Ignored when `prefill_chunk_tokens` is `None` (atomic
-    /// prefills keep the legacy prefill-priority loop).
+    /// mixed batches): each cohort iteration runs ONE breakdown combining
+    /// the current prefill chunk(s) with the resident decode batch —
+    /// weights stream once, decode tokens ride the chunk's dense pass —
+    /// instead of alternating chunk and decode iterations. Cuts decode
+    /// TPOT during long prefills at a small TTFT cost. Requires
+    /// `prefill_chunk_tokens` (see [`EngineConfig::validate`]).
     pub fused_microbatches: bool,
     /// Admission-queue ordering.
     pub admission: AdmissionPolicy,
@@ -114,9 +120,53 @@ impl Default for EngineConfig {
     }
 }
 
+impl EngineConfig {
+    /// Rejects the four configs no run can serve as asked, naming the
+    /// field at fault:
+    ///
+    /// * `max_batch_tokens: 0` — no request could ever be admitted;
+    /// * `prefill_chunk_tokens: Some(0)` — a chunk needs a token;
+    /// * `fused_microbatches` without `prefill_chunk_tokens` — fusion
+    ///   rides prefill chunks, and an atomic prefill has none;
+    /// * `closed_loop` without telemetry whose `sample_period` is
+    ///   positive — the control loop acts on telemetry ticks.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.max_batch_tokens == 0 {
+            return Err(
+                "EngineConfig::max_batch_tokens must be positive (a zero budget \
+                        admits nothing)"
+                    .into(),
+            );
+        }
+        if self.prefill_chunk_tokens == Some(0) {
+            return Err("EngineConfig::prefill_chunk_tokens must be positive when set".into());
+        }
+        if self.fused_microbatches && self.prefill_chunk_tokens.is_none() {
+            return Err(
+                "EngineConfig::fused_microbatches requires prefill_chunk_tokens \
+                        (fusion rides prefill chunks)"
+                    .into(),
+            );
+        }
+        let ticking = self
+            .telemetry
+            .as_ref()
+            .is_some_and(|t| t.sample_period > 0.0);
+        if self.closed_loop.is_some() && !ticking {
+            return Err(
+                "EngineConfig::closed_loop requires telemetry with a positive sample_period \
+                 (the control loop is telemetry-tick-edge driven)"
+                    .into(),
+            );
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::ClosedLoopConfig;
 
     #[test]
     fn defaults_sane() {
@@ -128,5 +178,48 @@ mod tests {
         assert!(c.telemetry.is_none(), "telemetry is opt-in");
         assert!(c.closed_loop.is_none(), "closed loop is opt-in");
         assert!(!c.prefix_reuse, "prefix reuse is opt-in");
+    }
+
+    /// Each of the four rejected configs names its field; the default and
+    /// the configs next to the rejected ones are accepted.
+    #[test]
+    fn validate_rejects_exactly_the_unservable_configs() {
+        fn tick(sample_period: f64) -> Option<TelemetryConfig> {
+            Some(TelemetryConfig {
+                sample_period,
+                ..TelemetryConfig::default()
+            })
+        }
+        fn closed() -> Option<ClosedLoopConfig> {
+            Some(ClosedLoopConfig::default())
+        }
+        type Edit = fn(&mut EngineConfig);
+        let with = |edit: Edit| {
+            let mut cfg = EngineConfig::default();
+            edit(&mut cfg);
+            cfg
+        };
+        let rejected: [(Edit, &str); 5] = [
+            (|c| c.max_batch_tokens = 0, "max_batch_tokens"),
+            (|c| c.prefill_chunk_tokens = Some(0), "prefill_chunk_tokens"),
+            (|c| c.fused_microbatches = true, "fused_microbatches"),
+            (|c| c.closed_loop = closed(), "closed_loop"),
+            (
+                |c| (c.telemetry, c.closed_loop) = (tick(0.0), closed()),
+                "closed_loop",
+            ),
+        ];
+        for (edit, field) in rejected {
+            let err = with(edit).validate().expect_err(field);
+            assert!(err.contains(field), "{field}: {err}");
+        }
+        let accepted: [Edit; 3] = [
+            |_| {},
+            |c| (c.prefill_chunk_tokens, c.fused_microbatches) = (Some(1), true),
+            |c| (c.telemetry, c.closed_loop) = (tick(0.5), closed()),
+        ];
+        for edit in accepted {
+            assert_eq!(with(edit).validate(), Ok(()));
+        }
     }
 }

@@ -21,8 +21,8 @@ use hetis_cluster::cluster::paper_cluster;
 use hetis_cluster::{DeviceId, GpuType};
 use hetis_engine::policy::StaticPolicy;
 use hetis_engine::{
-    run, AdmissionPolicy, Engine, EngineConfig, InstanceRole, InstanceTopo, RunReport, StageTopo,
-    Topology,
+    run, AdmissionPolicy, Engine, EngineConfig, HeadPlacement, InstanceRole, InstanceTopo, Phase,
+    Policy, PolicyCtx, RunReport, StageTopo, Topology, VictimAction,
 };
 use hetis_model::llama_13b;
 use hetis_parallel::StageConfig;
@@ -30,6 +30,8 @@ use hetis_workload::{
     DatasetKind, Poisson, Request, RequestId, SloClass, TenantId, Trace, TraceBuilder,
 };
 use proptest::prelude::*;
+use std::cell::Cell;
+use std::rc::Rc;
 
 fn a100_topo() -> Topology {
     let c = paper_cluster();
@@ -204,18 +206,9 @@ fn fusion_cuts_decode_stall_during_long_prefill() {
     );
 }
 
-/// Reservation bound + terminal balance under forced growth failures: a
-/// pool small enough that long prompts cannot reserve whole exercises
-/// the victim loop and the growth-failure eviction path; every pool must
-/// end the run at exactly zero bytes and every completion must carry its
-/// full output (no truncation).
-#[test]
-fn growth_failure_eviction_balances_allocator() {
-    let cluster = paper_cluster();
-    let model = llama_13b();
-    // One A100, tiny KV pool via a huge max_running pressure instead:
-    // load far more concurrent long prompts than the single device's
-    // pool can hold at once.
+/// Forty-eight 6,000-token prompts chunked at 256 onto one A100: far
+/// more concurrent long prompts than its KV pool can hold at once.
+fn long_prompt_storm() -> (Topology, Trace, EngineConfig) {
     let topo = Topology {
         instances: vec![InstanceTopo {
             stages: vec![StageTopo::plain(StageConfig {
@@ -243,6 +236,19 @@ fn growth_failure_eviction_balances_allocator() {
         drain_timeout: 3000.0,
         ..EngineConfig::default()
     };
+    (topo, trace, cfg)
+}
+
+/// Reservation bound + terminal balance under forced growth failures: a
+/// pool small enough that long prompts cannot reserve whole exercises
+/// the victim loop and the growth-failure eviction path; every pool must
+/// end the run at exactly zero bytes and every completion must carry its
+/// full output (no truncation).
+#[test]
+fn growth_failure_eviction_balances_allocator() {
+    let cluster = paper_cluster();
+    let model = llama_13b();
+    let (topo, trace, cfg) = long_prompt_storm();
     let policy = StaticPolicy::new("vllm", topo.clone());
     let mut engine = Engine::new(policy, &cluster, &model, cfg, topo, &trace);
     engine.run_to_completion();
@@ -262,6 +268,77 @@ fn growth_failure_eviction_balances_allocator() {
     for c in &report.completed {
         assert_eq!(c.output_len, 64);
     }
+}
+
+/// A policy that answers a growing prefill's memory pressure by naming
+/// the grower itself as the victim, and a decode append's by the usual
+/// LIFO pick; it counts the evictions it orders.
+struct SelfVictim {
+    inner: StaticPolicy,
+    evictions: Rc<Cell<u64>>,
+    self_victims: Rc<Cell<u64>>,
+}
+
+impl Policy for SelfVictim {
+    fn name(&self) -> String {
+        "self-victim".into()
+    }
+    fn topology(
+        &mut self,
+        c: &hetis_cluster::Cluster,
+        m: &hetis_model::ModelSpec,
+        cfg: &EngineConfig,
+    ) -> Topology {
+        self.inner.topology(c, m, cfg)
+    }
+    fn route(&mut self, req: &Request, ctx: &PolicyCtx<'_>) -> usize {
+        self.inner.route(req, ctx)
+    }
+    fn place_batch(
+        &mut self,
+        instance: usize,
+        reqs: &[(RequestId, u32)],
+        ctx: &PolicyCtx<'_>,
+    ) -> Vec<Option<HeadPlacement>> {
+        self.inner.place_batch(instance, reqs, ctx)
+    }
+    fn select_victim(
+        &mut self,
+        instance: usize,
+        device: DeviceId,
+        blocked: RequestId,
+        ctx: &PolicyCtx<'_>,
+    ) -> VictimAction {
+        let action = if ctx.requests[&blocked].phase == Phase::Prefilling {
+            self.self_victims.set(self.self_victims.get() + 1);
+            VictimAction::Evict(blocked)
+        } else {
+            self.inner.select_victim(instance, device, blocked, ctx)
+        };
+        if matches!(action, VictimAction::Evict(_)) {
+            self.evictions.set(self.evictions.get() + 1);
+        }
+        action
+    }
+}
+
+/// A grower that a victim decision evicts is gone: its failed growth is
+/// counted once and it is not evicted a second time, so every eviction
+/// the policy orders is exactly one preemption.
+#[test]
+fn grower_chosen_as_its_own_victim_is_evicted_once() {
+    let (topo, trace, cfg) = long_prompt_storm();
+    let (evictions, self_victims) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(0)));
+    let policy = SelfVictim {
+        inner: StaticPolicy::new("vllm", topo),
+        evictions: evictions.clone(),
+        self_victims: self_victims.clone(),
+    };
+    let report = run(policy, &paper_cluster(), &llama_13b(), cfg, &trace);
+    assert_eq!(report.unfinished, 0, "run must drain fully");
+    assert!(self_victims.get() > 0, "no grower was its own victim");
+    assert_eq!(report.kv_grow_failures, self_victims.get());
+    assert_eq!(report.preemptions, evictions.get());
 }
 
 /// The reservation bound, measured where it bites: a long-prompt-only

@@ -1,13 +1,14 @@
-//! Regression tests for the per-instance running counters that replaced
-//! `Engine::running_count`'s O(all-requests) scan.
+//! Regression tests for the per-instance running counts
+//! (`Engine::running_counts`), which the engine derives as each
+//! instance's live requests less its waiting queue.
 //!
-//! In debug builds every admission round cross-checks the incremental
-//! counter against the old scan (`debug_assert_eq!` inside
-//! `running_count`), so driving the engine through each transition path
-//! — admission, completion, recompute eviction, Splitwise hand-off
-//! (instance move mid-running), churn eviction — exercises the
-//! equivalence thousands of times. These tests additionally pin the
-//! terminal state: when everything completed, every counter is zero.
+//! In debug builds every admission round checks that count against a
+//! scan of the request map (`debug_assert_eq!` inside `running_count`),
+//! so driving the engine through each transition path — admission,
+//! completion, recompute eviction, Splitwise hand-off (instance move
+//! mid-running), churn eviction — exercises the equivalence thousands of
+//! times. These tests additionally pin the terminal state: when
+//! everything completed, every count is zero.
 
 use hetis_cluster::cluster::paper_cluster;
 use hetis_cluster::GpuType;

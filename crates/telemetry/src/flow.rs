@@ -185,18 +185,16 @@ impl FlowTable {
     /// Folds one bus event into the per-request state.
     pub fn observe(&mut self, ev: &FlowEvent) {
         match ev.kind {
-            FlowEventKind::Arrival { req, .. } => {
+            FlowEventKind::Arrival { req } => {
                 self.open.entry(req).or_default();
             }
-            FlowEventKind::Admission { req, .. } => {
+            FlowEventKind::Admission { req } => {
                 let p = self.open.entry(req).or_default();
                 if p.admitted < 0.0 {
                     p.admitted = ev.time;
                 }
             }
-            FlowEventKind::PrefillChunk {
-                req, chunk_tokens, ..
-            } => {
+            FlowEventKind::PrefillChunk { req, chunk_tokens } => {
                 let p = self.open.entry(req).or_default();
                 if p.first_chunk < 0.0 {
                     p.first_chunk = ev.time;
@@ -266,19 +264,12 @@ mod tests {
             time,
             kind: FlowEventKind::PrefillChunk {
                 req: rid,
-                instance: 1,
                 chunk_tokens: tokens,
-                prior_tokens: 0,
             },
         };
         t.observe(&FlowEvent {
             time: 1.1,
-            kind: FlowEventKind::Admission {
-                req: rid,
-                instance: 1,
-                first_chunk_tokens: 64,
-                prefix_hit_tokens: 0,
-            },
+            kind: FlowEventKind::Admission { req: rid },
         });
         t.observe(&chunk(1.2, 64));
         t.observe(&chunk(1.4, 64));
