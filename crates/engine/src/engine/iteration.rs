@@ -19,7 +19,7 @@ use hetis_workload::RequestId;
 /// One in-flight iteration of a cohort. Either side may be empty, not
 /// both; both are populated only for a fused iteration.
 #[derive(Debug, Clone)]
-pub(super) struct Ubatch {
+struct Ubatch {
     /// Prefill participants.
     reqs: Vec<RequestId>,
     /// Prompt tokens each prefill participant contributed to this
@@ -43,7 +43,7 @@ type DecodeBatch = (Vec<RequestId>, Vec<Vec<AttnLoad>>, StageHeads);
 #[derive(Debug, Clone, Default)]
 pub(super) struct Cohort {
     /// Decoding-phase requests owned by this cohort.
-    pub(super) members: Vec<RequestId>,
+    members: Vec<RequestId>,
     /// Requests mid-prefill in this cohort, in admission order. Under
     /// chunked prefill a request stays here across chunks; with atomic
     /// prefill it enters and leaves within one microbatch lifetime.
@@ -53,7 +53,7 @@ pub(super) struct Cohort {
     /// decode so a long chunked prompt cannot starve resident decodes
     /// (see [`Engine::decode_turn`]).
     last_carried_chunk: bool,
-    pub(super) in_flight: Option<Ubatch>,
+    in_flight: Option<Ubatch>,
     /// Incremental per-stage decode attention loads: for every pipeline
     /// stage, `device → (query heads, decode KV read bytes)` summed over
     /// the cohort's registered decoding members at their *current*
@@ -682,12 +682,8 @@ impl<'a, P: Policy> Engine<'a, P> {
     /// records its completion.
     fn finish(&mut self, rid: RequestId) {
         let inst = self.requests[&rid].instance;
-        self.load_table_remove(inst, rid);
-        // Release boundary: observe the peak while the finished
-        // request's KV is still resident (see `note_kv_peak`).
-        self.note_kv_peak();
         // The flow record wants the resident KV footprint, which is gone
-        // after the frees below — sum it first (enabled runs only).
+        // after the release below — sum it first (enabled runs only).
         let kv_bytes = if self.telemetry.is_some() {
             (0..self.kv.len())
                 .map(|d| self.kv.device(DeviceId(d as u32)).request_bytes(rid))
@@ -696,10 +692,7 @@ impl<'a, P: Policy> Engine<'a, P> {
             0
         };
         self.register_prefix(rid, inst);
-        for d in 0..self.kv.len() {
-            self.kv.device_mut(DeviceId(d as u32)).free_request(rid);
-        }
-        self.remove_cohort_member(inst, rid);
+        self.release_kv(inst, rid);
         // Retire the request: the map holds live requests only, so no
         // per-event scan pays for the history of the run.
         let r = self.requests.remove(&rid).expect("live");
@@ -907,29 +900,35 @@ impl<'a, P: Policy> Engine<'a, P> {
     }
 
     /// The release half of every preemption ([`Self::evict`] and
-    /// [`Self::churn_evict`]): takes `rid` off its cohort and load table,
-    /// frees its KV everywhere and resets it for a recompute re-prefill.
-    /// Returns its instance and the lost context tokens.
+    /// [`Self::churn_evict`]): releases `rid`'s KV and resets it for a
+    /// recompute re-prefill. Returns its instance and the lost context
+    /// tokens.
     pub(super) fn release_preempted(&mut self, rid: RequestId) -> (usize, u64) {
         let (inst, lost) = {
             let r = &self.requests[&rid];
             assert!(!r.in_flight, "cannot preempt an in-flight request");
             (r.instance, r.req.input_len + r.generated)
         };
-        self.load_table_remove(inst, rid);
-        // Release boundary: observe the peak while the victim's KV is
-        // still resident (see `note_kv_peak`).
-        self.note_kv_peak();
+        self.release_kv(inst, rid);
         self.requests
             .get_mut(&rid)
             .expect("live")
             .preempt_recompute();
+        self.tally.preemptions += 1;
+        (inst, lost as u64)
+    }
+
+    /// Takes `rid` off its cohort and load table and frees its KV
+    /// everywhere — the release common to completion and preemption. The
+    /// peak is observed first, while the KV is still resident (see
+    /// [`Self::note_kv_peak`]).
+    fn release_kv(&mut self, inst: usize, rid: RequestId) {
+        self.load_table_remove(inst, rid);
+        self.note_kv_peak();
         for d in 0..self.kv.len() {
             self.kv.device_mut(DeviceId(d as u32)).free_request(rid);
         }
         self.remove_cohort_member(inst, rid);
-        self.tally.preemptions += 1;
-        (inst, lost as u64)
     }
 
     // -------------------------------------------------- cohorts and loads
@@ -1017,7 +1016,7 @@ impl<'a, P: Policy> Engine<'a, P> {
     /// located via the tracked [`RunningRequest::cohort`] (clamped: a
     /// hand-off may carry a cohort index from a deeper instance until
     /// `ensure_cohort_member` re-homes it).
-    pub(super) fn remove_cohort_member(&mut self, inst: usize, rid: RequestId) {
+    fn remove_cohort_member(&mut self, inst: usize, rid: RequestId) {
         let cohorts = &mut self.instances[inst].cohorts;
         let c = self.requests[&rid].cohort.min(cohorts.len() - 1);
         debug_assert!(
